@@ -487,6 +487,12 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     bc = Parameter(rng.normal(size=(3,)))
     r_c = Tensor(rng.normal(size=(3, 3, 3)))
     unit("conv2d", lambda: sum_all(hadamard(conv2d(x, wc, bc, 2, 1), r_c)), [x, wc, bc])
+    w1 = Parameter(rng.normal(size=(3, 2, 1, 1)))
+    r_1 = Tensor(rng.normal(size=(3, 5, 5)))
+    unit("conv2d_1x1", lambda: sum_all(hadamard(conv2d(x, w1, bc), r_1)), [x, w1, bc])
+    w4 = Parameter(rng.normal(size=(3, 2, 4, 4)))
+    r_4 = Tensor(rng.normal(size=(3, 2, 2)))
+    unit("conv2d_k4s2", lambda: sum_all(hadamard(conv2d(x, w4, bc, 2, 1), r_4)), [x, w4, bc])
     wd = Parameter(rng.normal(size=(2, 3, 3)))
     bd = Parameter(rng.normal(size=(2,)))
     r_d = Tensor(rng.normal(size=(2, 5, 5)))

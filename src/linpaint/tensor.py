@@ -264,6 +264,11 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Convolutions
+#
+# No convolution builds the k*k-times-larger column matrix of its whole input:
+# dense convs multiply channel blocks of columns no larger than the padded
+# input, depthwise convs sum scaled shifted views, and a backward closure keeps
+# only the padded input, rebuilding each block when it needs it.
 
 
 def _conv_out_size(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -281,27 +286,16 @@ def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    # Returns (C, k, k, ho, wo); each (ki,kj) plane is a strided view copy.
-    c = xp.shape[0]
-    cols = np.empty((c, k, k, ho, wo))
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    return cols
-
-
-def _col2im(dcols: np.ndarray, shape: tuple[int, int, int], k: int, stride: int,
-            padding: int, ho: int, wo: int) -> np.ndarray:
-    c, h, w = shape
-    dxp = np.zeros((c, h + 2 * padding, w + 2 * padding))
-    # Each (ki,kj) offset writes to disjoint strided positions, so += is safe.
-    for ki in range(k):
-        for kj in range(k):
-            dxp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, ki, kj]
+def _crop_hw(xp: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
-        return dxp
-    return dxp[:, padding:-padding, padding:-padding]
+        return xp
+    return xp[:, padding:-padding, padding:-padding]
+
+
+def _taps(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int, slice, slice]]:
+    """(ki, kj, rows, cs) per tap: the slices of the padded input that the tap reads."""
+    return [(ki, kj, slice(ki, ki + stride * ho, stride), slice(kj, kj + stride * wo, stride))
+            for ki in range(k) for kj in range(k)]
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -322,21 +316,60 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     cout, cin, k, _ = w.shape
     _, h, wd = x.shape
     ho, wo = _conv_out_size(h, wd, k, stride, padding)
-    cols = _im2col(_pad_hw(x.data, padding), k, stride, ho, wo).reshape(cin * k * k, ho * wo)
-    w_mat = w.data.reshape(cout, cin * k * k)
-    out_mat = w_mat @ cols + bias.data[:, None]
+    kk, n = k * k, ho * wo
+    xp = _pad_hw(x.data, padding)
+    # Weight columns are ordered (channel, ki, kj), so the columns of input
+    # channels [c0, c1) are the in-place slice w_mat[:, c0*kk:c1*kk].
+    w_mat = w.data.reshape(cout, cin * kk)
+    # A 1x1 stride-1 conv multiplies the input itself and needs no block.
+    direct = k == 1 and stride == 1
+    per_block = min(cin, max(1, xp.size // (kk * n)))
+    blocks = [(c0, min(cin, c0 + per_block)) for c0 in range(0, cin, per_block)]
+    taps = _taps(k, stride, ho, wo)
+
+    def gather(c0: int, c1: int, buf: np.ndarray | None) -> np.ndarray:
+        if direct:
+            return xp[c0:c1].reshape(c1 - c0, n)
+        cols = buf[:c1 - c0]
+        for ki, kj, rows, cs in taps:
+            cols[:, ki, kj] = xp[c0:c1, rows, cs]
+        return cols.reshape((c1 - c0) * kk, n)
+
+    def new_buf() -> np.ndarray | None:
+        return None if direct else np.empty((per_block, k, k, ho, wo))
+
+    buf = new_buf()
+    out_mat = np.empty((cout, n))
+    part = np.empty((cout, n)) if len(blocks) > 1 else None
+    for i, (c0, c1) in enumerate(blocks):
+        np.matmul(w_mat[:, c0 * kk:c1 * kk], gather(c0, c1, buf), out=part if i else out_mat)
+        if i:
+            out_mat += part
+    out_mat += bias.data[:, None]
     out = _finish(out_mat.reshape(cout, ho, wo), "conv2d")
 
     def back_x(g: np.ndarray) -> np.ndarray:
-        g_mat = g.reshape(cout, ho * wo)
-        dcols = (w_mat.T @ g_mat).reshape(cin, k, k, ho, wo)
-        return _col2im(dcols, x.shape, k, stride, padding, ho, wo)
+        g_mat = g.reshape(cout, n)
+        if direct:
+            return _crop_hw((w_mat.T @ g_mat).reshape(xp.shape), padding)
+        dxp = np.zeros(xp.shape)
+        for c0, c1 in blocks:
+            dcols = (w_mat[:, c0 * kk:c1 * kk].T @ g_mat).reshape(c1 - c0, k, k, ho, wo)
+            # Each tap writes to disjoint strided positions, so += is safe.
+            for ki, kj, rows, cs in taps:
+                dxp[c0:c1, rows, cs] += dcols[:, ki, kj]
+        return _crop_hw(dxp, padding)
 
     def back_w(g: np.ndarray) -> np.ndarray:
-        return (g.reshape(cout, ho * wo) @ cols.T).reshape(w.shape)
+        g_mat = g.reshape(cout, n)
+        buf = new_buf()
+        dw = np.empty((cout, cin * kk))
+        for c0, c1 in blocks:
+            np.matmul(g_mat, gather(c0, c1, buf).T, out=dw[:, c0 * kk:c1 * kk])
+        return dw.reshape(w.shape)
 
     _record(out, (x, back_x), (w, back_w),
-            (bias, lambda g: g.reshape(cout, ho * wo).sum(axis=1)))
+            (bias, lambda g: g.reshape(cout, n).sum(axis=1)))
     return out
 
 
@@ -359,18 +392,32 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
     c, h, wd = x.shape
     k = w.shape[1]
     ho, wo = _conv_out_size(h, wd, k, stride, padding)
-    cols = _im2col(_pad_hw(x.data, padding), k, stride, ho, wo).reshape(c, k * k, ho * wo)
-    w_flat = w.data.reshape(c, k * k)
-    out_mat = np.einsum("ckp,ck->cp", cols, w_flat) + bias.data[:, None]
-    out = _finish(out_mat.reshape(c, ho, wo), "depthwise_conv2d")
+    xp = _pad_hw(x.data, padding)
+    w_taps = w.data[:, :, :, None, None]
+    taps = _taps(k, stride, ho, wo)
+
+    out_data = np.empty((c, ho, wo))
+    tmp = np.empty((c, ho, wo))
+    for i, (ki, kj, rows, cs) in enumerate(taps):
+        np.multiply(xp[:, rows, cs], w_taps[:, ki, kj], out=tmp if i else out_data)
+        if i:
+            out_data += tmp
+    out_data += bias.data[:, None, None]
+    out = _finish(out_data, "depthwise_conv2d")
 
     def back_x(g: np.ndarray) -> np.ndarray:
-        g_mat = g.reshape(c, ho * wo)
-        dcols = np.einsum("cp,ck->ckp", g_mat, w_flat).reshape(c, k, k, ho, wo)
-        return _col2im(dcols, x.shape, k, stride, padding, ho, wo)
+        dxp = np.zeros(xp.shape)
+        tmp = np.empty(g.shape)
+        for ki, kj, rows, cs in taps:
+            np.multiply(g, w_taps[:, ki, kj], out=tmp)
+            dxp[:, rows, cs] += tmp
+        return _crop_hw(dxp, padding)
 
     def back_w(g: np.ndarray) -> np.ndarray:
-        return np.einsum("ckp,cp->ck", cols, g.reshape(c, ho * wo)).reshape(w.shape)
+        dw = np.empty(w.shape)
+        for ki, kj, rows, cs in taps:
+            dw[:, ki, kj] = np.einsum("chw,chw->c", xp[:, rows, cs], g)
+        return dw
 
     _record(out, (x, back_x), (w, back_w),
             (bias, lambda g: g.reshape(c, ho * wo).sum(axis=1)))

@@ -213,6 +213,26 @@ def test_grad_conv2d():
     _check(lambda: sum_all(hadamard(conv2d(x, w, b, stride=2, padding=1), r)), [x, w, b])
 
 
+# The configurations the model and the discriminator call: 1x1 projections,
+# the discriminator's 4x4 stride-2 layers, and the 7x7 head (few channels in,
+# more out) and tail (more in, few out).
+@pytest.mark.parametrize("cin,cout,k,stride,padding,hw", [
+    (6, 4, 1, 1, 0, (5, 4)),
+    (5, 7, 4, 2, 1, (8, 6)),
+    (3, 8, 7, 1, 3, (6, 5)),
+    (8, 3, 7, 1, 3, (6, 5)),
+])
+def test_grad_conv2d_model_configs(cin, cout, k, stride, padding, hw):
+    rng = make_rng(17 + k)
+    x = Parameter(rng.normal(size=(cin,) + hw))
+    w = Parameter(rng.normal(size=(cout, cin, k, k)))
+    b = Parameter(rng.normal(size=(cout,)))
+    out_shape = conv2d(x, w, b, stride=stride, padding=padding).shape
+    r = Tensor(rng.normal(size=out_shape))
+    _check(lambda: sum_all(hadamard(conv2d(x, w, b, stride=stride, padding=padding), r)),
+           [x, w, b])
+
+
 def test_grad_depthwise_conv2d():
     rng = make_rng(15)
     x = Parameter(rng.normal(size=(3, 5, 5)))

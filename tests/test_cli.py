@@ -186,6 +186,7 @@ def test_gradcheck_ops_scope(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
+    assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):

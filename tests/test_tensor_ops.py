@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from linpaint import tensor as T
 from linpaint.tensor import (
     NonFiniteError,
     ShapeError,
+    Tape,
     Tensor,
     add,
     absolute,
@@ -200,6 +203,92 @@ def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
         conv2d(Tensor(np.ones((2, 4, 4))), Tensor(np.ones((1, 3, 1, 1))),
                Tensor(np.zeros(1)))
+
+
+def reference_conv2d(x, w, b, stride, padding):
+    """Plain nested-loop cross-correlation, independent of the library's conv code."""
+    cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.zeros((cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, padding:padding + h, padding:padding + wd] = x
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    out = np.empty((cout, ho, wo))
+    for o in range(cout):
+        for i in range(ho):
+            for j in range(wo):
+                total = b[o]
+                for c in range(cin):
+                    for ki in range(k):
+                        for kj in range(k):
+                            total += w[o, c, ki, kj] * xp[c, i * stride + ki, j * stride + kj]
+                out[o, i, j] = total
+    return out
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+CONV_GEOMETRIES = [(k, s, p) for k in (1, 3, 4, 7) for s in (1, 2) for p in (0, 1, 3)]
+
+
+@pytest.mark.parametrize("k,stride,padding", CONV_GEOMETRIES)
+@pytest.mark.parametrize("cin,cout", [(3, 5), (10, 2)])
+def test_conv2d_matches_nested_loop_oracle(k, stride, padding, cin, cout):
+    rng = make_rng(100 * k + 10 * stride + padding)
+    x = rng.normal(size=(cin, 11, 8))
+    w = rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout)
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+    assert _rel_err(got, reference_conv2d(x, w, b, stride, padding)) <= 1e-12
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (4, 2, 1), (7, 1, 3)])
+def test_conv2d_many_channel_blocks_match_oracle(k, stride, padding):
+    # 37 input channels against a 9x12 map is several times the channel count
+    # whose column block fits in the padded input, with a ragged last block.
+    rng = make_rng(40 + k)
+    x = rng.normal(size=(37, 9, 12))
+    w = rng.normal(size=(4, 37, k, k))
+    b = rng.normal(size=4)
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
+    assert _rel_err(got, reference_conv2d(x, w, b, stride, padding)) <= 1e-12
+
+
+@pytest.mark.parametrize("k,stride,padding", CONV_GEOMETRIES)
+def test_depthwise_matches_nested_loop_oracle(k, stride, padding):
+    rng = make_rng(200 + 100 * k + 10 * stride + padding)
+    x = rng.normal(size=(4, 11, 8))
+    w = rng.normal(size=(4, k, k))
+    b = rng.normal(size=4)
+    got = depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                           padding=padding).data
+    want = np.concatenate([reference_conv2d(x[c:c + 1], w[c][None, None], b[c:c + 1],
+                                            stride, padding) for c in range(4)])
+    assert _rel_err(got, want) <= 1e-12
+
+
+def test_conv2d_memory_is_bounded_by_input_and_output():
+    # The tail conv's shape at 128x128: a k*k column matrix of the input would
+    # be 49 times the input; the bound allows one padded-input-sized block.
+    rng = make_rng(12)
+    x = Tensor(rng.normal(size=(32, 128, 128)))
+    w = Tensor(rng.normal(size=(3, 32, 7, 7)))
+    b = Tensor(np.zeros(3))
+    io_bytes = x.data.nbytes + 3 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = conv2d(x, w, b, stride=1, padding=3)
+            held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, 128, 128)
+    assert peak - before <= 3 * io_bytes
+    assert held - before <= 1.5 * io_bytes
 
 
 # ---------------------------------------------------------------------------
