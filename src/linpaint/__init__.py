@@ -21,11 +21,9 @@ from .losses import (
     LossWeights,
     PatchDiscriminator,
     RandomConvFeatureExtractor,
-    adversarial_losses,
     gram_matrix,
     l1_reconstruction,
     perceptual_loss,
-    spectral_normalize,
     style_loss,
     total_loss,
 )

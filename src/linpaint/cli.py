@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .losses import (
     PatchDiscriminator,
     RandomConvFeatureExtractor,
     discriminator_loss,
-    generator_loss_terms,
+    total_loss,
 )
 from .metrics import ImagePair, psnr
 from .netpbm import NetpbmError, read_image, read_mask, write_image
@@ -51,6 +51,7 @@ from .unet import (
     ModelConfig,
     compose_with_mask,
     load_checkpoint,
+    parse_config,
     save_checkpoint,
 )
 
@@ -66,22 +67,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Run configuration: text file of key=value lines, overridden by flags.
-
-
-_MODEL_INT_KEYS = {"base_channels", "in_channels", "out_channels"}
-_MODEL_TUPLE_KEYS = {"block_counts", "heads_per_level"}
-_MODEL_STR_KEYS = {"taylor_mode", "norm"}
-_MODEL_BOOL_KEYS = {"gated", "normalize_qk", "divide", "compose_output"}
-_MODEL_FLOAT_KEYS = {"ffn_expansion", "attn_eps"}
-_LOSS_KEYS = {"lambda_reconstruction", "lambda_perceptual", "lambda_style",
-              "lambda_adversarial"}
-_RUN_INT_KEYS = {"seed", "iters", "disc_width", "fx_seed"}
-_RUN_FLOAT_KEYS = {"lr", "weight_decay"}
-_PATH_KEYS = {"image", "mask", "out", "checkpoint"}
-
-KNOWN_KEYS = (_MODEL_INT_KEYS | _MODEL_TUPLE_KEYS | _MODEL_STR_KEYS
-              | _MODEL_BOOL_KEYS | _MODEL_FLOAT_KEYS | _LOSS_KEYS
-              | _RUN_INT_KEYS | _RUN_FLOAT_KEYS | _PATH_KEYS)
 
 
 @dataclass
@@ -117,6 +102,14 @@ class RunConfig:
             raise ConfigError(f"disc_width must be >= 1, got {self.disc_width}")
 
 
+# Config keys: the model's fields, each loss weight as lambda_<term>, and the
+# run's own scalar fields.
+_LOSS_PREFIX = "lambda_"
+KNOWN_KEYS = ({f.name for f in fields(ModelConfig)}
+              | {_LOSS_PREFIX + f.name for f in fields(LossWeights)}
+              | {f.name for f in fields(RunConfig) if f.default is not MISSING})
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -136,46 +129,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return pairs
 
 
-def _convert(key: str, value: str) -> object:
-    try:
-        if key in _MODEL_INT_KEYS or key in _RUN_INT_KEYS:
-            return int(value)
-        if key in _MODEL_TUPLE_KEYS:
-            return tuple(int(v) for v in value.split(","))
-        if key in _MODEL_BOOL_KEYS:
-            if value not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return value == "true"
-        if key in _MODEL_FLOAT_KEYS or key in _LOSS_KEYS or key in _RUN_FLOAT_KEYS:
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
-
-
 def build_run_config(pairs: dict[str, str]) -> RunConfig:
-    cfg = RunConfig()
-    model_kwargs: dict[str, object] = {}
-    loss_map = {"lambda_reconstruction": "reconstruction",
-                "lambda_perceptual": "perceptual",
-                "lambda_style": "style",
-                "lambda_adversarial": "adversarial"}
-    weight_kwargs: dict[str, float] = {}
-    for key, raw in pairs.items():
-        value = _convert(key, raw)
-        if key in loss_map:
-            weight_kwargs[loss_map[key]] = value  # type: ignore[assignment]
-        elif key in (_MODEL_INT_KEYS | _MODEL_TUPLE_KEYS | _MODEL_STR_KEYS
-                     | _MODEL_BOOL_KEYS | _MODEL_FLOAT_KEYS):
-            model_kwargs[key] = value
-        else:
-            setattr(cfg, key, value)
-    if model_kwargs:
-        cfg.model = replace(cfg.model, **model_kwargs)
-    if weight_kwargs:
-        cfg.weights = replace(cfg.weights, **weight_kwargs)
-    cfg.validate()
-    return cfg
+    run = RunConfig()
+    try:
+        run = parse_config(run, pairs)
+        run.model = parse_config(run.model, pairs)
+        run.weights = parse_config(run.weights, pairs, prefix=_LOSS_PREFIX)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    run.validate()
+    return run
 
 
 def load_run_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
@@ -379,11 +342,7 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
                 loss_d = discriminator_loss(disc, i_g, i_out.detach())
                 td.backward(loss_d)
             adamw_step(d_params, run.lr, weight_decay=run.weight_decay)
-            terms = generator_loss_terms(i_out, i_g, fx, disc)
-            total = (run.weights.reconstruction * terms["rec"]
-                     + run.weights.perceptual * terms["perc"]
-                     + run.weights.style * terms["style"]
-                     + run.weights.adversarial * terms["adv"])
+            total, terms = total_loss(i_out, i_g, fx, disc, run.weights)
             tg.backward(total)
         adamw_step(g_params, run.lr, weight_decay=run.weight_decay)
         zero_grads(d_params)

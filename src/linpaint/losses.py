@@ -1,11 +1,12 @@
 """Training objective: reconstruction, perceptual, style and adversarial terms.
 
-The perceptual and style terms take any feature extractor object with a
-``features(image) -> list[Tensor]`` method. Pretrained backbones are out of
-scope here, so a deterministic random-weight convolutional extractor stands
-in; it exercises the exact same loss plumbing. The adversarial term uses a
-patch discriminator whose convolution weights are spectrally normalized via
-power iteration.
+The perceptual and style terms compare the feature lists of two images.
+:func:`total_loss` takes any feature extractor object with a
+``features(image) -> list[Tensor]`` method and runs it once per image.
+Pretrained backbones are out of scope here, so a deterministic random-weight
+convolutional extractor stands in; it exercises the exact same loss plumbing.
+The adversarial term uses a patch discriminator whose convolution weights are
+spectrally normalized via power iteration.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .tensor import (
 
 __all__ = [
     "LossWeights",
-    "IdentityFeatureExtractor",
     "RandomConvFeatureExtractor",
     "l1_reconstruction",
     "perceptual_loss",
@@ -45,12 +45,9 @@ __all__ = [
     "style_loss",
     "SpectralNormState",
     "power_iteration_sigma",
-    "spectral_normalize",
     "PatchDiscriminator",
     "discriminator_loss",
     "generator_adversarial_loss",
-    "adversarial_losses",
-    "generator_loss_terms",
     "total_loss",
 ]
 
@@ -66,13 +63,6 @@ class LossWeights:
         for name in ("reconstruction", "perceptual", "style", "adversarial"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be >= 0")
-
-
-class IdentityFeatureExtractor:
-    """Single stage returning the image itself; useful to pin down reductions."""
-
-    def features(self, im: Tensor) -> list[Tensor]:
-        return [im]
 
 
 class RandomConvFeatureExtractor:
@@ -114,10 +104,10 @@ def l1_reconstruction(i_out: Tensor, i_g: Tensor) -> Tensor:
     return mean_all(absolute(sub(i_out, i_g)))
 
 
-def perceptual_loss(i_out: Tensor, i_g: Tensor, fx) -> Tensor:
+def perceptual_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:
     """Sum over stages of the per-element mean absolute feature difference."""
     total: Tensor | None = None
-    for f_out, f_g in zip(fx.features(i_out), fx.features(i_g)):
+    for f_out, f_g in zip(feats_out, feats_g):
         term = mean_all(absolute(sub(f_out, f_g)))
         total = term if total is None else add(total, term)
     assert total is not None, "feature extractor produced no stages"
@@ -133,10 +123,10 @@ def gram_matrix(feat: Tensor) -> Tensor:
     return scale(matmul(transpose(flat), flat), 1.0 / (c * h * w))
 
 
-def style_loss(i_out: Tensor, i_g: Tensor, fx) -> Tensor:
+def style_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:
     """Mean over stages of the entrywise L1 distance between Gram matrices."""
     terms = []
-    for f_out, f_g in zip(fx.features(i_out), fx.features(i_g)):
+    for f_out, f_g in zip(feats_out, feats_g):
         terms.append(sum_all(absolute(sub(gram_matrix(f_out), gram_matrix(f_g)))))
     total = terms[0]
     for t in terms[1:]:
@@ -184,15 +174,6 @@ def power_iteration_sigma(w: np.ndarray, state: SpectralNormState,
         u = u / nu
     state.u = u
     return float(u @ (w @ v))
-
-
-def spectral_normalize(w: np.ndarray, state: SpectralNormState,
-                       eps: float = 1e-12) -> np.ndarray:
-    """w divided by its estimated spectral norm; zero matrices pass unchanged."""
-    sigma = power_iteration_sigma(w, state, eps)
-    if sigma < eps:
-        return w
-    return w / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +255,23 @@ def generator_adversarial_loss(disc: PatchDiscriminator, fake: Tensor) -> Tensor
     return scale(_mean_log_sigmoid(disc.forward(fake)), -1.0)
 
 
-def adversarial_losses(disc: PatchDiscriminator, i_g: Tensor,
-                       i_out: Tensor) -> tuple[Tensor, Tensor]:
-    """(discriminator loss, generator loss); the discriminator side sees the
-    generated image detached so no gradient can reach the generator there."""
-    loss_d = discriminator_loss(disc, i_g, i_out.detach())
-    loss_g = generator_adversarial_loss(disc, i_out)
-    return loss_d, loss_g
+def total_loss(i_out: Tensor, i_g: Tensor, fx, disc: PatchDiscriminator,
+               weights: LossWeights) -> tuple[Tensor, dict[str, Tensor]]:
+    """Weighted sum of the four generator-side terms, and the terms by name.
 
-
-def generator_loss_terms(i_out: Tensor, i_g: Tensor, fx,
-                         disc: PatchDiscriminator) -> dict[str, Tensor]:
-    return {
+    ``fx.features`` runs once on each image; the perceptual and style terms
+    share those features.
+    """
+    weights.validate()
+    feats_out, feats_g = fx.features(i_out), fx.features(i_g)
+    terms = {
         "rec": l1_reconstruction(i_out, i_g),
-        "perc": perceptual_loss(i_out, i_g, fx),
-        "style": style_loss(i_out, i_g, fx),
+        "perc": perceptual_loss(feats_out, feats_g),
+        "style": style_loss(feats_out, feats_g),
         "adv": generator_adversarial_loss(disc, i_out),
     }
-
-
-def total_loss(i_out: Tensor, i_g: Tensor, fx, disc: PatchDiscriminator,
-               weights: LossWeights) -> Tensor:
-    """Weighted sum of the four generator-side terms."""
-    weights.validate()
-    terms = generator_loss_terms(i_out, i_g, fx, disc)
     total = scale(terms["rec"], weights.reconstruction)
     total = add(total, scale(terms["perc"], weights.perceptual))
     total = add(total, scale(terms["style"], weights.style))
     total = add(total, scale(terms["adv"], weights.adversarial))
-    return total
+    return total, terms

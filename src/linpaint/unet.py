@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .tensor import (
 __all__ = [
     "FFNConfig",
     "ModelConfig",
+    "format_config",
+    "parse_config",
     "InpaintingUNet",
     "CheckpointError",
     "save_checkpoint",
@@ -89,6 +91,8 @@ class ModelConfig:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         if self.ffn_expansion <= 0:
             raise ValueError("ffn_expansion must be > 0")
+        if self.attn_eps <= 0:
+            raise ValueError(f"attn_eps must be > 0, got {self.attn_eps}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
         for idx, heads in enumerate(self.heads_per_level):
@@ -101,6 +105,59 @@ class ModelConfig:
         """Channels at block-stack index 0..6 (enc 1..4 then dec 3..1)."""
         level = idx + 1 if idx < 4 else 7 - idx
         return self.base_channels * 2 ** (level - 1)
+
+
+# ---------------------------------------------------------------------------
+# Config text: one ``key=value`` line per dataclass field. The type of a
+# field's value picks its form: bool as true/false, tuple as comma-separated
+# ints, float as repr, anything else as str. Config files and checkpoint
+# headers both use it.
+
+
+def format_config(config) -> list[str]:
+    """``key=value`` lines for every field of a config dataclass, in declaration order."""
+    lines = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, tuple):
+            text = ",".join(str(v) for v in value)
+        elif isinstance(value, float):
+            text = repr(value)
+        else:
+            text = str(value)
+        lines.append(f"{f.name}={text}")
+    return lines
+
+
+def parse_config(config, pairs: dict[str, str], prefix: str = ""):
+    """A copy of ``config`` with every field whose key (``prefix`` + name) is in
+    ``pairs`` parsed from its text; the inverse of :func:`format_config`.
+
+    The field's value in ``config`` gives the type to parse; a field whose
+    value is None takes the text as is. Raises ValueError naming the key.
+    """
+    changes: dict[str, object] = {}
+    for f in fields(config):
+        key = prefix + f.name
+        if key not in pairs:
+            continue
+        current, text = getattr(config, f.name), pairs[key]
+        try:
+            if isinstance(current, bool):
+                if text not in ("true", "false"):
+                    raise ValueError("expected true or false")
+                changes[f.name] = text == "true"
+            elif isinstance(current, tuple):
+                changes[f.name] = tuple(int(v) for v in text.split(","))
+            elif isinstance(current, (int, float)):
+                changes[f.name] = type(current)(text)
+            else:
+                changes[f.name] = text
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
+    return replace(config, **changes)
 
 
 def _conv_params(rng: np.random.Generator, cout: int, cin: int, k: int,
@@ -333,61 +390,9 @@ class CheckpointError(ValueError):
     """Malformed, truncated or corrupted checkpoint file."""
 
 
-_CONFIG_FIELDS = [
-    "base_channels", "block_counts", "heads_per_level", "in_channels",
-    "out_channels", "taylor_mode", "gated", "norm", "ffn_expansion",
-    "attn_eps", "normalize_qk", "divide", "compose_output",
-]
-
-
-def _config_to_lines(config: ModelConfig) -> list[str]:
-    lines = []
-    for key in _CONFIG_FIELDS:
-        val = getattr(config, key)
-        if isinstance(val, tuple):
-            text = ",".join(str(v) for v in val)
-        elif isinstance(val, bool):
-            text = "true" if val else "false"
-        elif isinstance(val, float):
-            text = repr(val)
-        else:
-            text = str(val)
-        lines.append(f"{key}={text}")
-    return lines
-
-
-def _config_from_lines(pairs: dict[str, str]) -> ModelConfig:
-    def ints(text: str) -> tuple[int, ...]:
-        return tuple(int(v) for v in text.split(","))
-
-    def boolean(text: str) -> bool:
-        if text not in ("true", "false"):
-            raise CheckpointError(f"bad boolean {text!r} in checkpoint header")
-        return text == "true"
-
-    try:
-        return ModelConfig(
-            base_channels=int(pairs["base_channels"]),
-            block_counts=ints(pairs["block_counts"]),
-            heads_per_level=ints(pairs["heads_per_level"]),
-            in_channels=int(pairs["in_channels"]),
-            out_channels=int(pairs["out_channels"]),
-            taylor_mode=pairs["taylor_mode"],
-            gated=boolean(pairs["gated"]),
-            norm=pairs["norm"],
-            ffn_expansion=float(pairs["ffn_expansion"]),
-            attn_eps=float(pairs["attn_eps"]),
-            normalize_qk=boolean(pairs["normalize_qk"]),
-            divide=boolean(pairs["divide"]),
-            compose_output=boolean(pairs["compose_output"]),
-        )
-    except KeyError as missing:
-        raise CheckpointError(f"checkpoint header missing key {missing}") from None
-
-
 def save_checkpoint(model: InpaintingUNet, path: str) -> None:
     params = model.parameters()
-    header = _config_to_lines(model.config)
+    header = format_config(model.config)
     header.append(f"param_count={sum(p.size for p in params)}")
     blob = CHECKPOINT_MAGIC + ("\n".join(header) + "\nend-header\n").encode("ascii")
     blob += b"".join(p.data.astype("<f8").tobytes() for p in params)
@@ -397,6 +402,35 @@ def save_checkpoint(model: InpaintingUNet, path: str) -> None:
         fh.write(crc.to_bytes(4, "little"))
 
 
+def _read_header(text: bytes, data_bytes: int) -> ModelConfig:
+    """The config a checkpoint header declares, once its parameter count
+    matches the data block; nothing of the model's size is allocated here.
+
+    Raises ValueError for any fault, or OverflowError when a width times
+    ffn_expansion is beyond float range.
+    """
+    pairs = {key: val for key, _, val in
+             (line.partition("=") for line in text.decode("ascii").splitlines())}
+    for key in [f.name for f in fields(ModelConfig)] + ["param_count"]:
+        if key not in pairs:
+            raise ValueError(f"missing key {key!r}")
+    config = parse_config(ModelConfig(), pairs)
+    config.validate()
+    declared = int(pairs["param_count"])
+    if declared * 8 != data_bytes:
+        raise ValueError(f"declares {declared} parameters, data block is {data_bytes} bytes")
+    # Every block holds parameters, so this bounds the accounting walk below
+    # by the file size.
+    if sum(config.block_counts) > declared:
+        raise ValueError(f"declares {sum(config.block_counts)} blocks, "
+                         f"but only {declared} parameters")
+    from .cost import analytic_param_count  # cost imports this module
+    implied = analytic_param_count(config)
+    if implied != declared:
+        raise ValueError(f"declares {declared} parameters, config implies {implied}")
+    return config
+
+
 def load_checkpoint(path: str) -> InpaintingUNet:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -404,35 +438,22 @@ def load_checkpoint(path: str) -> InpaintingUNet:
         raise CheckpointError(f"checkpoint too short: {len(raw)} bytes")
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("bad checkpoint magic")
-    body, crc_bytes = raw[:-4], raw[-4:]
-    if zlib.crc32(body) & 0xFFFFFFFF != int.from_bytes(crc_bytes, "little"):
+    view = memoryview(raw)
+    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != int.from_bytes(raw[-4:], "little"):
         raise CheckpointError("checkpoint checksum mismatch")
 
-    rest = body[len(CHECKPOINT_MAGIC):]
-    end = rest.find(b"end-header\n")
+    end = raw.find(b"end-header\n", len(CHECKPOINT_MAGIC), len(raw) - 4)
     if end < 0:
         raise CheckpointError("checkpoint header not terminated")
-    pairs: dict[str, str] = {}
-    for line in rest[:end].decode("ascii").splitlines():
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        pairs[key] = val
-    config = _config_from_lines(pairs)
-    declared = int(pairs.get("param_count", "-1"))
+    data = view[end + len(b"end-header\n"):-4]
+    try:
+        config = _read_header(raw[len(CHECKPOINT_MAGIC):end], len(data))
+    except (ValueError, OverflowError) as exc:
+        raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
     model = InpaintingUNet(config, np.random.Generator(np.random.Philox(0)))
-    params = model.parameters()
-    total = sum(p.size for p in params)
-    if declared != total:
-        raise CheckpointError(
-            f"checkpoint declares {declared} parameters, config implies {total}")
-    data = rest[end + len(b"end-header\n"):]
-    if len(data) != total * 8:
-        raise CheckpointError(
-            f"checkpoint data block is {len(data)} bytes, expected {total * 8}")
     offset = 0
-    for p in params:
+    for p in model.parameters():
         n = p.size * 8
         p.data[...] = np.frombuffer(data[offset:offset + n], dtype="<f8").reshape(p.shape)
         offset += n

@@ -1,4 +1,6 @@
 import math
+import re
+import zlib
 
 import numpy as np
 
@@ -73,3 +75,16 @@ def synth_mask(h: int, w: int, missing_ratio: float, seed: int = 0) -> np.ndarra
     mask = np.ones(h * w)
     mask[idx] = 0.0
     return mask.reshape(1, h, w)
+
+
+def forge_checkpoint(path: str, pattern: bytes, replacement: bytes) -> None:
+    """Rewrite the header of a checkpoint file by regex and recompute its CRC,
+    so that only the header fault is left for the loader to find."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.index(b"end-header\n")
+    header, count = re.subn(pattern, replacement, raw[:end])
+    assert count == 1, f"{pattern!r} matched {count} times"
+    body = header + raw[end:-4]
+    with open(path, "wb") as fh:
+        fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))

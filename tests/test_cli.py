@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from conftest import synth_image, synth_mask
+from conftest import forge_checkpoint, synth_image, synth_mask
 
 from linpaint.cli import (
+    KNOWN_KEYS,
     ConfigError,
     RunConfig,
     build_run_config,
@@ -22,7 +25,13 @@ from linpaint.netpbm import (
     write_mask,
 )
 from linpaint.tensor import make_rng
-from linpaint.unet import InpaintingUNet, ModelConfig, save_checkpoint
+from linpaint.unet import (
+    InpaintingUNet,
+    ModelConfig,
+    format_config,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TOY_CONFIG = """\
 # toy model for fast tests
@@ -129,6 +138,32 @@ def test_flag_overrides_config_file(tmp_path):
 def test_invalid_model_config_is_config_error():
     with pytest.raises(ConfigError):
         build_run_config({"block_counts": "1,2,3"})
+
+
+def test_config_keys_are_model_loss_and_run_fields():
+    assert KNOWN_KEYS == {
+        "base_channels", "block_counts", "heads_per_level", "in_channels",
+        "out_channels", "taylor_mode", "gated", "norm", "ffn_expansion",
+        "attn_eps", "normalize_qk", "divide", "compose_output",
+        "lambda_reconstruction", "lambda_perceptual", "lambda_style",
+        "lambda_adversarial",
+        "seed", "iters", "lr", "weight_decay", "disc_width", "fx_seed",
+        "image", "mask", "out", "checkpoint",
+    }
+
+
+def test_every_model_field_round_trips_through_config_text_and_checkpoint(tmp_path):
+    config = ModelConfig(base_channels=4, block_counts=(1, 0, 2, 0, 1, 0, 1),
+                         heads_per_level=(2, 2, 4, 2, 4, 2, 2), in_channels=1,
+                         out_channels=2, taylor_mode="sum", gated=False, norm="none",
+                         ffn_expansion=1.5, attn_eps=1e-5, normalize_qk=False,
+                         divide=False, compose_output=False)
+    assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
+    text = "\n".join(format_config(config))
+    assert build_run_config(parse_config_text(text)).model == config
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(config, make_rng(15)), path)
+    assert load_checkpoint(path).config == config
 
 
 def test_run_config_validation():
@@ -309,6 +344,34 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     rc = main(["inpaint", "--checkpoint", ckpt_path, "--image", img_path,
                "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("pattern,replacement", [
+    (rb"base_channels=\d+", b"base_channels=x"),
+    (rb"param_count=\d+", b"param_count=abc"),
+    (rb"base_channels=\d+", b"base_channels=0"),
+    (rb"block_counts=[\d,]+", b"block_counts=1,1"),
+    (rb"taylor_mode=\w+", "taylor_mode=r\u00e9sidual".encode()),
+    (rb"\nnorm=\w+", b""),
+    (rb"gated=\w+", b"gated=yes"),
+    (rb"attn_eps=[^\n]+", b"attn_eps=0.0"),
+    (rb"ffn_expansion=[^\n]+", b"ffn_expansion=inf"),
+    # More blocks than the data block has parameters.
+    (rb"block_counts=[\d,]+", b"block_counts=2000,0,0,0,0,0,0"),
+], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
+        "missing-key", "bad-bool", "zero-eps", "infinite-expansion",
+        "blocks-beyond-params"])
+def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement):
+    img_path, mask_path = _write_pair(tmp_path, seed=15)
+    ckpt_path = str(tmp_path / "model.ckpt")
+    config = ModelConfig(base_channels=1, block_counts=(1, 0, 0, 0, 0, 0, 0),
+                         heads_per_level=(1,) * 7)
+    save_checkpoint(InpaintingUNet(config, make_rng(16)), ckpt_path)
+    forge_checkpoint(ckpt_path, pattern, replacement)
+    rc = main(["inpaint", "--checkpoint", ckpt_path, "--image", img_path,
+               "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
+    assert rc == 2
+    assert "bad checkpoint header" in capsys.readouterr().err
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -5,19 +5,16 @@ import pytest
 
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.losses import (
-    IdentityFeatureExtractor,
     LossWeights,
     PatchDiscriminator,
     RandomConvFeatureExtractor,
     SpectralNormState,
-    adversarial_losses,
     discriminator_loss,
     generator_adversarial_loss,
     gram_matrix,
     l1_reconstruction,
     perceptual_loss,
     power_iteration_sigma,
-    spectral_normalize,
     style_loss,
     total_loss,
 )
@@ -55,7 +52,7 @@ def test_l1_symmetric():
 def test_perceptual_identical_is_zero():
     fx = RandomConvFeatureExtractor(seed=3)
     im = Tensor(make_rng(4).uniform(-1, 1, size=(3, 16, 16)))
-    assert perceptual_loss(im, im, fx).item() == 0.0
+    assert perceptual_loss(fx.features(im), fx.features(im)).item() == 0.0
 
 
 def test_perceptual_zero_weight_extractor_is_zero():
@@ -66,15 +63,15 @@ def test_perceptual_zero_weight_extractor_is_zero():
     rng = make_rng(6)
     a = Tensor(rng.uniform(-1, 1, size=(3, 16, 16)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 16, 16)))
-    assert perceptual_loss(a, b, fx).item() == 0.0
+    assert perceptual_loss(fx.features(a), fx.features(b)).item() == 0.0
 
 
 def test_perceptual_identity_extractor_equals_l1():
     rng = make_rng(7)
     a = Tensor(rng.uniform(size=(3, 8, 8)))
     b = Tensor(rng.uniform(size=(3, 8, 8)))
-    fx = IdentityFeatureExtractor()
-    assert abs(perceptual_loss(a, b, fx).item() - l1_reconstruction(a, b).item()) < 1e-15
+    # The image itself as the only feature stage.
+    assert abs(perceptual_loss([a], [b]).item() - l1_reconstruction(a, b).item()) < 1e-15
 
 
 def test_extractor_is_deterministic():
@@ -113,7 +110,7 @@ def test_gram_disjoint_channels_off_diagonal_zero():
 def test_style_identical_is_zero():
     fx = RandomConvFeatureExtractor(seed=11)
     im = Tensor(make_rng(12).uniform(-1, 1, size=(3, 16, 16)))
-    assert style_loss(im, im, fx).item() == 0.0
+    assert style_loss(fx.features(im), fx.features(im)).item() == 0.0
 
 
 def test_style_hand_computed_case():
@@ -123,7 +120,7 @@ def test_style_hand_computed_case():
     f_g = np.array([[[1.0, 0.0], [0.0, 1.0]], [[2.0, 2.0], [2.0, 2.0]]])
     # G_out = [[30, 5], [5, 2]] / 8 ; G_g = [[2, 4], [4, 16]] / 8
     # |diff| sums to (28 + 1 + 1 + 14) / 8 = 5.5
-    loss = style_loss(Tensor(f_out), Tensor(f_g), IdentityFeatureExtractor())
+    loss = style_loss([Tensor(f_out)], [Tensor(f_g)])
     assert abs(loss.item() - 5.5) < 1e-12
 
 
@@ -137,7 +134,7 @@ def test_power_iteration_diagonal():
     sigma = power_iteration_sigma(w, state)
     assert abs(sigma - 3.0) <= 1e-6
     assert abs(np.linalg.norm(state.u) - 1.0) <= 1e-12
-    normalized = spectral_normalize(w, SpectralNormState.init(2, make_rng(14), 20))
+    normalized = w / power_iteration_sigma(w, SpectralNormState.init(2, make_rng(14), 20))
     assert abs(np.linalg.svd(normalized, compute_uv=False)[0] - 1.0) <= 1e-6
 
 
@@ -153,21 +150,20 @@ def test_spectral_normalize_near_identity_when_already_normalized():
     rng = make_rng(16)
     w = rng.normal(size=(6, 6))
     w = w / np.linalg.svd(w, compute_uv=False)[0]
-    out = spectral_normalize(w, SpectralNormState.init(6, rng, power_iters=50))
-    assert np.max(np.abs(out - w)) <= 1e-4
+    sigma = power_iteration_sigma(w, SpectralNormState.init(6, rng, power_iters=50))
+    assert abs(sigma - 1.0) <= 1e-4
 
 
 def test_spectral_normalize_zero_matrix_unchanged():
-    w = np.zeros((4, 4))
-    out = spectral_normalize(w, SpectralNormState.init(4, make_rng(17)))
-    assert np.array_equal(out, w)
+    # A zero sigma tells PatchDiscriminator to use the weight undivided.
+    assert power_iteration_sigma(np.zeros((4, 4)), SpectralNormState.init(4, make_rng(17))) == 0.0
 
 
 def test_spectral_norm_five_iterations_window():
     rng = make_rng(18)
     for _ in range(5):
         w = rng.normal(size=(10, 10))
-        out = spectral_normalize(w, SpectralNormState.init(10, rng, power_iters=5))
+        out = w / power_iteration_sigma(w, SpectralNormState.init(10, rng, power_iters=5))
         top = np.linalg.svd(out, compute_uv=False)[0]
         assert 0.9 <= top <= 1.1
 
@@ -188,7 +184,8 @@ def test_adversarial_zero_discriminator_closed_form():
     rng = make_rng(20)
     real = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     fake = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
-    loss_d, loss_g = adversarial_losses(disc, real, fake)
+    loss_d = discriminator_loss(disc, real, fake)
+    loss_g = generator_adversarial_loss(disc, fake)
     assert abs(loss_d.item() - 2.0 * math.log(2.0)) <= 1e-12
     assert abs(loss_g.item() - math.log(2.0)) <= 1e-12
 
@@ -218,7 +215,9 @@ def test_adversarial_clamping_keeps_losses_finite():
     disc = PatchDiscriminator(make_rng(22), base_width=4)
     disc.layers[-1][1].data[:] = -800.0
     big = Tensor(np.ones((3, 32, 32)))
-    loss_d, loss_g = adversarial_losses(disc, big, Tensor(-np.ones((3, 32, 32))))
+    fake = Tensor(-np.ones((3, 32, 32)))
+    loss_d = discriminator_loss(disc, big, fake)
+    loss_g = generator_adversarial_loss(disc, fake)
     assert math.isfinite(loss_d.item()) and math.isfinite(loss_g.item())
     assert loss_g.item() >= 20.0  # fake scored -800: clamp floor reached
 
@@ -240,7 +239,7 @@ def test_discriminator_loss_detaches_generator():
     real = Tensor(rng.uniform(size=(3, 32, 32)))
     fake = Parameter(rng.uniform(size=(3, 32, 32)))
     with Tape() as tape:
-        loss_d, _ = adversarial_losses(disc, real, fake)
+        loss_d = discriminator_loss(disc, real, fake.detach())
         tape.backward(loss_d)
     assert fake.grad is None
     assert any(p.grad is not None and np.any(p.grad != 0) for p in disc.parameters())
@@ -256,7 +255,7 @@ def test_total_loss_zero_when_weighted_terms_vanish():
     fx = RandomConvFeatureExtractor(seed=25)
     im = Tensor(make_rng(26).uniform(-1, 1, size=(3, 32, 32)))
     weights = LossWeights(1.0, 1.0, 250.0, 0.0)
-    assert total_loss(im, im, fx, disc, weights).item() == 0.0
+    assert total_loss(im, im, fx, disc, weights)[0].item() == 0.0
 
 
 def test_total_loss_reconstruction_only():
@@ -265,7 +264,7 @@ def test_total_loss_reconstruction_only():
     rng = make_rng(28)
     a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
-    got = total_loss(a, b, fx, disc, LossWeights(1.0, 0.0, 0.0, 0.0)).item()
+    got = total_loss(a, b, fx, disc, LossWeights(1.0, 0.0, 0.0, 0.0))[0].item()
     assert abs(got - l1_reconstruction(a, b).item()) < 1e-15
 
 
@@ -275,9 +274,9 @@ def test_total_loss_linear_in_style_weight():
     rng = make_rng(30)
     a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
-    base = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 0.0, 0.0)).item()
-    w250 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 250.0, 0.0)).item()
-    w500 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 500.0, 0.0)).item()
+    base = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 0.0, 0.0))[0].item()
+    w250 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 250.0, 0.0))[0].item()
+    w500 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 500.0, 0.0))[0].item()
     assert abs((w500 - base) - 2.0 * (w250 - base)) < 1e-9
 
 
@@ -295,8 +294,9 @@ def test_component_losses_nonnegative():
     a = Tensor(rng.uniform(-1, 1, size=(3, 16, 16)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 16, 16)))
     assert l1_reconstruction(a, b).item() >= 0
-    assert perceptual_loss(a, b, fx).item() >= 0
-    assert style_loss(a, b, fx).item() >= 0
+    fa, fb = fx.features(a), fx.features(b)
+    assert perceptual_loss(fa, fb).item() >= 0
+    assert style_loss(fa, fb).item() >= 0
 
 
 def test_total_loss_gradient_reaches_every_generator_parameter():
@@ -310,8 +310,35 @@ def test_total_loss_gradient_reaches_every_generator_parameter():
     target = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     with Tape() as tape:
         out = model.forward(im, compose_output=False)
-        loss = total_loss(out, target, fx, disc, LossWeights())
+        loss, _ = total_loss(out, target, fx, disc, LossWeights())
         tape.backward(loss)
     dead = [p.name for p in model.parameters()
             if p.grad is None or not np.any(p.grad != 0)]
     assert dead == []
+
+
+def test_total_loss_terms_and_one_extractor_pass_per_image():
+    class CountingExtractor(RandomConvFeatureExtractor):
+        calls = 0
+
+        def features(self, im):
+            self.calls += 1
+            return super().features(im)
+
+    rng = make_rng(37)
+    disc = PatchDiscriminator(make_rng(38), base_width=2)
+    fx = CountingExtractor(seed=39)
+    a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
+    b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
+    weights = LossWeights(0.5, 2.0, 250.0, 0.1)
+    total, terms = total_loss(a, b, fx, disc, weights)
+    assert fx.calls == 2
+    assert sorted(terms) == ["adv", "perc", "rec", "style"]
+    fa = RandomConvFeatureExtractor(seed=39).features(a)
+    fb = RandomConvFeatureExtractor(seed=39).features(b)
+    assert terms["rec"].item() == l1_reconstruction(a, b).item()
+    assert terms["perc"].item() == perceptual_loss(fa, fb).item()
+    assert terms["style"].item() == style_loss(fa, fb).item()
+    want = (0.5 * terms["rec"].item() + 2.0 * terms["perc"].item()
+            + 250.0 * terms["style"].item() + 0.1 * terms["adv"].item())
+    assert abs(total.item() - want) <= 1e-12 * abs(want)

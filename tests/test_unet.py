@@ -1,5 +1,9 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import forge_checkpoint
 
 from linpaint.autograd import finite_diff_check
 from linpaint.tensor import ShapeError, Tensor, hadamard, make_rng, sum_all
@@ -241,3 +245,44 @@ def test_checkpoint_bad_magic(tmp_path):
     open(path, "wb").write(b"NOT-A-CHECKPOINT" * 4)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_bytes(tmp_path):
+    # Header keys are ModelConfig's fields in declaration order, then param_count.
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(ModelConfig(), make_rng(25)), path)
+    expected = (b"LINPAINT-CKPT-1\n"
+                b"base_channels=32\n"
+                b"block_counts=1,2,3,4,3,2,1\n"
+                b"heads_per_level=1,2,4,8,4,2,1\n"
+                b"in_channels=3\n"
+                b"out_channels=3\n"
+                b"taylor_mode=residual\n"
+                b"gated=true\n"
+                b"norm=layer\n"
+                b"ffn_expansion=2.0\n"
+                b"attn_eps=1e-06\n"
+                b"normalize_qk=true\n"
+                b"divide=true\n"
+                b"compose_output=true\n"
+                b"param_count=5109219\n"
+                b"end-header\n")
+    with open(path, "rb") as fh:
+        assert fh.read(len(expected)) == expected
+
+
+def test_forged_width_rejected_before_allocating(tmp_path):
+    # A C=64 header on a C=2 model's data: the model it describes would take
+    # about 160 MB, the file is under 100 KB.
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(tiny_config(base_channels=2), make_rng(26)), path)
+    forge_checkpoint(path, rb"base_channels=\d+", b"base_channels=64")
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="parameters"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
