@@ -6,6 +6,12 @@ the inner products near zero), then reorder (Q K^T) V into Q (K^T V) so the
 cost drops from O(N^2 C) to O(N C^2). No N x N array is ever built here; the
 quadratic reference that does build it lives in
 :func:`taylor_attention_quadratic` and exists for benchmarking only.
+
+The model runs the map channel-major: a C x H x W map is a C x N matrix under
+a free reshape, and with the heads as a leading axis the q/k/v projections are
+(heads, d, N) stacks. M = v kb^T (heads x d x d), the numerator v + M qb and
+the denominator N + s^T qb are then each one batched op over all heads, with
+no layout copy between the projections and the output.
 """
 
 from __future__ import annotations
@@ -20,20 +26,17 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    chw_to_nc,
-    concat_cols,
     conv2d,
-    div_rows,
+    div_broadcast,
     gelu,
     guard_denominator,
     hadamard,
-    l2_normalize_rows,
+    l2_normalize,
     matmul,
-    nc_to_chw,
+    reshape,
     scale,
-    slice_cols,
     softmax_rows,
-    sum_over_rows,
+    sum_axis,
     transpose,
 )
 
@@ -164,32 +167,42 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
                       qb_i M            (mode "none", the plain kernel family)
         denominator_i = N + qb_i . s    (clamped away from zero by eps)
 
-    ``divide=False`` returns the bare numerator.
+    ``divide=False`` returns the bare numerator. This N x C form is the
+    one-head case of the channel-major map :func:`multi_head_attention` runs.
     """
     n, c = _check_qkv(q, k, v)
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
 
-    qb = l2_normalize_rows(q) if normalize_qk else q
-    kb = l2_normalize_rows(k) if normalize_qk else k
+    one_head = [reshape(transpose(t), (1, c, n)) for t in (q, k, v)]
+    out = _taylor_heads(*one_head, mode, eps, normalize_qk, divide)
+    return transpose(reshape(out, (c, n)))
 
-    kv = matmul(transpose(kb), v)           # C x C, built before anything NxN could be
-    q_kv = matmul(qb, kv)                   # N x C
+
+def _taylor_heads(q: Tensor, k: Tensor, v: Tensor, mode: str, eps: float,
+                  normalize_qk: bool, divide: bool) -> Tensor:
+    """The linear map on (heads, d, N) stacks, each head's tokens as columns;
+    every step is one batched op over all heads."""
+    heads, _, n = q.shape
+    qb = l2_normalize(q, axis=1) if normalize_qk else q
+    kb = l2_normalize(k, axis=1) if normalize_qk else k
+
+    m = matmul(v, transpose(kb))            # heads x d x d, nothing N x N is built
+    q_kv = matmul(m, qb)                    # heads x d x N
 
     if mode == "residual":
         numerator = add(v, q_kv)
     elif mode == "sum":
-        ones_col = Tensor(np.ones((n, 1)))
-        numerator = add(matmul(ones_col, sum_over_rows(v)), q_kv)
+        numerator = add(matmul(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
     else:
         numerator = q_kv
 
     if not divide:
         return numerator
 
-    k_sum = sum_over_rows(kb)               # 1 x C
-    denom = add(matmul(qb, transpose(k_sum)), Tensor(np.full((n, 1), float(n))))
-    return div_rows(numerator, guard_denominator(denom, eps))
+    k_sum = sum_axis(kb, 2)                 # heads x d x 1
+    denom = add(matmul(transpose(k_sum), qb), Tensor(np.full((heads, 1, n), float(n))))
+    return div_broadcast(numerator, guard_denominator(denom, eps))
 
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -234,26 +247,18 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
 def multi_head_attention(x: Tensor, proj: ProjectionSet,
                          cfg: AttentionConfig) -> Tensor:
-    """Project to q/k/v, run linear attention per contiguous channel group, merge."""
+    """Project to q/k/v and run linear attention on all heads as one stack;
+    head i owns the contiguous channels [i d, (i + 1) d)."""
     cfg.validate()
     if x.data.ndim != 3 or x.shape[0] != cfg.channels:
         raise ShapeError(f"expected {cfg.channels}xHxW input, got {x.shape}")
     _, h, w = x.shape
-
-    q = chw_to_nc(conv2d(x, proj.wq, proj.bq))
-    k = chw_to_nc(conv2d(x, proj.wk, proj.bk))
-    v = chw_to_nc(conv2d(x, proj.wv, proj.bv))
-
-    d = cfg.head_dim
-    outs = []
-    for head in range(cfg.heads):
-        lo, hi = head * d, (head + 1) * d
-        outs.append(taylor_linear_attention(
-            slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi),
-            mode=cfg.taylor_mode, eps=cfg.eps, normalize_qk=cfg.normalize_qk,
-            divide=cfg.divide))
-    merged = outs[0] if cfg.heads == 1 else concat_cols(outs)
-    return nc_to_chw(merged, h, w)
+    stack = (cfg.heads, cfg.head_dim, h * w)
+    q = reshape(conv2d(x, proj.wq, proj.bq), stack)
+    k = reshape(conv2d(x, proj.wk, proj.bk), stack)
+    v = reshape(conv2d(x, proj.wv, proj.bv), stack)
+    out = _taylor_heads(q, k, v, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide)
+    return reshape(out, x.shape)
 
 
 def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Tensor:

@@ -421,8 +421,8 @@ def cmd_inpaint(ns: argparse.Namespace) -> int:
 
 
 def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
-    from .tensor import (absolute, conv2d, depthwise_conv2d, div_rows, gelu,
-                         hadamard, l2_normalize_rows, layer_norm_sites, leaky_relu,
+    from .tensor import (absolute, conv2d, depthwise_conv2d, div_broadcast, gelu,
+                         hadamard, l2_normalize, layer_norm_sites, leaky_relu,
                          matmul, nearest_upsample2x, sigmoid, softmax_rows, sum_all,
                          tanh, transpose)
     rng = make_rng(seed)
@@ -439,7 +439,7 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     unit("transpose", lambda: sum_all(hadamard(transpose(a), r_t)), [a])
     r_a = Tensor(rng.normal(size=(3, 4)))
     unit("softmax_rows", lambda: sum_all(hadamard(softmax_rows(a), r_a)), [a])
-    unit("l2_normalize_rows", lambda: sum_all(hadamard(l2_normalize_rows(a), r_a)), [a])
+    unit("l2_normalize", lambda: sum_all(hadamard(l2_normalize(a), r_a)), [a])
 
     x = Parameter(rng.normal(size=(2, 5, 5)))
     wc = Parameter(rng.normal(size=(3, 2, 3, 3)))
@@ -471,7 +471,7 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     num = Parameter(rng.normal(size=(4, 3)))
     den = Parameter(rng.normal(size=(4, 1)) + 3.0)
     r_n = Tensor(rng.normal(size=(4, 3)))
-    unit("div_rows", lambda: sum_all(hadamard(div_rows(num, den), r_n)), [num, den])
+    unit("div_broadcast", lambda: sum_all(hadamard(div_broadcast(num, den), r_n)), [num, den])
 
     xn = Parameter(rng.normal(size=(4, 3, 3)))
     gamma = Parameter(rng.normal(size=(4,)) + 1.0)
@@ -480,6 +480,17 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     unit("layer_norm_sites",
          lambda: sum_all(hadamard(layer_norm_sites(xn, gamma, beta), r_ln)),
          [xn, gamma, beta])
+
+    # Rank-3 stacks with a leading batch axis, as multi-head attention uses them.
+    sa = Parameter(rng.normal(size=(2, 3, 4)))
+    sb = Parameter(rng.normal(size=(2, 4, 5)))
+    r_sab = Tensor(rng.normal(size=(2, 3, 5)))
+    unit("matmul_batched", lambda: sum_all(hadamard(matmul(sa, sb), r_sab)), [sa, sb])
+    r_st = Tensor(rng.normal(size=(2, 4, 3)))
+    unit("transpose_batched", lambda: sum_all(hadamard(transpose(sa), r_st)), [sa])
+    r_sa = Tensor(rng.normal(size=(2, 3, 4)))
+    unit("l2_normalize_batched",
+         lambda: sum_all(hadamard(l2_normalize(sa, axis=1), r_sa)), [sa])
     return results
 
 

@@ -22,13 +22,13 @@ from .tensor import (
     Tensor,
     absolute,
     add,
-    chw_to_nc,
     conv2d,
     leaky_relu,
     log_clamped,
     make_rng,
     matmul,
     mean_all,
+    reshape,
     scale,
     sigmoid,
     sub,
@@ -119,8 +119,8 @@ def gram_matrix(feat: Tensor) -> Tensor:
     if feat.data.ndim != 3:
         raise ShapeError(f"gram_matrix needs CxHxW, got {feat.shape}")
     c, h, w = feat.shape
-    flat = chw_to_nc(feat)                       # (H*W) x C
-    return scale(matmul(transpose(flat), flat), 1.0 / (c * h * w))
+    flat = reshape(feat, (c, h * w))
+    return scale(matmul(flat, transpose(flat)), 1.0 / (c * h * w))
 
 
 def style_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:

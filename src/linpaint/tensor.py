@@ -1,7 +1,8 @@
 """Dense float64 tensors and the differentiable primitives everything else is built on.
 
 Values are numpy arrays wrapped in :class:`Tensor` nodes. Operations are pure:
-they never modify their inputs and always allocate fresh outputs. When a
+they never modify their inputs and allocate fresh outputs, except
+:func:`reshape`, whose output is a view of its input. When a
 :class:`Tape` is active, each operation also records a backward step, so the
 tape can later replay the computation in exact reverse order and accumulate
 gradients into the leaves.
@@ -10,7 +11,7 @@ gradients into the leaves.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -24,7 +25,7 @@ __all__ = [
     "matmul",
     "transpose",
     "softmax_rows",
-    "l2_normalize_rows",
+    "l2_normalize",
     "conv2d",
     "depthwise_conv2d",
     "nearest_upsample2x",
@@ -39,15 +40,12 @@ __all__ = [
     "hadamard",
     "scale",
     "concat_channels",
-    "concat_cols",
-    "slice_cols",
+    "reshape",
     "sum_all",
     "mean_all",
-    "sum_over_rows",
-    "div_rows",
+    "sum_axis",
+    "div_broadcast",
     "guard_denominator",
-    "chw_to_nc",
-    "nc_to_chw",
     "layer_norm_sites",
 ]
 
@@ -213,21 +211,27 @@ def _require(cond: bool, msg: str) -> None:
 # Linear algebra
 
 
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard matrix product of two rank-2 tensors."""
-    _require(a.data.ndim == 2 and b.data.ndim == 2,
-             f"matmul needs rank-2 operands, got {a.shape} and {b.shape}")
-    _require(a.shape[1] == b.shape[0],
+    """Matrix product of two rank-2 tensors, or of two rank-3 stacks that share
+    their leading (batch) axis: one product per batch entry."""
+    _require(a.data.ndim == b.data.ndim and a.data.ndim in (2, 3),
+             f"matmul needs two rank-2 or two rank-3 operands, got {a.shape} and {b.shape}")
+    _require(a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-2],
              f"matmul inner dims differ: {a.shape} vs {b.shape}")
     out = _finish(a.data @ b.data, "matmul")
-    _record(out, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+    _record(out, (a, lambda g: g @ _swap(b.data)), (b, lambda g: _swap(a.data) @ g))
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    _require(a.data.ndim == 2, f"transpose needs rank 2, got {a.shape}")
-    out = _finish(a.data.T.copy(), "transpose")
-    _record(out, (a, lambda g: g.T.copy()))
+    """Swap the last two axes of a rank-2 tensor or of each entry of a rank-3 stack."""
+    _require(a.data.ndim in (2, 3), f"transpose needs rank 2 or 3, got {a.shape}")
+    out = _finish(_swap(a.data).copy(), "transpose")
+    _record(out, (a, lambda g: _swap(g).copy()))
     return out
 
 
@@ -242,21 +246,27 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm; rows with norm < eps become all zeros."""
-    _require(a.data.ndim == 2, f"l2_normalize_rows needs rank 2, got {a.shape}")
+def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """Scale each 1-D slice along ``axis`` to unit L2 norm; slices with norm < eps
+    become all zeros."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+    norms = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
     live = norms >= eps
+    dead = None if live.all() else ~live
     safe = np.where(live, norms, 1.0)
-    normed = np.where(live, a.data / safe, 0.0)
-    out = _finish(normed, "l2_normalize_rows")
+    normed = a.data / safe
+    if dead is not None:
+        np.copyto(normed, 0.0, where=dead)
+    out = _finish(normed, "l2_normalize")
 
     def back(g: np.ndarray) -> np.ndarray:
-        dot = (a.data * g).sum(axis=1, keepdims=True)
-        grad = g / safe - a.data * (dot / safe**3)
-        return np.where(live, grad, 0.0)
+        dot = (a.data * g).sum(axis=axis, keepdims=True)
+        grad = g / safe
+        grad -= a.data * (dot / safe**3)
+        if dead is not None:
+            np.copyto(grad, 0.0, where=dead)
+        return grad
 
     _record(out, (a, back))
     return out
@@ -269,6 +279,10 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
 # dense convs multiply channel blocks of columns no larger than the padded
 # input, depthwise convs sum scaled shifted views, and a backward closure keeps
 # only the padded input, rebuilding each block when it needs it.
+
+# Output elements per channel block of a depthwise conv (512 KB of float64).
+# All k*k taps run over one block before the next, so it stays in cache.
+_DEPTHWISE_BLOCK = 1 << 16
 
 
 def _conv_out_size(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -395,28 +409,37 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
     xp = _pad_hw(x.data, padding)
     w_taps = w.data[:, :, :, None, None]
     taps = _taps(k, stride, ho, wo)
+    per_block = max(1, _DEPTHWISE_BLOCK // (ho * wo))
+    blocks = [slice(c0, c0 + per_block) for c0 in range(0, c, per_block)]
+    tmp = np.empty((min(c, per_block), ho, wo))
 
     out_data = np.empty((c, ho, wo))
-    tmp = np.empty((c, ho, wo))
-    for i, (ki, kj, rows, cs) in enumerate(taps):
-        np.multiply(xp[:, rows, cs], w_taps[:, ki, kj], out=tmp if i else out_data)
-        if i:
-            out_data += tmp
-    out_data += bias.data[:, None, None]
+    for cb in blocks:
+        o = out_data[cb]
+        t = tmp[:len(o)]
+        for i, (ki, kj, rows, cs) in enumerate(taps):
+            np.multiply(xp[cb, rows, cs], w_taps[cb, ki, kj], out=t if i else o)
+            if i:
+                o += t
+        o += bias.data[cb, None, None]
     out = _finish(out_data, "depthwise_conv2d")
 
     def back_x(g: np.ndarray) -> np.ndarray:
         dxp = np.zeros(xp.shape)
-        tmp = np.empty(g.shape)
-        for ki, kj, rows, cs in taps:
-            np.multiply(g, w_taps[:, ki, kj], out=tmp)
-            dxp[:, rows, cs] += tmp
+        tmp = np.empty((min(c, per_block), ho, wo))
+        for cb in blocks:
+            gb, db = g[cb], dxp[cb]
+            t = tmp[:len(gb)]
+            for ki, kj, rows, cs in taps:
+                np.multiply(gb, w_taps[cb, ki, kj], out=t)
+                db[:, rows, cs] += t
         return _crop_hw(dxp, padding)
 
     def back_w(g: np.ndarray) -> np.ndarray:
         dw = np.empty(w.shape)
-        for ki, kj, rows, cs in taps:
-            dw[:, ki, kj] = np.einsum("chw,chw->c", xp[:, rows, cs], g)
+        for cb in blocks:
+            for ki, kj, rows, cs in taps:
+                dw[cb, ki, kj] = np.einsum("chw,chw->c", xp[cb, rows, cs], g[cb])
         return dw
 
     _record(out, (x, back_x), (w, back_w),
@@ -539,33 +562,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    """Columns [j0, j1) of a rank-2 tensor."""
-    _require(a.data.ndim == 2, f"slice_cols needs rank 2, got {a.shape}")
-    _require(0 <= j0 < j1 <= a.shape[1], f"bad column range [{j0},{j1}) for {a.shape}")
-    out = _finish(a.data[:, j0:j1].copy(), "slice_cols")
-
-    def back(g: np.ndarray) -> np.ndarray:
-        full = np.zeros(a.shape)
-        full[:, j0:j1] = g
-        return full
-
-    _record(out, (a, back))
-    return out
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-2 tensors along columns."""
-    _require(len(parts) >= 1, "concat_cols needs at least one part")
-    n = parts[0].shape[0]
-    for p in parts:
-        _require(p.data.ndim == 2 and p.shape[0] == n,
-                 f"concat_cols row mismatch: {[q.shape for q in parts]}")
-    out = _finish(np.concatenate([p.data for p in parts], axis=1), "concat_cols")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    vjps = [(p, (lambda lo, hi: lambda g: g[:, lo:hi].copy())(offsets[i], offsets[i + 1]))
-            for i, p in enumerate(parts)]
-    _record(out, *vjps)
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same values, row-major, in a shape of equal size: a view, not a copy."""
+    _require(math.prod(shape) == a.size, f"cannot reshape {a.shape} to {shape}")
+    out = _finish(a.data.reshape(shape), "reshape")
+    _record(out, (a, lambda g: g.reshape(a.shape)))
     return out
 
 
@@ -582,22 +583,21 @@ def mean_all(a: Tensor) -> Tensor:
     return out
 
 
-def sum_over_rows(a: Tensor) -> Tensor:
-    """Column totals of an NxC tensor as a 1xC tensor."""
-    _require(a.data.ndim == 2, f"sum_over_rows needs rank 2, got {a.shape}")
-    out = _finish(a.data.sum(axis=0, keepdims=True), "sum_over_rows")
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    """Totals along one axis, which is kept with size 1."""
+    out = _finish(a.data.sum(axis=axis, keepdims=True), "sum_axis")
     _record(out, (a, lambda g: np.broadcast_to(g, a.shape).copy()))
     return out
 
 
-def div_rows(a: Tensor, d: Tensor) -> Tensor:
-    """Divide row i of NxC tensor a by scalar d[i] (d is Nx1)."""
-    _require(a.data.ndim == 2, f"div_rows needs rank-2 numerator, got {a.shape}")
-    _require(d.shape == (a.shape[0], 1),
-             f"div_rows denominator must be {(a.shape[0], 1)}, got {d.shape}")
-    out = _finish(a.data / d.data, "div_rows")
+def div_broadcast(a: Tensor, d: Tensor) -> Tensor:
+    """a / d, where d has a's rank and each axis of d matches a's or has size 1."""
+    _require(d.data.ndim == a.data.ndim and all(m in (1, n) for m, n in zip(d.shape, a.shape)),
+             f"div_broadcast cannot broadcast denominator {d.shape} to {a.shape}")
+    axes = tuple(i for i, (m, n) in enumerate(zip(d.shape, a.shape)) if m != n)
+    out = _finish(a.data / d.data, "div_broadcast")
     _record(out, (a, lambda g: g / d.data),
-            (d, lambda g: -(g * a.data).sum(axis=1, keepdims=True) / d.data**2))
+            (d, lambda g: -(g * a.data).sum(axis=axes, keepdims=True) / d.data**2))
     return out
 
 
@@ -612,25 +612,6 @@ def guard_denominator(d: Tensor, eps: float) -> Tensor:
     signs = np.where(d.data >= 0, 1.0, -1.0)
     out = _finish(np.where(live, d.data, signs * eps), "guard_denominator")
     _record(out, (d, lambda g: np.where(live, g, 0.0)))
-    return out
-
-
-def chw_to_nc(x: Tensor) -> Tensor:
-    """Reshape a CxHxW feature map to the (H*W)xC token matrix, row-major over pixels."""
-    _require(x.data.ndim == 3, f"chw_to_nc needs CxHxW, got {x.shape}")
-    c, h, w = x.shape
-    out = _finish(x.data.reshape(c, h * w).T.copy(), "chw_to_nc")
-    _record(out, (x, lambda g: g.T.reshape(c, h, w).copy()))
-    return out
-
-
-def nc_to_chw(a: Tensor, h: int, w: int) -> Tensor:
-    """Inverse of chw_to_nc for the given spatial dims."""
-    _require(a.data.ndim == 2, f"nc_to_chw needs rank 2, got {a.shape}")
-    _require(a.shape[0] == h * w, f"nc_to_chw: {a.shape[0]} rows != {h}*{w}")
-    c = a.shape[1]
-    out = _finish(a.data.T.reshape(c, h, w).copy(), "nc_to_chw")
-    _record(out, (a, lambda g: g.reshape(c, h * w).T.copy()))
     return out
 
 

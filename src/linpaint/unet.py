@@ -89,8 +89,10 @@ class ModelConfig:
             raise ValueError(f"taylor_mode must be one of {TAYLOR_MODES}")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
-        if self.ffn_expansion <= 0:
-            raise ValueError("ffn_expansion must be > 0")
+        # Level 4's FFN width, its channels times ffn_expansion, is rounded to an int.
+        widest = self.level_channels(3) * self.ffn_expansion
+        if not (self.ffn_expansion > 0 and math.isfinite(widest)):
+            raise ValueError(f"ffn_expansion must be finite and > 0, got {self.ffn_expansion}")
         if self.attn_eps <= 0:
             raise ValueError(f"attn_eps must be > 0, got {self.attn_eps}")
         if self.in_channels < 1 or self.out_channels < 1:
@@ -405,9 +407,7 @@ def save_checkpoint(model: InpaintingUNet, path: str) -> None:
 def _read_header(text: bytes, data_bytes: int) -> ModelConfig:
     """The config a checkpoint header declares, once its parameter count
     matches the data block; nothing of the model's size is allocated here.
-
-    Raises ValueError for any fault, or OverflowError when a width times
-    ffn_expansion is beyond float range.
+    Raises ValueError for any fault.
     """
     pairs = {key: val for key, _, val in
              (line.partition("=") for line in text.decode("ascii").splitlines())}
@@ -448,7 +448,7 @@ def load_checkpoint(path: str) -> InpaintingUNet:
     data = view[end + len(b"end-header\n"):-4]
     try:
         config = _read_header(raw[len(CHECKPOINT_MAGIC):end], len(data))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
     model = InpaintingUNet(config, np.random.Generator(np.random.Philox(0)))

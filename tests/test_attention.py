@@ -14,7 +14,7 @@ from linpaint.attention import (
     vanilla_attention,
 )
 from linpaint.autograd import Parameter, finite_diff_check
-from linpaint.tensor import ShapeError, Tensor, make_rng, sum_all, hadamard
+from linpaint.tensor import ShapeError, Tape, Tensor, hadamard, make_rng, sum_all
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +183,57 @@ def test_multi_head_single_head_equals_flat():
     x = Tensor(rng.normal(size=(6, 4, 4)))
     out = multi_head_attention(x, proj, cfg)
 
-    from linpaint.tensor import chw_to_nc, conv2d
-    q = chw_to_nc(conv2d(x, proj.wq, proj.bq))
-    k = chw_to_nc(conv2d(x, proj.wk, proj.bk))
-    v = chw_to_nc(conv2d(x, proj.wv, proj.bv))
+    from linpaint.tensor import conv2d, reshape, transpose
+
+    def tokens(t):
+        return transpose(reshape(t, (6, 16)))          # (H*W) x C
+
+    q, k, v = (tokens(conv2d(x, w, b)) for w, b in
+               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
     flat = taylor_linear_attention(q, k, v, mode=cfg.taylor_mode, eps=cfg.eps)
-    assert np.allclose(chw_to_nc(out).data, flat.data, atol=1e-14)
+    assert np.allclose(tokens(out).data, flat.data, atol=1e-14)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("mode", ["sum", "residual", "none"])
+@pytest.mark.parametrize("divide", [True, False])
+@pytest.mark.parametrize("normalize_qk", [True, False])
+def test_multi_head_matches_per_head_loop(heads, mode, divide, normalize_qk):
+    # The batched heads against one taylor_linear_attention call per head on
+    # that head's channels of the projections.
+    rng = make_rng(20 + heads)
+    cfg = AttentionConfig(channels=16, heads=heads, taylor_mode=mode, gated=False,
+                          normalize_qk=normalize_qk, divide=divide)
+    proj = ProjectionSet.init(16, rng)
+    x = Tensor(rng.normal(size=(16, 5, 6)))
+    got = multi_head_attention(x, proj, cfg).data.reshape(16, 30)
+
+    def tokens(w, b):
+        return w.data.reshape(16, 16) @ x.data.reshape(16, 30) + b.data[:, None]
+
+    q, k, v = (tokens(w, b) for w, b in
+               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
+    d = cfg.head_dim
+    for h in range(heads):
+        rows = slice(h * d, (h + 1) * d)
+        want = taylor_linear_attention(
+            Tensor(q[rows].T), Tensor(k[rows].T), Tensor(v[rows].T), mode=mode,
+            eps=cfg.eps, normalize_qk=normalize_qk, divide=divide).data
+        assert np.max(np.abs(got[rows] - want.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["sum", "residual", "none"])
+def test_multi_head_tape_length_is_independent_of_heads(mode):
+    rng = make_rng(24)
+    proj = ProjectionSet.init(8, rng)
+    x = Tensor(rng.normal(size=(8, 4, 4)))
+    lengths = set()
+    for heads in (1, 2, 4, 8):
+        with Tape() as tape:
+            multi_head_attention(x, proj, AttentionConfig(channels=8, heads=heads,
+                                                          taylor_mode=mode))
+        lengths.add(len(tape))
+    assert len(lengths) == 1
 
 
 def test_multi_head_heads_are_independent():

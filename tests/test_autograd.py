@@ -7,31 +7,28 @@ from linpaint.tensor import (
     Tensor,
     absolute,
     add,
-    chw_to_nc,
     concat_channels,
-    concat_cols,
     conv2d,
     depthwise_conv2d,
-    div_rows,
+    div_broadcast,
     gelu,
     guard_denominator,
     hadamard,
-    l2_normalize_rows,
+    l2_normalize,
     layer_norm_sites,
     leaky_relu,
     log_clamped,
     make_rng,
     matmul,
     mean_all,
-    nc_to_chw,
     nearest_upsample2x,
+    reshape,
     scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
     sub,
     sum_all,
-    sum_over_rows,
+    sum_axis,
     tanh,
     transpose,
 )
@@ -201,7 +198,8 @@ def test_grad_l2_normalize_rows():
     rng = make_rng(13)
     a = Parameter(rng.normal(size=(4, 3)))
     r = Tensor(rng.normal(size=(4, 3)))
-    _check(lambda: sum_all(hadamard(l2_normalize_rows(a), r)), [a])
+    _check(lambda: sum_all(hadamard(l2_normalize(a), r)), [a])
+    _check(lambda: sum_all(hadamard(l2_normalize(a, axis=0), r)), [a])
 
 
 def test_grad_conv2d():
@@ -268,21 +266,15 @@ def test_grad_log_clamped():
 
 def test_grad_structural():
     rng = make_rng(18)
-    a = Parameter(rng.normal(size=(3, 6)))
-    b = Parameter(rng.normal(size=(3, 2)))
-    r = Tensor(rng.normal(size=(3, 8)))
-    _check(lambda: sum_all(hadamard(concat_cols([a, b]), r)), [a, b])
-    r2 = Tensor(rng.normal(size=(3, 3)))
-    _check(lambda: sum_all(hadamard(slice_cols(a, 1, 4), r2)), [a])
     x = Parameter(rng.normal(size=(2, 3, 4)))
     y = Parameter(rng.normal(size=(3, 3, 4)))
     r3 = Tensor(rng.normal(size=(5, 3, 4)))
     _check(lambda: sum_all(hadamard(concat_channels(x, y), r3)), [x, y])
-    r4 = Tensor(rng.normal(size=(12, 2)))
-    _check(lambda: sum_all(hadamard(chw_to_nc(x), r4)), [x])
-    m = Parameter(rng.normal(size=(12, 2)))
+    r4 = Tensor(rng.normal(size=(2, 12)))
+    _check(lambda: sum_all(hadamard(reshape(x, (2, 12)), r4)), [x])
+    m = Parameter(rng.normal(size=(6, 4)))
     r5 = Tensor(rng.normal(size=(2, 3, 4)))
-    _check(lambda: sum_all(hadamard(nc_to_chw(m, 3, 4), r5)), [m])
+    _check(lambda: sum_all(hadamard(reshape(m, (2, 3, 4)), r5)), [m])
 
 
 def test_grad_rowwise():
@@ -290,11 +282,19 @@ def test_grad_rowwise():
     a = Parameter(rng.normal(size=(4, 3)))
     d = Parameter(rng.normal(size=(4, 1)) + 3.0)
     r = Tensor(rng.normal(size=(4, 3)))
-    _check(lambda: sum_all(hadamard(div_rows(a, d), r)), [a, d])
+    _check(lambda: sum_all(hadamard(div_broadcast(a, d), r)), [a, d])
     r6 = Tensor(rng.normal(size=(1, 3)))
-    _check(lambda: sum_all(hadamard(sum_over_rows(a), r6)), [a])
+    _check(lambda: sum_all(hadamard(sum_axis(a, 0), r6)), [a])
     r7 = Tensor(rng.normal(size=(4, 1)))
     _check(lambda: sum_all(hadamard(guard_denominator(d, 1e-6), r7)), [d])
+    # The (heads, d, N) forms of multi-head attention: a per-token denominator
+    # broadcast over the head's channels, and per-channel totals over tokens.
+    s = Parameter(rng.normal(size=(2, 3, 5)))
+    ds = Parameter(rng.normal(size=(2, 1, 5)) + 3.0)
+    rs = Tensor(rng.normal(size=(2, 3, 5)))
+    _check(lambda: sum_all(hadamard(div_broadcast(s, ds), rs)), [s, ds])
+    rt = Tensor(rng.normal(size=(2, 3, 1)))
+    _check(lambda: sum_all(hadamard(sum_axis(s, 2), rt)), [s])
 
 
 def test_grad_layer_norm():

@@ -222,6 +222,8 @@ def test_gradcheck_ops_scope(capsys):
     assert rc == 0
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
     assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
+    for name in ("matmul_batched", "transpose_batched", "l2_normalize_batched"):
+        assert f"op {name}:" in out
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):
@@ -372,6 +374,18 @@ def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement)
                "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
     assert rc == 2
     assert "bad checkpoint header" in capsys.readouterr().err
+
+
+# A hidden width of base_channels * 8 * ffn_expansion beyond float range
+# (the last case) is as unusable as a non-finite expansion.
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e308"])
+def test_count_rejects_nonfinite_ffn_expansion(tmp_path, capsys, value):
+    cfg = str(tmp_path / "f.cfg")
+    open(cfg, "w").write(f"ffn_expansion={value}\n")
+    assert main(["count", "--config", cfg]) == 1
+    assert "ffn_expansion" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="ffn_expansion"):
+        build_run_config({"ffn_expansion": value})
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linpaint import tensor as T
+from linpaint.autograd import Parameter, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
     ShapeError,
@@ -16,13 +17,17 @@ from linpaint.tensor import (
     depthwise_conv2d,
     gelu,
     hadamard,
-    l2_normalize_rows,
+    div_broadcast,
+    l2_normalize,
     make_rng,
     matmul,
     nearest_upsample2x,
+    reshape,
     scale,
     softmax_rows,
     sub,
+    sum_all,
+    sum_axis,
     transpose,
 )
 
@@ -74,6 +79,26 @@ def test_matmul_mismatch_names_both_shapes():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
+def test_matmul_batched_equals_per_entry_products():
+    rng = make_rng(12)
+    a = rng.normal(size=(3, 4, 5))
+    b = rng.normal(size=(3, 5, 2))
+    got = matmul(Tensor(a), Tensor(b)).data
+    assert got.shape == (3, 4, 2)
+    for i in range(3):
+        assert np.array_equal(got[i], matmul(Tensor(a[i]), Tensor(b[i])).data)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (3, 4, 5)),     # batch sizes differ
+    ((2, 3, 4), (4, 5)),        # ranks differ
+    ((2, 2, 3, 4), (2, 2, 4, 5)),
+])
+def test_matmul_rejects_unshared_batch(a_shape, b_shape):
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
+
 # ---------------------------------------------------------------------------
 # transpose
 
@@ -93,9 +118,17 @@ def test_transpose_row_to_column():
     assert out.shape == (3, 1)
 
 
-def test_transpose_rejects_rank3():
-    with pytest.raises(ShapeError):
-        transpose(Tensor(np.ones((2, 2, 2))))
+def test_transpose_batched_swaps_last_two_axes():
+    a = make_rng(1).normal(size=(3, 2, 5))
+    got = transpose(Tensor(a)).data
+    assert got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(got, a.transpose(0, 2, 1))
+
+
+def test_transpose_rejects_rank1_and_rank4():
+    for shape in [(4,), (2, 2, 2, 2)]:
+        with pytest.raises(ShapeError):
+            transpose(Tensor(np.ones(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +161,36 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 
 
 # ---------------------------------------------------------------------------
-# l2_normalize_rows
+# l2_normalize
 
 
 def test_l2_normalize_hand():
-    out = l2_normalize_rows(Tensor([[3.0, 4.0]]))
+    out = l2_normalize(Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-15)
+    down = l2_normalize(Tensor([[3.0], [4.0]]), axis=0)
+    assert np.allclose(down.data, [[0.6], [0.8]], atol=1e-15)
 
 
 def test_l2_normalize_zero_row_guard():
-    out = l2_normalize_rows(Tensor([[0.0, 0.0]]), eps=1e-12)
-    assert np.array_equal(out.data, [[0.0, 0.0]])
+    out = l2_normalize(Tensor([[0.0, 0.0], [3.0, 4.0]]), eps=1e-12)
+    assert np.array_equal(out.data, [[0.0, 0.0], [0.6, 0.8]])
+    assert not np.signbit(l2_normalize(Tensor([[-1e-13, 0.0]])).data).any()
+
+
+def test_l2_normalize_middle_axis_equals_rows_of_transpose():
+    # The (heads, d, N) stacks of multi-head attention normalize over d.
+    a = make_rng(5).normal(size=(3, 4, 6))
+    got = l2_normalize(Tensor(a), axis=1).data
+    for h in range(3):
+        rows = l2_normalize(Tensor(a[h].T)).data
+        assert np.max(np.abs(got[h] - rows.T)) <= 1e-15
 
 
 def test_l2_normalize_idempotent_on_unit_rows():
     rng = make_rng(4)
     a = rng.normal(size=(5, 7))
-    unit = l2_normalize_rows(Tensor(a))
-    again = l2_normalize_rows(unit)
+    unit = l2_normalize(Tensor(a))
+    again = l2_normalize(unit)
     assert np.allclose(unit.data, again.data, atol=1e-12)
     norms = np.linalg.norm(again.data, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
@@ -267,6 +312,27 @@ def test_depthwise_matches_nested_loop_oracle(k, stride, padding):
     want = np.concatenate([reference_conv2d(x[c:c + 1], w[c][None, None], b[c:c + 1],
                                             stride, padding) for c in range(4)])
     assert _rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (4, 2, 0)])
+def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padding):
+    # Blocks of one channel, of two with a ragged last block, and one block of
+    # all seven sum each element's taps in the same order.
+    rng = make_rng(300 + k + stride)
+    x = Parameter(rng.normal(size=(7, 10, 9)))
+    w = Parameter(rng.normal(size=(7, k, k)))
+    b = Parameter(rng.normal(size=7))
+    runs = []
+    for channels in (1, 2, 7):
+        ho, wo = depthwise_conv2d(x, w, b, stride, padding).shape[1:]
+        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", channels * ho * wo)
+        with Tape() as tape:
+            out = depthwise_conv2d(x, w, b, stride, padding)
+            tape.backward(sum_all(hadamard(out, out)))
+        runs.append([out.data] + [p.grad for p in (x, w, b)])
+        zero_grads([x, w, b])
+    for blocked in runs[:2]:
+        assert all(np.array_equal(got, want) for got, want in zip(blocked, runs[2]))
 
 
 def test_conv2d_memory_is_bounded_by_input_and_output():
@@ -394,6 +460,31 @@ def test_concat_channels_spatial_mismatch():
         concat_channels(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 4))))
 
 
+def test_reshape_is_a_view_in_row_major_order():
+    a = Tensor(make_rng(14).normal(size=(6, 2, 5)))
+    out = reshape(a, (3, 2, 10))
+    assert np.shares_memory(out.data, a.data)
+    assert np.array_equal(out.data, a.data.reshape(3, 2, 10))
+    with pytest.raises(ShapeError):
+        reshape(a, (7, 9))
+
+
+def test_sum_axis_keeps_the_summed_axis():
+    a = make_rng(15).normal(size=(2, 3, 4))
+    for axis in range(3):
+        out = sum_axis(Tensor(a), axis).data
+        assert np.array_equal(out, a.sum(axis=axis, keepdims=True))
+
+
+def test_div_broadcast_shapes():
+    a = Tensor(np.full((2, 3, 4), 6.0))
+    assert np.array_equal(div_broadcast(a, Tensor(np.full((2, 1, 4), 2.0))).data,
+                          np.full((2, 3, 4), 3.0))
+    for bad in [(2, 2, 4), (3, 4), (2, 1, 4, 1)]:
+        with pytest.raises(ShapeError):
+            div_broadcast(a, Tensor(np.ones(bad)))
+
+
 def test_add_sub_shape_mismatch():
     with pytest.raises(ShapeError):
         add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
@@ -410,8 +501,10 @@ def test_ops_leave_inputs_unmodified():
     add(a, b)
     hadamard(a, b)
     softmax_rows(a)
-    l2_normalize_rows(a)
+    l2_normalize(a)
     transpose(a)
+    div_broadcast(a, Tensor(np.full((4, 1), 2.0)))
+    sum_axis(a, 0)
     absolute(a)
     assert np.array_equal(a.data, a_before)
     assert np.array_equal(b.data, b_before)
