@@ -22,6 +22,7 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data)
+        self.requires_grad = True
         self.name = name
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)

@@ -342,9 +342,16 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
                 loss_d = discriminator_loss(disc, i_g, i_out.detach())
                 td.backward(loss_d)
             adamw_step(d_params, run.lr, weight_decay=run.weight_decay)
+            # The generator step needs no discriminator weight gradients.
+            for p in d_params:
+                p.requires_grad = False
             total, terms = total_loss(i_out, i_g, fx, disc, run.weights)
+            for p in d_params:
+                p.requires_grad = True
             tg.backward(total)
         adamw_step(g_params, run.lr, weight_decay=run.weight_decay)
+        # No discriminator gradient is left to clear; perfbench's train64
+        # workload hooks this call to mark the end of each iteration.
         zero_grads(d_params)
         rows.append(f"{step},{terms['rec'].item()!r},{terms['perc'].item()!r},"
                     f"{terms['style'].item()!r},{terms['adv'].item()!r},{total.item()!r}")

@@ -3,9 +3,10 @@
 Values are numpy arrays wrapped in :class:`Tensor` nodes. Operations are pure:
 they never modify their inputs and allocate fresh outputs, except
 :func:`reshape`, whose output is a view of its input. When a
-:class:`Tape` is active, each operation also records a backward step, so the
-tape can later replay the computation in exact reverse order and accumulate
-gradients into the leaves.
+:class:`Tape` is active, an operation with an input that ``requires_grad``
+records a backward step for those inputs only; an operation on constants
+records nothing. The tape replays its steps once, in exact reverse order,
+freeing each step and intermediate gradient as it goes.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ class Tensor:
     """A dense n-dimensional float64 array, row-major, with a gradient slot.
 
     The wrapped array is treated as immutable by every public operation;
-    ``grad`` is only written by :meth:`Tape.backward`.
+    ``grad`` is only written by :meth:`Tape.backward`. ``requires_grad`` is
+    False for a constant (the default, and every :meth:`detach` copy), True
+    for a trainable parameter and for the output of every recorded step.
+    Gradients reach only tensors that require one.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -87,6 +91,7 @@ class Tensor:
             raise ShapeError(f"tensor dims must be >= 1, got shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
+        self.requires_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,10 +152,16 @@ class Tape:
     steps reversed guarantees every node has received the gradient from all
     of its consumers before propagating to its inputs. Gradients accumulate
     additively across multiple uses of the same tensor.
+
+    A tape is used once. :meth:`backward` drops each step as it runs it, and
+    a step clears its output's gradient as it propagates it, so intermediates,
+    the arrays their steps captured and their gradients are freed as the
+    reverse pass goes; only leaves that require a gradient keep ``grad``.
     """
 
     def __init__(self) -> None:
         self._steps: list[Callable[[], None]] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -165,12 +176,17 @@ class Tape:
         return len(self._steps)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and replay recorded steps in reverse."""
+        """Seed d(loss)/d(loss)=1 and replay recorded steps in reverse, freeing
+        each one once it has run. Raises RuntimeError on a replayed tape."""
+        if self._replayed:
+            raise RuntimeError("this tape has already been replayed; "
+                               "record the computation on a new tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        for step in reversed(self._steps):
-            step()
+        while self._steps:
+            self._steps.pop()()
 
 
 def _active_tape() -> Tape | None:
@@ -185,11 +201,16 @@ def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]
     tape = _active_tape()
     if tape is None:
         return
+    vjps = tuple((src, fn) for src, fn in vjps if src.requires_grad)
+    if not vjps:
+        return
+    out.requires_grad = True
 
     def step() -> None:
         g = out.grad
         if g is None:
             return
+        out.grad = None
         for src, fn in vjps:
             _accumulate(src, fn(g))
 

@@ -431,6 +431,15 @@ def _read_header(text: bytes, data_bytes: int) -> ModelConfig:
     return config
 
 
+class _NoDraws:
+    """Stands in for the generator when every weight is about to be overwritten:
+    ``normal`` returns uninitialised storage instead of drawing."""
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.empty(size)
+
+
 def load_checkpoint(path: str) -> InpaintingUNet:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -451,7 +460,7 @@ def load_checkpoint(path: str) -> InpaintingUNet:
     except ValueError as exc:
         raise CheckpointError(f"bad checkpoint header: {exc}") from None
 
-    model = InpaintingUNet(config, np.random.Generator(np.random.Philox(0)))
+    model = InpaintingUNet(config, _NoDraws())
     offset = 0
     for p in model.parameters():
         n = p.size * 8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,3 +332,29 @@ def test_ablation_axes_are_live():
     assert np.max(np.abs(outs[("residual", True)] - outs[("none", True)])) > 1e-6
     assert np.max(np.abs(outs[("residual", True)] - outs[("residual", False)])) > 1e-6
     assert np.max(np.abs(outs[("none", True)] - outs[("none", False)])) > 1e-6
+
+
+def test_gated_attention_backward_frees_as_it_replays():
+    # The reverse pass frees each intermediate, its captured arrays and its
+    # gradient once it has passed them: it peaks near what the forward held,
+    # and afterwards little more than the leaves' gradients is left.
+    rng = make_rng(40)
+    proj = ProjectionSet.init(16, rng)
+    cfg = AttentionConfig(channels=16, heads=2, taylor_mode="residual")
+    x = Parameter(rng.normal(size=(16, 64, 64)))
+    r = Tensor(rng.normal(size=(16, 64, 64)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = sum_all(hadamard(gated_attention(x, proj, cfg), r))
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(p.grad.nbytes for p in [x] + proj.parameters())
+    assert r.grad is None
+    assert peak - base <= 1.5 * held
+    assert after - base <= 1.25 * grad_bytes

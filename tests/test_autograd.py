@@ -104,6 +104,57 @@ def test_detach_blocks_gradient():
     assert np.allclose(w.grad, [4.0, 9.0], atol=1e-14)
 
 
+def test_requires_grad_marks_parameters_and_recorded_outputs():
+    w = Parameter(np.ones(3))
+    c = Tensor(np.ones(3))
+    assert w.requires_grad and not c.requires_grad
+    assert not w.detach().requires_grad
+    assert not hadamard(w, w).requires_grad   # no tape, no step
+    with Tape():
+        assert hadamard(w, c).requires_grad
+        assert not hadamard(c, c).requires_grad
+
+
+def test_op_on_constants_records_no_step():
+    a = Tensor(make_rng(6).normal(size=(3, 4)))
+    b = Tensor(make_rng(7).normal(size=(4, 2)))
+    with Tape() as tape:
+        sum_all(matmul(tanh(a), b))
+        assert len(tape) == 0
+        w = Parameter(np.ones((4, 2)))
+        # Only the step that reads the parameter is recorded.
+        sum_all(matmul(tanh(a), w))
+        assert len(tape) == 2
+
+
+def test_backward_leaves_gradients_only_on_parameters():
+    rng = make_rng(8)
+    w = Parameter(rng.normal(size=(3, 4)))
+    v = Parameter(rng.normal(size=(4,)))
+    c = Tensor(rng.normal(size=(3, 4)))
+    with Tape() as tape:
+        h = tanh(hadamard(w, c))
+        cut = h.detach()
+        y = add(h, hadamard(cut, w))
+        s = sum_axis(y, 0)
+        loss = sum_all(hadamard(reshape(s, (4,)), v))
+        tape.backward(loss)
+    assert w.grad is not None and v.grad is not None
+    for t in (c, cut, h, y, s, loss):
+        assert t.grad is None
+    assert len(tape) == 0
+
+
+def test_tape_is_single_use():
+    w = Parameter([1.0, 2.0])
+    with Tape() as tape:
+        loss = sum_all(hadamard(w, w))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already been replayed"):
+            tape.backward(loss)
+    assert np.array_equal(w.grad, [2.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # AdamW
 

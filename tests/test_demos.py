@@ -1,5 +1,6 @@
 """Every demo script runs to completion, each in a fresh interpreter."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ REPO = Path(__file__).resolve().parents[1]
     ["cost_accounting.py"],
     ["complexity_benchmark.py", "--quick"],
     ["inpainting_toy_run.py", "--iters", "2"],
+    ["gradient_verification.py"],
 ], ids=lambda argv: argv[0])
 def test_demo_exits_zero(tmp_path, argv):
     # The demos write their outputs into the working directory.
@@ -24,3 +26,13 @@ def test_demo_exits_zero(tmp_path, argv):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_gradient_verification_exits_3_on_failure(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "gradient_verification", REPO / "demos" / "gradient_verification.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(demo, "run_gradcheck",
+                        lambda scope, seed: (False, ["op x: FAIL at 1e-4"]))
+    assert demo.main() == 3

@@ -317,6 +317,34 @@ def test_total_loss_gradient_reaches_every_generator_parameter():
     assert dead == []
 
 
+def test_frozen_discriminator_leaves_generator_gradients_unchanged():
+    # train_toy clears requires_grad on the discriminator for the generator
+    # step: its weights then get no gradient, and the generator's are the same
+    # arrays, bit for bit.
+    rng = make_rng(37)
+    config = ModelConfig(base_channels=2, block_counts=(1,) * 7,
+                         heads_per_level=(1,) * 7)
+    model = InpaintingUNet(config, make_rng(38))
+    fx = RandomConvFeatureExtractor(seed=40)
+    im = Tensor(rng.uniform(-0.5, 0.5, size=(3, 32, 32)))
+    target = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
+    runs = []
+    for frozen in (False, True):
+        # A fresh discriminator each time: every forward advances its power
+        # iteration.
+        disc = PatchDiscriminator(make_rng(39), base_width=2)
+        for p in disc.parameters():
+            p.requires_grad = not frozen
+        with Tape() as tape:
+            out = model.forward(im, compose_output=False)
+            loss, _ = total_loss(out, target, fx, disc, LossWeights())
+            tape.backward(loss)
+        runs.append([p.grad for p in model.parameters()])
+        zero_grads(model.parameters())
+        assert all((p.grad is None) == frozen for p in disc.parameters())
+    assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+
 def test_total_loss_terms_and_one_extractor_pass_per_image():
     class CountingExtractor(RandomConvFeatureExtractor):
         calls = 0

@@ -219,6 +219,20 @@ def test_checkpoint_roundtrip(tmp_path):
                           loaded.forward(im, compose_output=False).data)
 
 
+def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
+    model = InpaintingUNet(tiny_config(base_channels=2), make_rng(23))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+
+    def no_philox(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "Philox", no_philox)
+    loaded = load_checkpoint(path)
+    for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_checkpoint_checksum_detects_corruption(tmp_path):
     model = InpaintingUNet(tiny_config(base_channels=2), make_rng(23))
     path = str(tmp_path / "model.ckpt")
