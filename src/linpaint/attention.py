@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter
+from .autograd import Module, Parameter
 from .tensor import (
     ShapeError,
     Tensor,
@@ -92,7 +92,7 @@ class AttentionConfig:
 
 
 @dataclass
-class ProjectionSet:
+class ProjectionSet(Module):
     """The five 1x1-convolution weight/bias pairs of one attention layer."""
 
     wq: Parameter
@@ -123,10 +123,6 @@ class ProjectionSet:
         wg, bg = conv_pair("w_gate")
         wo, bo = conv_pair("w_out", gain=out_gain)
         return cls(wq, bq, wk, bk, wv, bv, wg, bg, wo, bo)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-                self.w_gate, self.b_gate, self.w_out, self.b_out]
 
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""Trainable parameters, the AdamW update, and a finite-difference gradient checker.
+"""Trainable parameters, the layer base class, the AdamW update, and a
+finite-difference gradient checker.
 
 The reverse pass itself lives on :class:`linpaint.tensor.Tape`; this module adds
 the pieces needed to train with it and to validate it.
@@ -12,7 +13,7 @@ import numpy as np
 
 from .tensor import Tape, Tensor, make_rng
 
-__all__ = ["Parameter", "adamw_step", "zero_grads", "finite_diff_check", "Tape"]
+__all__ = ["Parameter", "Module", "adamw_step", "zero_grads", "finite_diff_check", "Tape"]
 
 
 class Parameter(Tensor):
@@ -27,6 +28,36 @@ class Parameter(Tensor):
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)
         self.step_count = 0
+
+
+class Module:
+    """Base of every layer: :meth:`parameters` is derived from the attributes.
+
+    Parameters are listed in registration order, the order in which their
+    attributes were first assigned; a checkpoint stores them in that order.
+    A layer therefore assigns attributes in the order its constructor draws
+    their weights, and the constructor is the only statement of the layout.
+    There is no shared ``__call__``: perfbench's tracer times layers by
+    wrapping the ``__call__`` each layer class defines for itself.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        """Each ``Parameter`` attribute, and recursively those of each
+        ``Module`` attribute and of lists and tuples of them; other values
+        (configs, dicts, plain tensors) are skipped."""
+        return _collect(vars(self).values())
+
+
+def _collect(values: Iterable[object]) -> list[Parameter]:
+    out: list[Parameter] = []
+    for v in values:
+        if isinstance(v, Parameter):
+            out.append(v)
+        elif isinstance(v, Module):
+            out += v.parameters()
+        elif isinstance(v, (list, tuple)):
+            out += _collect(v)
+    return out
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

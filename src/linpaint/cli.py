@@ -324,10 +324,11 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
     model = InpaintingUNet(run.model, rng)
     disc = PatchDiscriminator(rng, base_width=run.disc_width)
     fx = RandomConvFeatureExtractor(seed=run.fx_seed)
+    i_g = Tensor(_to_network(img01))
+    feats_g = fx.features(i_g)   # constant: the ground truth never changes
     g_params = model.parameters()
     d_params = disc.parameters()
 
-    i_g = Tensor(_to_network(img01))
     i_m = Tensor(_to_network(img01) * mask)
     mask_t = Tensor(mask)
 
@@ -345,7 +346,7 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
             # The generator step needs no discriminator weight gradients.
             for p in d_params:
                 p.requires_grad = False
-            total, terms = total_loss(i_out, i_g, fx, disc, run.weights)
+            total, terms = total_loss(i_out, i_g, feats_g, fx, disc, run.weights)
             for p in d_params:
                 p.requires_grad = True
             tg.backward(total)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .unet import InpaintingUNet, ModelConfig
+from .unet import FFNConfig, InpaintingUNet, ModelConfig
 
 __all__ = [
     "REFERENCE_PARAMS",
@@ -97,7 +97,7 @@ def quadratic_attention_macs(n: int, head_dim: int) -> int:
 
 def _block_lines(prefix: str, c: int, heads: int, n: int,
                  config: ModelConfig) -> list[CostLine]:
-    hidden = max(1, round(c * config.ffn_expansion))
+    hidden = FFNConfig(c, config.ffn_expansion).hidden
     lines: list[CostLine] = []
     use_norm = config.norm == "layer"
     if use_norm:

@@ -2,7 +2,8 @@
 
 The perceptual and style terms compare the feature lists of two images.
 :func:`total_loss` takes any feature extractor object with a
-``features(image) -> list[Tensor]`` method and runs it once per image.
+``features(image) -> list[Tensor]`` method and runs it on the output; the
+ground truth's features are passed in, since a training run computes them once.
 Pretrained backbones are out of scope here, so a deterministic random-weight
 convolutional extractor stands in; it exercises the exact same loss plumbing.
 The adversarial term uses a patch discriminator whose convolution weights are
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter
+from .autograd import Module, Parameter
 from .tensor import (
     ShapeError,
     Tensor,
@@ -180,7 +181,7 @@ def power_iteration_sigma(w: np.ndarray, state: SpectralNormState,
 # Patch discriminator
 
 
-class PatchDiscriminator:
+class PatchDiscriminator(Module):
     """Stride-2 convolution stack scoring local patches, not a single scalar.
 
     Channels 64 -> 128 -> 256 -> 512 with kernel 4 and leaky-ReLU slope 0.2,
@@ -227,12 +228,6 @@ class PatchDiscriminator:
                 x = leaky_relu(x, 0.2)
         return x
 
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for w, b, _, _ in self.layers:
-            out += [w, b]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Adversarial terms (non-saturating, logistic scores, logs clamped at 1e-12)
@@ -255,15 +250,16 @@ def generator_adversarial_loss(disc: PatchDiscriminator, fake: Tensor) -> Tensor
     return scale(_mean_log_sigmoid(disc.forward(fake)), -1.0)
 
 
-def total_loss(i_out: Tensor, i_g: Tensor, fx, disc: PatchDiscriminator,
-               weights: LossWeights) -> tuple[Tensor, dict[str, Tensor]]:
+def total_loss(i_out: Tensor, i_g: Tensor, feats_g: list[Tensor], fx,
+               disc: PatchDiscriminator, weights: LossWeights
+               ) -> tuple[Tensor, dict[str, Tensor]]:
     """Weighted sum of the four generator-side terms, and the terms by name.
 
-    ``fx.features`` runs once on each image; the perceptual and style terms
-    share those features.
+    ``feats_g`` is ``fx.features(i_g)``; ``fx.features`` runs once, on
+    ``i_out``, and the perceptual and style terms share both feature lists.
     """
     weights.validate()
-    feats_out, feats_g = fx.features(i_out), fx.features(i_g)
+    feats_out = fx.features(i_out)
     terms = {
         "rec": l1_reconstruction(i_out, i_g),
         "perc": perceptual_loss(feats_out, feats_g),

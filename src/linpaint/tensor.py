@@ -50,10 +50,6 @@ __all__ = [
     "layer_norm_sites",
 ]
 
-# Finiteness is part of the operation contract (no NaN/Inf escapes). The check
-# is cheap at desk scale; it can be switched off for timing experiments.
-CHECK_FINITE = True
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -112,30 +108,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # Convenience arithmetic; strict same-shape for tensor-tensor forms.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __truediv__(self, other) -> "Tensor":
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +190,8 @@ def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]
 
 
 def _finish(data: np.ndarray, op: str) -> Tensor:
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    # Finiteness is part of the operation contract: no NaN/Inf escapes an op.
+    if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced non-finite values")
     return Tensor(data)
 

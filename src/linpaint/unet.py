@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attention import TAYLOR_MODES, AttentionConfig, ProjectionSet, gated_attention
-from .autograd import Parameter
+from .autograd import Module, Parameter
 from .tensor import (
     ShapeError,
     Tensor,
@@ -173,7 +173,7 @@ def _conv_params(rng: np.random.Generator, cout: int, cin: int, k: int,
     return w, b
 
 
-class ConvLayer:
+class ConvLayer(Module):
     def __init__(self, rng, cin: int, cout: int, k: int, stride: int, padding: int,
                  name: str) -> None:
         self.w, self.b = _conv_params(rng, cout, cin, k, name)
@@ -183,11 +183,8 @@ class ConvLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b, self.stride, self.padding)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
-
-class ChannelNorm:
+class ChannelNorm(Module):
     """Per-site normalization over channels with a learnable channel affine."""
 
     def __init__(self, rng, channels: int, name: str) -> None:
@@ -197,11 +194,8 @@ class ChannelNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm_sites(x, self.gamma, self.beta)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
 
-
-class FeedForward:
+class FeedForward(Module):
     """Gated linear unit: two 1x1 conv + 3x3 depthwise branches, one GELU-gated."""
 
     # Residual-branch outputs start near zero so a fresh block is close to the
@@ -228,13 +222,8 @@ class FeedForward:
                                          self.dw_g_w, self.dw_g_b, padding=1))
         return conv2d(hadamard(branch_i, branch_g), self.conv_out_w, self.conv_out_b)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.conv_i_w, self.conv_i_b, self.dw_i_w, self.dw_i_b,
-                self.conv_g_w, self.conv_g_b, self.dw_g_w, self.dw_g_b,
-                self.conv_out_w, self.conv_out_b]
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-normalized gated attention and feed-forward, each behind a residual."""
 
     def __init__(self, rng, channels: int, heads: int, cfg: ModelConfig,
@@ -259,68 +248,41 @@ class TransformerBlock:
         pre2 = self.norm2(y) if self.use_norm else y
         return add(y, self.ffn(pre2))
 
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        if self.use_norm:
-            out += self.norm1.parameters()
-        out += self.proj.parameters()
-        if self.use_norm:
-            out += self.norm2.parameters()
-        out += self.ffn.parameters()
-        return out
 
+class InpaintingUNet(Module):
+    """The full encoder-decoder; operates on one 3xHxW image at a time.
 
-class InpaintingUNet:
-    """The full encoder-decoder; operates on one 3xHxW image at a time."""
+    Layers are built in forward order, which is also the checkpoint order:
+    ``encoder`` holds one ``(blocks, down)`` per level 1..4 (no ``down`` at
+    level 4), ``decoder`` one ``(up, fuse, blocks)`` per level 3..1.
+    """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         config.validate()
         self.config = config
         c = config.base_channels
 
+        def blocks(idx: int, ch: int, name: str) -> list[TransformerBlock]:
+            return [TransformerBlock(rng, ch, config.heads_per_level[idx], config,
+                                     f"{name}.block{b}")
+                    for b in range(config.block_counts[idx])]
+
         self.head = ConvLayer(rng, config.in_channels, c, 7, 1, 3, "head")
-        self.enc_stages: list[list[TransformerBlock]] = []
-        self.down: list[ConvLayer] = []
+        self.encoder: list[tuple[list[TransformerBlock], ConvLayer | None]] = []
         for level in range(1, 5):
             ch = c * 2 ** (level - 1)
-            heads = config.heads_per_level[level - 1]
-            blocks = [TransformerBlock(rng, ch, heads, config, f"enc{level}.block{b}")
-                      for b in range(config.block_counts[level - 1])]
-            self.enc_stages.append(blocks)
-            if level < 4:
-                self.down.append(ConvLayer(rng, ch, 2 * ch, 3, 2, 1, f"down{level}"))
+            stage = blocks(level - 1, ch, f"enc{level}")
+            down = ConvLayer(rng, ch, 2 * ch, 3, 2, 1, f"down{level}") if level < 4 else None
+            self.encoder.append((stage, down))
 
-        self.up: dict[int, ConvLayer] = {}
-        self.fuse: dict[int, ConvLayer] = {}
-        self.dec_stages: dict[int, list[TransformerBlock]] = {}
+        self.decoder: list[tuple[ConvLayer, ConvLayer, list[TransformerBlock]]] = []
         for idx, level in enumerate((3, 2, 1)):
             ch = c * 2 ** (level - 1)
-            heads = config.heads_per_level[4 + idx]
-            self.up[level] = ConvLayer(rng, 2 * ch, ch, 3, 1, 1, f"dec{level}.up")
-            self.fuse[level] = ConvLayer(rng, 2 * ch, ch, 1, 1, 0, f"dec{level}.fuse")
-            self.dec_stages[level] = [
-                TransformerBlock(rng, ch, heads, config, f"dec{level}.block{b}")
-                for b in range(config.block_counts[4 + idx])]
+            up = ConvLayer(rng, 2 * ch, ch, 3, 1, 1, f"dec{level}.up")
+            fuse = ConvLayer(rng, 2 * ch, ch, 1, 1, 0, f"dec{level}.fuse")
+            self.decoder.append((up, fuse, blocks(4 + idx, ch, f"dec{level}")))
 
         self.tail = ConvLayer(rng, c, config.out_channels, 7, 1, 3, "tail")
-
-    def parameters(self) -> list[Parameter]:
-        out = list(self.head.parameters())
-        for level in range(1, 5):
-            for block in self.enc_stages[level - 1]:
-                out += block.parameters()
-            if level < 4:
-                out += self.down[level - 1].parameters()
-        for level in (3, 2, 1):
-            out += self.up[level].parameters()
-            out += self.fuse[level].parameters()
-            for block in self.dec_stages[level]:
-                out += block.parameters()
-        out += self.tail.parameters()
-        return out
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     def _check_input(self, im: Tensor) -> None:
         if im.data.ndim != 3 or im.shape[0] != self.config.in_channels:
@@ -333,24 +295,22 @@ class InpaintingUNet:
         self._check_input(im)
         x = self.head(im)
         encs = []
-        for level in range(1, 5):
-            for block in self.enc_stages[level - 1]:
+        for stage, down in self.encoder:
+            for block in stage:
                 x = block(x)
             encs.append(x)
-            if level < 4:
-                x = self.down[level - 1](x)
+            if down is not None:
+                x = down(x)
         return tuple(encs)
 
     def decoder_forward(self, encs, with_features: bool = False):
-        e1, e2, e3, e4 = encs
-        skips = {1: e1, 2: e2, 3: e3}
         features: dict[str, tuple[int, ...]] = {}
-        x = e4
-        for level in (3, 2, 1):
-            x = self.up[level](nearest_upsample2x(x))
+        x = encs[3]
+        for level, (up, fuse, stage) in zip((3, 2, 1), self.decoder):
+            x = up(nearest_upsample2x(x))
             features[f"D{level}"] = x.shape
-            x = self.fuse[level](concat_channels(x, skips[level]))
-            for block in self.dec_stages[level]:
+            x = fuse(concat_channels(x, encs[level - 1]))
+            for block in stage:
                 x = block(x)
             features[f"D{level}_blocks"] = x.shape
         out = tanh(self.tail(x))

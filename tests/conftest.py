@@ -3,7 +3,9 @@ import re
 import zlib
 
 import numpy as np
+import pytest
 
+from linpaint.autograd import Parameter
 from linpaint.tensor import make_rng
 
 
@@ -88,3 +90,17 @@ def forge_checkpoint(path: str, pattern: bytes, replacement: bytes) -> None:
     body = header + raw[end:-4]
     with open(path, "wb") as fh:
         fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+@pytest.fixture
+def created_parameters(monkeypatch):
+    """Every Parameter constructed while the test runs, in creation order."""
+    created = []
+    init = Parameter.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    monkeypatch.setattr(Parameter, "__init__", recording_init)
+    return created

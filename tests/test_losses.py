@@ -179,6 +179,13 @@ def _zero_disc():
     return disc
 
 
+def test_discriminator_parameters_are_creation_order(created_parameters):
+    disc = PatchDiscriminator(make_rng(3), base_width=8)
+    params = disc.parameters()
+    assert len(params) == len(created_parameters) == 10
+    assert all(a is b for a, b in zip(params, created_parameters))
+
+
 def test_adversarial_zero_discriminator_closed_form():
     disc = _zero_disc()
     rng = make_rng(20)
@@ -255,7 +262,7 @@ def test_total_loss_zero_when_weighted_terms_vanish():
     fx = RandomConvFeatureExtractor(seed=25)
     im = Tensor(make_rng(26).uniform(-1, 1, size=(3, 32, 32)))
     weights = LossWeights(1.0, 1.0, 250.0, 0.0)
-    assert total_loss(im, im, fx, disc, weights)[0].item() == 0.0
+    assert total_loss(im, im, fx.features(im), fx, disc, weights)[0].item() == 0.0
 
 
 def test_total_loss_reconstruction_only():
@@ -264,7 +271,8 @@ def test_total_loss_reconstruction_only():
     rng = make_rng(28)
     a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
-    got = total_loss(a, b, fx, disc, LossWeights(1.0, 0.0, 0.0, 0.0))[0].item()
+    weights = LossWeights(1.0, 0.0, 0.0, 0.0)
+    got = total_loss(a, b, fx.features(b), fx, disc, weights)[0].item()
     assert abs(got - l1_reconstruction(a, b).item()) < 1e-15
 
 
@@ -274,9 +282,10 @@ def test_total_loss_linear_in_style_weight():
     rng = make_rng(30)
     a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
-    base = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 0.0, 0.0))[0].item()
-    w250 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 250.0, 0.0))[0].item()
-    w500 = total_loss(a, b, fx, disc, LossWeights(1.0, 1.0, 500.0, 0.0))[0].item()
+    fb = fx.features(b)
+    base = total_loss(a, b, fb, fx, disc, LossWeights(1.0, 1.0, 0.0, 0.0))[0].item()
+    w250 = total_loss(a, b, fb, fx, disc, LossWeights(1.0, 1.0, 250.0, 0.0))[0].item()
+    w500 = total_loss(a, b, fb, fx, disc, LossWeights(1.0, 1.0, 500.0, 0.0))[0].item()
     assert abs((w500 - base) - 2.0 * (w250 - base)) < 1e-9
 
 
@@ -310,7 +319,7 @@ def test_total_loss_gradient_reaches_every_generator_parameter():
     target = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     with Tape() as tape:
         out = model.forward(im, compose_output=False)
-        loss, _ = total_loss(out, target, fx, disc, LossWeights())
+        loss, _ = total_loss(out, target, fx.features(target), fx, disc, LossWeights())
         tape.backward(loss)
     dead = [p.name for p in model.parameters()
             if p.grad is None or not np.any(p.grad != 0)]
@@ -337,7 +346,7 @@ def test_frozen_discriminator_leaves_generator_gradients_unchanged():
             p.requires_grad = not frozen
         with Tape() as tape:
             out = model.forward(im, compose_output=False)
-            loss, _ = total_loss(out, target, fx, disc, LossWeights())
+            loss, _ = total_loss(out, target, fx.features(target), fx, disc, LossWeights())
             tape.backward(loss)
         runs.append([p.grad for p in model.parameters()])
         zero_grads(model.parameters())
@@ -359,11 +368,12 @@ def test_total_loss_terms_and_one_extractor_pass_per_image():
     a = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     b = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     weights = LossWeights(0.5, 2.0, 250.0, 0.1)
-    total, terms = total_loss(a, b, fx, disc, weights)
-    assert fx.calls == 2
-    assert sorted(terms) == ["adv", "perc", "rec", "style"]
     fa = RandomConvFeatureExtractor(seed=39).features(a)
     fb = RandomConvFeatureExtractor(seed=39).features(b)
+    # The ground truth's features are passed in: only the output is extracted.
+    total, terms = total_loss(a, b, fb, fx, disc, weights)
+    assert fx.calls == 1
+    assert sorted(terms) == ["adv", "perc", "rec", "style"]
     assert terms["rec"].item() == l1_reconstruction(a, b).item()
     assert terms["perc"].item() == perceptual_loss(fa, fb).item()
     assert terms["style"].item() == style_loss(fa, fb).item()

@@ -205,6 +205,16 @@ def test_level_channels_indexing():
 # checkpoint
 
 
+@pytest.mark.parametrize("overrides", [{}, {"norm": "none", "gated": False}])
+def test_parameters_are_creation_order(created_parameters, overrides):
+    # load_checkpoint fills parameters() in order from the data block, which
+    # restores the saved model only if that order is the order of creation.
+    model = InpaintingUNet(ModelConfig(base_channels=4, **overrides), make_rng(0))
+    params = model.parameters()
+    assert len(params) == len(created_parameters)
+    assert all(a is b for a, b in zip(params, created_parameters))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = InpaintingUNet(tiny_config(base_channels=2), make_rng(21))
     path = str(tmp_path / "model.ckpt")
