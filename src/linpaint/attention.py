@@ -8,16 +8,22 @@ quadratic reference that does build it lives in
 :func:`taylor_attention_quadratic` and exists for benchmarking only.
 
 The model runs the map channel-major: a C x H x W map is a C x N matrix under
-a free reshape, and with the heads as a leading axis the q/k/v projections are
-(heads, d, N) stacks. M = v kb^T (heads x d x d), the numerator v + M qb and
-the denominator N + s^T qb are then each one batched op over all heads, with
-no layout copy between the projections and the output.
+a free reshape, and one product with the stacked [wq; wk; wv] gives q/k/v as
+one (3, heads, d, N) stack. M = v kb^T (heads x d x d), the numerator
+v + M qb and the denominator N + s^T qb are then each one batched numpy op
+over all heads, with no layout copy between the projections and the output.
+
+Each attention layer is one recorded op on the tape: its backward is derived
+by hand and returns the gradients of the input and of all six projection
+parameters at once. It keeps the q/k/v stack, the normalized q and k and the
+output, plus terms of heads x d x d or heads x N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,19 +31,16 @@ from .autograd import Module, Parameter
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     conv2d,
-    div_broadcast,
+    fused_op,
     gelu,
-    guard_denominator,
     hadamard,
-    l2_normalize,
     matmul,
-    reshape,
     scale,
     softmax_rows,
-    sum_axis,
     transpose,
+    unit_slices,
+    unit_slices_back,
 )
 
 __all__ = [
@@ -164,41 +167,88 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
         denominator_i = N + qb_i . s    (clamped away from zero by eps)
 
     ``divide=False`` returns the bare numerator. This N x C form is the
-    one-head case of the channel-major map :func:`multi_head_attention` runs.
+    one-head case of the channel-major core :func:`multi_head_attention` runs.
     """
     n, c = _check_qkv(q, k, v)
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
 
-    one_head = [reshape(transpose(t), (1, c, n)) for t in (q, k, v)]
-    out = _taylor_heads(*one_head, mode, eps, normalize_qk, divide)
-    return transpose(reshape(out, (c, n)))
+    qkv = np.stack([t.data.T for t in (q, k, v)])[:, None]       # 3 x 1 x C x N
+    out, back = _taylor_core(qkv, mode, eps, normalize_qk, divide)
+
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        dqkv = np.empty(qkv.shape)
+        back(g.T[None], dqkv)
+        return tuple(np.ascontiguousarray(d.T) for d in dqkv[:, 0])
+
+    return fused_op(out[0].T, "taylor_linear_attention", (q, k, v), vjp)
 
 
-def _taylor_heads(q: Tensor, k: Tensor, v: Tensor, mode: str, eps: float,
-                  normalize_qk: bool, divide: bool) -> Tensor:
-    """The linear map on (heads, d, N) stacks, each head's tokens as columns;
-    every step is one batched op over all heads."""
-    heads, _, n = q.shape
-    qb = l2_normalize(q, axis=1) if normalize_qk else q
-    kb = l2_normalize(k, axis=1) if normalize_qk else k
+def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool,
+                 divide: bool) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+    """The linear map on a (3, heads, d, N) q/k/v stack, each head's tokens as
+    columns, in plain numpy: every step is one batched op over all heads.
 
-    m = matmul(v, transpose(kb))            # heads x d x d, nothing N x N is built
-    q_kv = matmul(m, qb)                    # heads x d x N
+    Returns the (heads, d, N) output and ``back(g, dqkv)``, which writes the
+    gradients of q, k and v for the output gradient ``g`` into ``dqkv``.
+    ``back`` keeps the stack, the normalized q and k, the output and terms
+    of heads x d x d or heads x N; nothing N x N is built either way.
+    """
+    q, k, v = qkv
+    n = q.shape[2]
+    qb, q_norm = unit_slices(q, axis=1) if normalize_qk else (q, None)
+    kb, k_norm = unit_slices(k, axis=1) if normalize_qk else (k, None)
 
+    m = v @ _swap(kb)                       # heads x d x d, through a view of kb
+    out = m @ qb                            # the numerator, heads x d x N
     if mode == "residual":
-        numerator = add(v, q_kv)
+        out += v
     elif mode == "sum":
-        numerator = add(matmul(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
-    else:
-        numerator = q_kv
+        out += v.sum(axis=2, keepdims=True)
 
-    if not divide:
-        return numerator
+    if divide:
+        k_sum = kb.sum(axis=2, keepdims=True)           # heads x d x 1
+        denom = _swap(k_sum) @ qb                       # heads x 1 x N
+        denom += n
+        live = np.abs(denom) >= eps
+        denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
+        out /= denom
 
-    k_sum = sum_axis(kb, 2)                 # heads x d x 1
-    denom = add(matmul(transpose(k_sum), qb), Tensor(np.full((heads, 1, n), float(n))))
-    return div_broadcast(numerator, guard_denominator(denom, eps))
+    def back(g: np.ndarray, dqkv: np.ndarray) -> None:
+        dq, dk, dv = dqkv
+        heads, d = q.shape[:2]
+        if divide:
+            # The numerator's and the denominator's gradients, stacked so that
+            # one product [m^T | s] [g_num; g_den] gives both terms of dq.
+            # d out / d denom = -out / denom, and 0 where the guard clamped.
+            g_both = np.empty((heads, d + 1, n))
+            g_num = np.divide(g, denom, out=g_both[:, :d])
+            g_den = g_both[:, d:]
+            dot = np.einsum("hdn,hdn->hn", g, out)[:, None]
+            np.copyto(g_den, np.where(live, -dot / denom, 0.0))
+            np.matmul(np.concatenate([_swap(m), k_sum], axis=2), g_both, out=dq)
+        else:
+            g_num = g
+            np.matmul(_swap(m), g_num, out=dq)
+        g_m = g_num @ _swap(qb)                         # heads x d x d
+        np.matmul(g_m, kb, out=dv)
+        np.matmul(_swap(g_m), v, out=dk)
+        if mode == "residual":
+            dv += g_num
+        elif mode == "sum":
+            dv += g_num.sum(axis=2, keepdims=True)
+        if divide:
+            dk += qb @ _swap(g_den)
+        if normalize_qk:
+            scratch = np.empty(q.shape)
+            unit_slices_back(q, q_norm, dq, dq, scratch)
+            unit_slices_back(k, k_norm, dk, dk, scratch)
+
+    return out, back
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -244,17 +294,39 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 def multi_head_attention(x: Tensor, proj: ProjectionSet,
                          cfg: AttentionConfig) -> Tensor:
     """Project to q/k/v and run linear attention on all heads as one stack;
-    head i owns the contiguous channels [i d, (i + 1) d)."""
+    head i owns the contiguous channels [i d, (i + 1) d).
+
+    One recorded op: x is multiplied once by the stacked [wq; wk; wv], and the
+    backward returns the gradients of x and of all six projection parameters
+    at once, from one (3C, N) gradient of the stack.
+    """
     cfg.validate()
     if x.data.ndim != 3 or x.shape[0] != cfg.channels:
         raise ShapeError(f"expected {cfg.channels}xHxW input, got {x.shape}")
-    _, h, w = x.shape
-    stack = (cfg.heads, cfg.head_dim, h * w)
-    q = reshape(conv2d(x, proj.wq, proj.bq), stack)
-    k = reshape(conv2d(x, proj.wk, proj.bk), stack)
-    v = reshape(conv2d(x, proj.wv, proj.bv), stack)
-    out = _taylor_heads(q, k, v, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide)
-    return reshape(out, x.shape)
+    c, h, w = x.shape
+    n = h * w
+    inputs = (x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv)
+    w_qkv = np.concatenate([p.data for p in inputs[1::2]]).reshape(3 * c, c)
+    x_mat = x.data.reshape(c, n)
+    qkv = w_qkv @ x_mat
+    qkv += np.concatenate([p.data for p in inputs[2::2]])[:, None]
+    stack = qkv.reshape(3, cfg.heads, cfg.head_dim, n)
+    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide)
+
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
+        d_qkv = np.empty(stack.shape)
+        back(g.reshape(out.shape), d_qkv)
+        d_mat = d_qkv.reshape(3 * c, n)
+        grads = [(w_qkv.T @ d_mat).reshape(x.shape) if needs[0] else None]
+        d_w = d_mat @ x_mat.T if any(needs[1::2]) else None
+        d_b = d_mat.sum(axis=1) if any(needs[2::2]) else None
+        for i in range(3):
+            rows = slice(i * c, (i + 1) * c)
+            grads.append(None if d_w is None else d_w[rows].reshape(c, c, 1, 1))
+            grads.append(None if d_b is None else d_b[rows])
+        return grads
+
+    return fused_op(out.reshape(x.shape), "multi_head_attention", inputs, vjp)
 
 
 def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Tensor:

@@ -71,21 +71,35 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
     """One decoupled-weight-decay Adam update; clears gradients afterwards.
 
     Decay multiplies the value by (1 - lr*weight_decay) before the Adam term,
-    so decay alone never touches the moment estimates.
+    so decay alone never touches the moment estimates. The update runs in two
+    scratch buffers shared by all parameters, in the operation order of
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it allocates nothing per
+    parameter.
     """
+    size = max((p.size for p in params), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for p in params:
         g = p.grad
+        a = scratch_a[:p.size].reshape(p.shape)
+        b = scratch_b[:p.size].reshape(p.shape)
         p.step_count += 1
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
         p.adam_m *= beta1
         p.adam_v *= beta2
         if g is not None:
-            p.adam_m += (1.0 - beta1) * g
-            p.adam_v += (1.0 - beta2) * (g * g)
-        m_hat = p.adam_m / (1.0 - beta1**p.step_count)
-        v_hat = p.adam_v / (1.0 - beta2**p.step_count)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(g, 1.0 - beta1, out=a)
+            p.adam_m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
+            p.adam_v += a
+        np.divide(p.adam_m, 1.0 - beta1**p.step_count, out=a)     # m_hat
+        np.divide(p.adam_v, 1.0 - beta2**p.step_count, out=b)     # v_hat
+        np.sqrt(b, out=b)
+        b += eps
+        a *= lr
+        a /= b
+        p.data -= a
         p.grad = None
 
 

@@ -27,7 +27,14 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .attention import TAYLOR_MODES, taylor_attention_quadratic, taylor_linear_attention
+from .attention import (
+    TAYLOR_MODES,
+    AttentionConfig,
+    ProjectionSet,
+    multi_head_attention,
+    taylor_attention_quadratic,
+    taylor_linear_attention,
+)
 from .autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from .cost import (
     calibrate_channels,
@@ -499,6 +506,15 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     r_sa = Tensor(rng.normal(size=(2, 3, 4)))
     unit("l2_normalize_batched",
          lambda: sum_all(hadamard(l2_normalize(sa, axis=1), r_sa)), [sa])
+
+    # The fused attention op: x and the six q/k/v projection parameters.
+    xa = Parameter(rng.normal(size=(4, 3, 3)))
+    proj = ProjectionSet.init(4, rng)
+    r_xa = Tensor(rng.normal(size=(4, 3, 3)))
+    cfg = AttentionConfig(channels=4, heads=2)
+    unit("multi_head_attention",
+         lambda: sum_all(hadamard(multi_head_attention(xa, proj, cfg), r_xa)),
+         [xa, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv])
     return results
 
 

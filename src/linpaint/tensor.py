@@ -6,13 +6,15 @@ they never modify their inputs and allocate fresh outputs, except
 :class:`Tape` is active, an operation with an input that ``requires_grad``
 records a backward step for those inputs only; an operation on constants
 records nothing. The tape replays its steps once, in exact reverse order,
-freeing each step and intermediate gradient as it goes.
+freeing each step and intermediate gradient as it goes. :func:`fused_op`
+makes a computation written in plain numpy elsewhere one primitive, whose
+single step returns the gradients of all its inputs at once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -23,6 +25,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "make_rng",
+    "fused_op",
     "matmul",
     "transpose",
     "softmax_rows",
@@ -169,12 +172,19 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> None:
+# vjp(g, needs) -> one gradient per input, None where needs[i] is False.
+JointVJP = Callable[[np.ndarray, tuple[bool, ...]], Iterable["np.ndarray | None"]]
+
+
+def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
+    """Record one step for all of ``inputs``. ``needs`` is fixed now: which
+    inputs require a gradient. The gradients are accumulated as ``vjp`` yields
+    them, so a lazy ``vjp`` frees each one before it computes the next."""
     tape = _active_tape()
     if tape is None:
         return
-    vjps = tuple((src, fn) for src, fn in vjps if src.requires_grad)
-    if not vjps:
+    needs = tuple(t.requires_grad for t in inputs)
+    if not any(needs):
         return
     out.requires_grad = True
 
@@ -183,10 +193,31 @@ def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]
         if g is None:
             return
         out.grad = None
-        for src, fn in vjps:
-            _accumulate(src, fn(g))
+        for src, need, grad in zip(inputs, needs, vjp(g, needs)):
+            if need:
+                _accumulate(src, grad)
 
     tape._steps.append(step)
+
+
+def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> None:
+    """One step with a VJP per input: each runs only if its input needs it."""
+    _record_joint(out, [src for src, _ in vjps],
+                  lambda g, needs: (fn(g) if need else None
+                                    for (_, fn), need in zip(vjps, needs)))
+
+
+def fused_op(data: np.ndarray, op: str, inputs: Sequence[Tensor], vjp: JointVJP) -> Tensor:
+    """The result of an operation computed in plain numpy, as one primitive.
+
+    ``data`` is checked finite and wrapped; while a tape is active, one step is
+    recorded for all of ``inputs``, whose ``vjp(g, needs)`` returns every
+    input's gradient at once (None where ``needs`` says it is not wanted), so
+    work shared between the gradients is done once.
+    """
+    out = _finish(data, op)
+    _record_joint(out, inputs, vjp)
+    return out
 
 
 def _finish(data: np.ndarray, op: str) -> Tensor:
@@ -245,24 +276,44 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     become all zeros."""
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    norms = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+    normed, saved = unit_slices(a.data, axis, eps)
+    out = _finish(normed, "l2_normalize")
+    _record(out, (a, lambda g: unit_slices_back(a.data, saved, g, np.empty(a.shape),
+                                                np.empty(a.shape))))
+    return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """sum(a * b) along ``axis``, kept with size 1, with no product temporary."""
+    ix = "abcdefgh"[:a.ndim]
+    kept = ix.replace(ix[axis], "")
+    return np.expand_dims(np.einsum(f"{ix},{ix}->{kept}", a, b), axis)
+
+
+def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
+    """The numpy kernel of :func:`l2_normalize`: ``a`` with each slice along
+    ``axis`` scaled to unit norm, and what :func:`unit_slices_back` needs."""
+    norms = np.sqrt(_inner(a, a, axis))
     live = norms >= eps
     dead = None if live.all() else ~live
     safe = np.where(live, norms, 1.0)
-    normed = a.data / safe
+    unit = a / safe
     if dead is not None:
-        np.copyto(normed, 0.0, where=dead)
-    out = _finish(normed, "l2_normalize")
+        np.copyto(unit, 0.0, where=dead)
+    return unit, (axis, safe, dead)
 
-    def back(g: np.ndarray) -> np.ndarray:
-        dot = (a.data * g).sum(axis=axis, keepdims=True)
-        grad = g / safe
-        grad -= a.data * (dot / safe**3)
-        if dead is not None:
-            np.copyto(grad, 0.0, where=dead)
-        return grad
 
-    _record(out, (a, back))
+def unit_slices_back(a: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray) -> np.ndarray:
+    """Write the gradient of ``a`` for ``g``, that of ``unit_slices(a)``, to
+    ``out`` (which may be ``g``); ``scratch`` has a's shape."""
+    axis, safe, dead = saved
+    dot = _inner(a, g, axis)
+    np.divide(g, safe, out=out)
+    np.multiply(a, dot / safe**3, out=scratch)
+    out -= scratch
+    if dead is not None:
+        np.copyto(out, 0.0, where=dead)
     return out
 
 

@@ -15,7 +15,23 @@ from linpaint.attention import (
     vanilla_attention,
 )
 from linpaint.autograd import Parameter, finite_diff_check
-from linpaint.tensor import ShapeError, Tape, Tensor, hadamard, make_rng, sum_all
+from linpaint.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    add,
+    conv2d,
+    div_broadcast,
+    guard_denominator,
+    hadamard,
+    l2_normalize,
+    make_rng,
+    matmul,
+    reshape,
+    sum_all,
+    sum_axis,
+    transpose,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +237,114 @@ def test_multi_head_matches_per_head_loop(heads, mode, divide, normalize_qk):
             Tensor(q[rows].T), Tensor(k[rows].T), Tensor(v[rows].T), mode=mode,
             eps=cfg.eps, normalize_qk=normalize_qk, divide=divide).data
         assert np.max(np.abs(got[rows] - want.T)) <= 1e-12
+
+
+def _composed_multi_head(x, proj, cfg):
+    """multi_head_attention as a composition of generic taped ops, one per
+    step of the map: the reference the fused op is held to."""
+    _, h, w = x.shape
+    heads, n = cfg.heads, h * w
+    stack = (heads, cfg.head_dim, n)
+    q, k, v = (reshape(conv2d(x, wt, b), stack) for wt, b in
+               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
+    qb = l2_normalize(q, axis=1) if cfg.normalize_qk else q
+    kb = l2_normalize(k, axis=1) if cfg.normalize_qk else k
+    q_kv = matmul(matmul(v, transpose(kb)), qb)
+    if cfg.taylor_mode == "residual":
+        out = add(v, q_kv)
+    elif cfg.taylor_mode == "sum":
+        out = add(matmul(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
+    else:
+        out = q_kv
+    if cfg.divide:
+        denom = add(matmul(transpose(sum_axis(kb, 2)), qb),
+                    Tensor(np.full((heads, 1, n), float(n))))
+        out = div_broadcast(out, guard_denominator(denom, cfg.eps))
+    return reshape(out, x.shape)
+
+
+def _attention_case(seed, channels, heads, shape=(5, 6), **cfg_kwargs):
+    rng = make_rng(seed)
+    cfg = AttentionConfig(channels=channels, heads=heads, **cfg_kwargs)
+    proj = ProjectionSet.init(channels, rng)
+    for b in (proj.bq, proj.bk, proj.bv):
+        b.data[:] = rng.normal(size=channels)
+    x = Parameter(rng.normal(size=(channels, *shape)))
+    r = Tensor(rng.normal(size=(channels, *shape)))
+    return cfg, proj, x, r
+
+
+def _assert_fused_matches_composed(cfg, proj, x, r):
+    params = [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    results = []
+    for attend in (multi_head_attention, _composed_multi_head):
+        with Tape() as tape:
+            out = attend(x, proj, cfg)
+            tape.backward(sum_all(hadamard(out, r)))
+        results.append((out.data, [p.grad for p in params]))
+        for p in params:
+            p.grad = None
+    (got, got_grads), (want, want_grads) = results
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for p, g, w in zip(params, got_grads, want_grads):
+        assert g.shape == w.shape, p.name
+        assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w)), p.name
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("mode", ["sum", "residual", "none"])
+@pytest.mark.parametrize("divide", [True, False])
+@pytest.mark.parametrize("normalize_qk", [True, False])
+def test_multi_head_matches_composed_ops(heads, mode, divide, normalize_qk):
+    _assert_fused_matches_composed(*_attention_case(
+        30 + heads, 16, heads, taylor_mode=mode, divide=divide, normalize_qk=normalize_qk))
+
+
+def test_multi_head_dead_query_column_matches_composed_ops():
+    # A zero input site with a zero query bias leaves that query column all
+    # zero, so its normalization has no direction and passes no gradient.
+    cfg, proj, x, r = _attention_case(41, 8, 2)
+    x.data[:, 2, 3] = 0.0
+    proj.bq.data[:] = 0.0
+    q = proj.wq.data.reshape(8, 8) @ x.data.reshape(8, 30)
+    assert np.count_nonzero(np.all(q == 0.0, axis=0)) == 1
+    _assert_fused_matches_composed(cfg, proj, x, r)
+
+
+def test_multi_head_clamped_denominator_matches_composed_ops():
+    # Without normalization the denominators N + s.q spread widely; an eps
+    # between two of them clamps about half, away from any sign ambiguity.
+    cfg, proj, x, r = _attention_case(42, 8, 2, normalize_qk=False)
+    q, k = ((wt.data.reshape(8, 8) @ x.data.reshape(8, 30) + b.data[:, None]).reshape(2, 4, 30)
+            for wt, b in ((proj.wq, proj.bq), (proj.wk, proj.bk)))
+    denom = np.abs(30.0 + np.einsum("hd,hdn->hn", k.sum(axis=2), q)).ravel()
+    ranked = np.sort(denom)
+    cfg.eps = float(ranked[29] + ranked[30]) / 2.0
+    assert ranked[30] - ranked[29] > 1e-6 * ranked[30]
+    _assert_fused_matches_composed(cfg, proj, x, r)
+
+
+def test_multi_head_records_one_tape_step():
+    cfg, proj, x, _ = _attention_case(43, 8, 2)
+    with Tape() as tape:
+        multi_head_attention(x, proj, cfg)
+    assert len(tape) == 1
+
+
+def test_multi_head_frozen_projections_get_no_gradient():
+    cfg, proj, x, r = _attention_case(44, 8, 2)
+    qkv = [proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    grads = []
+    for frozen in (False, True):
+        for p in qkv:
+            p.requires_grad = not frozen
+        with Tape() as tape:
+            tape.backward(sum_all(hadamard(multi_head_attention(x, proj, cfg), r)))
+        grads.append(x.grad)
+        assert all((p.grad is None) == frozen for p in qkv)
+        for p in [x] + qkv:
+            p.grad = None
+    assert np.array_equal(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])

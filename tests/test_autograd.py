@@ -193,6 +193,35 @@ def test_adamw_lr_zero_is_identity_and_zeroes_grads():
     assert p.grad is None
 
 
+def test_adamw_in_place_matches_formula():
+    # Three steps with decay on, one parameter left without a gradient: the
+    # buffered update is bit-identical to the textbook expression.
+    rng = make_rng(4)
+    shapes = [(3, 4), (5,), (2, 2, 1, 1)]
+    params = [Parameter(rng.normal(size=s)) for s in shapes]
+    want = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.05
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        grads[1] = None
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        adamw_step(params, lr, weight_decay=wd)
+        for i, g in enumerate(grads):
+            data, m, v = want[i]
+            data = data * (1.0 - lr * wd)
+            m, v = m * b1, v * b2
+            if g is not None:
+                m = m + (1.0 - b1) * g
+                v = v + (1.0 - b2) * (g * g)
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            want[i] = (data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v)
+    for p, (data, m, v) in zip(params, want):
+        assert p.step_count == 3 and p.grad is None
+        assert np.array_equal(p.data, data)
+        assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
+
+
 def test_zero_grads():
     p = Parameter(np.ones(2))
     p.grad = np.ones(2)

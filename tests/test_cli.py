@@ -222,8 +222,10 @@ def test_gradcheck_ops_scope(capsys):
     assert rc == 0
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
     assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
-    for name in ("matmul_batched", "transpose_batched", "l2_normalize_batched"):
+    for name in ("matmul_batched", "transpose_batched", "l2_normalize_batched",
+                 "multi_head_attention"):
         assert f"op {name}:" in out
+    assert out.strip().splitlines()[-1].startswith("op multi_head_attention:")
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):
