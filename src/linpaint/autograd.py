@@ -17,7 +17,11 @@ __all__ = ["Parameter", "Module", "adamw_step", "zero_grads", "finite_diff_check
 
 
 class Parameter(Tensor):
-    """A trainable tensor: gradient slot plus AdamW first/second moment state."""
+    """A trainable tensor: gradient slot plus AdamW first/second moment state.
+
+    The moments are None until the parameter's first :func:`adamw_step`, so a
+    model that is only run forward holds one copy of its weights.
+    """
 
     __slots__ = ("name", "adam_m", "adam_v", "step_count")
 
@@ -25,8 +29,8 @@ class Parameter(Tensor):
         super().__init__(data)
         self.requires_grad = True
         self.name = name
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
+        self.adam_m: np.ndarray | None = None
+        self.adam_v: np.ndarray | None = None
         self.step_count = 0
 
 
@@ -73,7 +77,8 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
     Decay multiplies the value by (1 - lr*weight_decay) before the Adam term,
     so decay alone never touches the moment estimates. The update runs in two
     scratch buffers shared by all parameters, in the operation order of
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it allocates nothing per
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so past a parameter's first
+    update, whose zeroed moments it allocates, it allocates nothing per
     parameter.
     """
     size = max((p.size for p in params), default=0)
@@ -83,6 +88,8 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
         a = scratch_a[:p.size].reshape(p.shape)
         b = scratch_b[:p.size].reshape(p.shape)
         p.step_count += 1
+        if p.adam_m is None:
+            p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
         p.adam_m *= beta1

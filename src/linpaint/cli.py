@@ -515,6 +515,13 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     unit("multi_head_attention",
          lambda: sum_all(hadamard(multi_head_attention(xa, proj, cfg), r_xa)),
          [xa, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv])
+
+    # The fused feed-forward op: x and all ten parameters.
+    from .unet import FeedForward, FFNConfig
+    xf = Parameter(rng.normal(size=(4, 5, 5)))
+    ffn = FeedForward(rng, FFNConfig(4), "ffn")
+    r_xf = Tensor(rng.normal(size=(4, 5, 5)))
+    unit("feed_forward", lambda: sum_all(hadamard(ffn(xf), r_xf)), [xf, *ffn.parameters()])
     return results
 
 

@@ -17,7 +17,7 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 __all__ = [
     "ShapeError",
@@ -53,7 +53,6 @@ __all__ = [
     "layer_norm_sites",
 ]
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -176,17 +175,22 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 JointVJP = Callable[[np.ndarray, tuple[bool, ...]], Iterable["np.ndarray | None"]]
 
 
+def recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a step now: a tape is active and
+    one of them requires a gradient. An op can keep what its backward needs
+    only then."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
     """Record one step for all of ``inputs``. ``needs`` is fixed now: which
     inputs require a gradient. The gradients are accumulated as ``vjp`` yields
     them, so a lazy ``vjp`` frees each one before it computes the next."""
-    tape = _active_tape()
-    if tape is None:
+    if not recording(inputs):
         return
     needs = tuple(t.requires_grad for t in inputs)
-    if not any(needs):
-        return
     out.requires_grad = True
+    tape = _active_tape()
 
     def step() -> None:
         g = out.grad
@@ -449,47 +453,101 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
         raise ValueError(f"bad stride/padding: {stride}, {padding}")
 
     c, h, wd = x.shape
-    k = w.shape[1]
-    ho, wo = _conv_out_size(h, wd, k, stride, padding)
+    ho, wo = _conv_out_size(h, wd, w.shape[1], stride, padding)
     xp = _pad_hw(x.data, padding)
-    w_taps = w.data[:, :, :, None, None]
-    taps = _taps(k, stride, ho, wo)
-    per_block = max(1, _DEPTHWISE_BLOCK // (ho * wo))
-    blocks = [slice(c0, c0 + per_block) for c0 in range(0, c, per_block)]
-    tmp = np.empty((min(c, per_block), ho, wo))
-
     out_data = np.empty((c, ho, wo))
+    depthwise_taps(xp, w.data, bias.data, stride, out_data)
+
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray | None, ...]:
+        dxp, dw = depthwise_taps_back(g, w.data, stride, xp.shape,
+                                      xp if needs[1] else None, needs[0])
+        return (None if dxp is None else _crop_hw(dxp, padding), dw,
+                g.reshape(c, ho * wo).sum(axis=1) if needs[2] else None)
+
+    return fused_op(out_data, "depthwise_conv2d", (x, w, bias), vjp)
+
+
+def _depthwise_plan(shape: tuple[int, int, int], k: int, stride: int):
+    """Output size, wide length, per-tap flat slices and channel blocks of a
+    depthwise conv over a padded C x Hp x Wp map.
+
+    Output (i, j) is element i*Wp + j of a channel's "wide" row of
+    n = (ho - 1)*Wp + wo elements, and tap (ki, kj) reads the flattened padded
+    map at ki*Wp + kj + stride*(i*Wp + j): one strided slice per tap, so each
+    tap is one long inner loop per channel. Wide elements with j >= wo hold
+    products of the next row's inputs and are never read back. A block holds
+    about ``_DEPTHWISE_BLOCK`` wide elements (at least one channel).
+    """
+    c, hp, wp = shape
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    n = (ho - 1) * wp + wo
+    span = stride * (n - 1) + 1
+    taps = [(ki, kj, slice(ki * wp + kj, ki * wp + kj + span, stride))
+            for ki in range(k) for kj in range(k)]
+    per_block = min(c, max(1, _DEPTHWISE_BLOCK // n))
+    blocks = [slice(c0, min(c, c0 + per_block)) for c0 in range(0, c, per_block)]
+    return ho, wo, n, taps, blocks
+
+
+def _unwiden(wide: np.ndarray, ho: int, wo: int, wp: int) -> np.ndarray:
+    """The (m, ho, wo) view of the outputs in an m x n block of wide rows."""
+    s = wide.itemsize
+    return np.lib.stride_tricks.as_strided(
+        wide, (wide.shape[0], ho, wo), (wide.shape[1] * s, wp * s, s), writeable=True)
+
+
+def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+                   out: np.ndarray) -> None:
+    """Write the depthwise conv of the padded, C-contiguous C x Hp x Wp map
+    ``xp`` with C x k x k kernels ``w`` and bias ``b`` to ``out`` (C x ho x wo).
+
+    Each element sums its taps in (ki, kj) order, then adds the bias, however
+    the channels are blocked.
+    """
+    c, hp, wp = xp.shape
+    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1], stride)
+    flat = xp.reshape(c, hp * wp)
+    wide = np.empty((blocks[0].stop, n))
+    tmp = np.empty(wide.shape)
     for cb in blocks:
-        o = out_data[cb]
-        t = tmp[:len(o)]
-        for i, (ki, kj, rows, cs) in enumerate(taps):
-            np.multiply(xp[cb, rows, cs], w_taps[cb, ki, kj], out=t if i else o)
+        m = cb.stop - cb.start
+        acc, t, wb = wide[:m], tmp[:m], w[cb]
+        for i, (ki, kj, sl) in enumerate(taps):
+            np.multiply(flat[cb, sl], wb[:, ki, kj, None], out=t if i else acc)
             if i:
-                o += t
-        o += bias.data[cb, None, None]
-    out = _finish(out_data, "depthwise_conv2d")
+                acc += t
+        np.add(_unwiden(acc, ho, wo, wp), b[cb, None, None], out=out[cb])
 
-    def back_x(g: np.ndarray) -> np.ndarray:
-        dxp = np.zeros(xp.shape)
-        tmp = np.empty((min(c, per_block), ho, wo))
-        for cb in blocks:
-            gb, db = g[cb], dxp[cb]
-            t = tmp[:len(gb)]
-            for ki, kj, rows, cs in taps:
-                np.multiply(gb, w_taps[cb, ki, kj], out=t)
-                db[:, rows, cs] += t
-        return _crop_hw(dxp, padding)
 
-    def back_w(g: np.ndarray) -> np.ndarray:
-        dw = np.empty(w.shape)
-        for cb in blocks:
-            for ki, kj, rows, cs in taps:
-                dw[cb, ki, kj] = np.einsum("chw,chw->c", xp[cb, rows, cs], g[cb])
-        return dw
+def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
+                        shape: tuple[int, int, int], xp: np.ndarray | None,
+                        need_x: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """For the gradient ``g`` of :func:`depthwise_taps`'s output, the gradient
+    of its padded input of ``shape`` (if ``need_x``) and of ``w`` (if that
+    input ``xp`` is given); None where not wanted.
 
-    _record(out, (x, back_x), (w, back_w),
-            (bias, lambda g: g.reshape(c, ho * wo).sum(axis=1)))
-    return out
+    ``g`` is copied into wide rows whose extra elements stay zero, so the taps
+    run over the same slices as the forward pass.
+    """
+    c, hp, wp = shape
+    ho, wo, n, taps, blocks = _depthwise_plan(shape, w.shape[1], stride)
+    need_w = xp is not None
+    flat = xp.reshape(c, hp * wp) if need_w else None
+    dxp = np.zeros((c, hp * wp)) if need_x else None
+    dw = np.empty(w.shape) if need_w else None
+    wide = np.zeros((blocks[0].stop, n))
+    tmp = np.empty(wide.shape)
+    for cb in blocks:
+        m = cb.stop - cb.start
+        gw, t, wb = wide[:m], tmp[:m], w[cb]
+        _unwiden(gw, ho, wo, wp)[...] = g[cb]
+        for ki, kj, sl in taps:
+            if need_x:
+                np.multiply(gw, wb[:, ki, kj, None], out=t)
+                dxp[cb, sl] += t
+            if need_w:
+                dw[cb, ki, kj] = np.einsum("cn,cn->c", flat[cb, sl], gw)
+    return None if dxp is None else dxp.reshape(shape), dw
 
 
 def nearest_upsample2x(x: Tensor) -> Tensor:
@@ -505,15 +563,21 @@ def nearest_upsample2x(x: Tensor) -> Tensor:
 # Pointwise nonlinearities
 
 
-def _gauss_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def gauss_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The standard normal CDF Phi(x), in one pass: GELU(x) = x * Phi(x)."""
+    return ndtr(x, out=out)
+
+
+def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dx of x * Phi(x), given ``cdf`` = Phi(x)."""
+    return cdf + x * np.exp(-0.5 * x**2) * _INV_SQRT2PI
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF in erf form."""
-    phi = _gauss_cdf(x.data)
+    """Exact GELU: x * Phi(x) with the Gaussian CDF Phi."""
+    phi = gauss_cdf(x.data)
     out = _finish(x.data * phi, "gelu")
-    _record(out, (x, lambda g: g * (phi + x.data * np.exp(-0.5 * x.data**2) * _INV_SQRT2PI)))
+    _record(out, (x, lambda g: g * gelu_slope(x.data, phi)))
     return out
 
 

@@ -7,6 +7,10 @@ stages, and the decoder mirrors the path with nearest-neighbour upsampling,
 skip concatenation and a 1x1 fusion convolution that halves the channels
 again. Every block wraps gated linear attention and a gated feed-forward
 unit in residual connections.
+
+The feed-forward unit is one recorded op, like attention: its forward pass
+runs over blocks of hidden channels, so no full-width hidden map is ever
+built, and its hand-derived backward keeps only the depthwise outputs.
 """
 
 from __future__ import annotations
@@ -25,11 +29,15 @@ from .tensor import (
     add,
     concat_channels,
     conv2d,
-    depthwise_conv2d,
-    gelu,
+    depthwise_taps,
+    depthwise_taps_back,
+    fused_op,
+    gauss_cdf,
+    gelu_slope,
     hadamard,
     layer_norm_sites,
     nearest_upsample2x,
+    recording,
     tanh,
 )
 
@@ -48,6 +56,11 @@ __all__ = [
 NORM_KINDS = ("layer", "none")
 
 CHECKPOINT_MAGIC = b"LINPAINT-CKPT-1\n"
+
+# Elements of a feed-forward block's stacked 1x1 map over the padded grid
+# (16 MB of float64): the forward pass works on one block of hidden channels
+# at a time, so its buffers stay near this size however wide the layer is.
+_FFN_BLOCK = 1 << 21
 
 
 @dataclass
@@ -196,7 +209,20 @@ class ChannelNorm(Module):
 
 
 class FeedForward(Module):
-    """Gated linear unit: two 1x1 conv + 3x3 depthwise branches, one GELU-gated."""
+    """Gated linear unit: two 1x1 conv + 3x3 depthwise branches, one GELU-gated,
+    then a 1x1 conv back to the input width.
+
+    One recorded op. The forward pass pads x once and runs over blocks of
+    hidden channels: the stacked [conv_i; conv_g] rows of a block multiply the
+    padded map, so with the bias added and the one-pixel ring zeroed they are
+    the depthwise input, already padded; the depthwise conv and the gate
+    dg * Phi(dg) * bi follow, and each block's product with its conv_out
+    columns is summed into the output. Only the output is checked finite.
+    While a tape records, the depthwise outputs (bi, dg) are kept; backward
+    recomputes each block's stacked 1x1 map from x, one GEMM, for the
+    depthwise weight gradient, and returns the gradients of x and of all ten
+    parameters at once.
+    """
 
     # Residual-branch outputs start near zero so a fresh block is close to the
     # identity map; training only has to grow the branches it needs.
@@ -216,11 +242,111 @@ class FeedForward(Module):
             rng, c, h, 1, f"{name}.conv_out", gain=self.RESIDUAL_OUT_GAIN)
 
     def __call__(self, x: Tensor) -> Tensor:
-        branch_i = depthwise_conv2d(conv2d(x, self.conv_i_w, self.conv_i_b),
-                                    self.dw_i_w, self.dw_i_b, padding=1)
-        branch_g = gelu(depthwise_conv2d(conv2d(x, self.conv_g_w, self.conv_g_b),
-                                         self.dw_g_w, self.dw_g_b, padding=1))
-        return conv2d(hadamard(branch_i, branch_g), self.conv_out_w, self.conv_out_b)
+        params = self.parameters()
+        ci_w, ci_b, di_w, di_b, cg_w, cg_b, dg_w, dg_b, co_w, co_b = (p.data for p in params)
+        hidden, c = ci_w.shape[:2]
+        if x.data.ndim != 3 or x.shape[0] != c:
+            raise ShapeError(f"expected {c}xHxW input, got {x.shape}")
+        _, h, w = x.shape
+        n, grid = h * w, (h + 2) * (w + 2)
+        inputs = (x, *params)
+        co_mat = co_w.reshape(c, hidden)
+        # Hidden channels per block: the stacked 1x1 map of a block stays
+        # within _FFN_BLOCK elements (at least one channel), spread evenly.
+        count = -(-hidden // max(1, _FFN_BLOCK // (2 * grid)))
+        per_block = -(-hidden // count)
+        blocks = [(h0, min(hidden, h0 + per_block)) for h0 in range(0, hidden, per_block)]
+
+        def rows(h0: int, h1: int) -> np.ndarray:
+            return np.concatenate([ci_w[h0:h1], cg_w[h0:h1]]).reshape(2 * (h1 - h0), c)
+
+        def depthwise_input(xp: np.ndarray, h0: int, h1: int) -> np.ndarray:
+            """The block's stacked 1x1 map over the padded grid with its ring
+            zeroed: the depthwise input, already padded."""
+            pre = rows(h0, h1) @ xp
+            pre += np.concatenate([ci_b[h0:h1], cg_b[h0:h1]])[:, None]
+            pre = pre.reshape(-1, h + 2, w + 2)
+            pre[:, 0] = pre[:, -1] = pre[:, :, 0] = pre[:, :, -1] = 0.0
+            return pre
+
+        def depthwise_w(h0: int, h1: int) -> np.ndarray:
+            return np.concatenate([di_w[h0:h1], dg_w[h0:h1]])
+
+        xp = _pad_grid(x.data)
+        kept: list[np.ndarray] | None = [] if recording(inputs) else None
+        out = np.empty((c, n))
+        part = np.empty((c, n)) if len(blocks) > 1 else None
+        gate = np.empty((per_block, n))
+        dw_out = np.empty((2 * per_block, h, w))
+        for i, (h0, h1) in enumerate(blocks):
+            m = h1 - h0
+            if kept is not None:
+                dw_out = np.empty((2 * m, h, w))
+                kept.append(dw_out)
+            depthwise_taps(depthwise_input(xp, h0, h1), depthwise_w(h0, h1),
+                           np.concatenate([di_b[h0:h1], dg_b[h0:h1]]), 1, dw_out[:2 * m])
+            bi, dg = dw_out[:m].reshape(m, n), dw_out[m:2 * m].reshape(m, n)
+            z = gauss_cdf(dg, out=gate[:m])
+            z *= dg
+            z *= bi
+            np.matmul(co_mat[:, h0:h1], z, out=part if i else out)
+            if i:
+                out += part
+        out += co_b[:, None]
+        del xp, part, gate, dw_out
+
+        def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
+            # Gradients of the stacked 1x1 map (for x and conv_i/conv_g) and
+            # of the depthwise kernels (which need that map, recomputed).
+            need_pre = needs[0] or any(needs[1:3] + needs[5:7])
+            need_dw = any(needs[3:5] + needs[7:9])
+            g_mat, x_mat = g.reshape(c, n), x.data.reshape(c, n)
+            xp = _pad_grid(x.data) if needs[3] or needs[7] else None
+            dx = np.zeros((c, n)) if needs[0] else None
+            d_rows, d_pre_b = np.empty((2, hidden, c)), np.empty((2, hidden))
+            d_dw_w, d_dw_b = np.empty((2, hidden, 3, 3)), np.empty((2, hidden))
+            d_co = np.empty((c, hidden)) if needs[9] else None
+            for (h0, h1), dw_out in zip(blocks, kept):
+                m = h1 - h0
+                bi, dg = dw_out[:m].reshape(m, n), dw_out[m:].reshape(m, n)
+                phi = gauss_cdf(dg)
+                act = dg * phi
+                if d_co is not None:
+                    np.matmul(g_mat, (bi * act).T, out=d_co[:, h0:h1])
+                if not (need_pre or need_dw):
+                    continue
+                dz = co_mat[:, h0:h1].T @ g_mat
+                g_dw = np.empty((2 * m, h, w))
+                np.multiply(dz, act, out=g_dw[:m].reshape(m, n))
+                dz *= bi
+                np.multiply(dz, gelu_slope(dg, phi), out=g_dw[m:].reshape(m, n))
+                del phi, act, dz
+                d_dw_b[:, h0:h1] = g_dw.reshape(2, m, n).sum(axis=2)
+                pre = None if xp is None else depthwise_input(xp, h0, h1)
+                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_w(h0, h1), 1,
+                                                 (2 * m, h + 2, w + 2), pre, need_pre)
+                if d_w is not None:
+                    d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)
+                if d_pre is None:
+                    continue
+                d_pre = np.ascontiguousarray(d_pre[:, 1:-1, 1:-1]).reshape(2 * m, n)
+                d_pre_b[:, h0:h1] = d_pre.reshape(2, m, n).sum(axis=2)
+                d_rows[:, h0:h1] = (d_pre @ x_mat.T).reshape(2, m, c)
+                if dx is not None:
+                    dx += rows(h0, h1).T @ d_pre
+            grads = [None if dx is None else dx.reshape(x.shape)]
+            for i in range(2):
+                grads += [d_rows[i].reshape(hidden, c, 1, 1), d_pre_b[i], d_dw_w[i], d_dw_b[i]]
+            grads += [None if d_co is None else d_co.reshape(co_w.shape), g_mat.sum(axis=1)]
+            return grads
+
+        return fused_op(out.reshape(c, h, w), "ffn", inputs, vjp)
+
+
+def _pad_grid(a: np.ndarray) -> np.ndarray:
+    """A C x H x W map with a one-pixel zero ring, as C x (H+2)(W+2) rows."""
+    c, h, w = a.shape
+    return np.pad(a, ((0, 0), (1, 1), (1, 1))).reshape(c, (h + 2) * (w + 2))
 
 
 class TransformerBlock(Module):

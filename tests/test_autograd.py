@@ -320,6 +320,17 @@ def test_grad_depthwise_conv2d():
     _check(lambda: sum_all(hadamard(depthwise_conv2d(x, w, b, padding=1), r)), [x, w, b])
 
 
+@pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (4, 1)])
+def test_grad_depthwise_conv2d_stride2(k, padding):
+    rng = make_rng(60 + 10 * k + padding)
+    x = Parameter(rng.normal(size=(3, 7, 6)))
+    w = Parameter(rng.normal(size=(3, k, k)))
+    b = Parameter(rng.normal(size=(3,)))
+    ho, wo = depthwise_conv2d(x, w, b, 2, padding).shape[1:]
+    r = Tensor(rng.normal(size=(3, ho, wo)))
+    _check(lambda: sum_all(hadamard(depthwise_conv2d(x, w, b, 2, padding), r)), [x, w, b])
+
+
 def test_grad_upsample():
     rng = make_rng(16)
     x = Parameter(rng.normal(size=(2, 3, 3)))

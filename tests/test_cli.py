@@ -223,9 +223,9 @@ def test_gradcheck_ops_scope(capsys):
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
     assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
     for name in ("matmul_batched", "transpose_batched", "l2_normalize_batched",
-                 "multi_head_attention"):
+                 "multi_head_attention", "feed_forward"):
         assert f"op {name}:" in out
-    assert out.strip().splitlines()[-1].startswith("op multi_head_attention:")
+    assert out.strip().splitlines()[-1].startswith("op feed_forward:")
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):

@@ -335,6 +335,22 @@ def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padd
         assert all(np.array_equal(got, want) for got, want in zip(blocked, runs[2]))
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_many_channel_blocks_match_oracle(monkeypatch, stride):
+    # A block of two channels' wide rows runs nine channels as four blocks of
+    # two and a ragged last block of one.
+    rng = make_rng(350 + stride)
+    x = rng.normal(size=(9, 10, 13))
+    w = rng.normal(size=(9, 3, 3))
+    b = rng.normal(size=9)
+    ho, wo = (10 - 1) // stride + 1, (13 - 1) // stride + 1
+    monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", 2 * ((ho - 1) * 15 + wo))
+    got = depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
+    want = np.concatenate([reference_conv2d(x[c:c + 1], w[c][None, None], b[c:c + 1],
+                                            stride, 1) for c in range(9)])
+    assert _rel_err(got, want) <= 1e-12
+
+
 def test_conv2d_memory_is_bounded_by_input_and_output():
     # The tail conv's shape at 128x128: a k*k column matrix of the input would
     # be 49 times the input; the bound allows one padded-input-sized block.

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 from conftest import forge_checkpoint
 
-from linpaint.autograd import finite_diff_check
-from linpaint.tensor import ShapeError, Tensor, hadamard, make_rng, sum_all
+import linpaint.unet as U
+from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
+from linpaint.tensor import (
+    ShapeError,
+    Tensor,
+    conv2d,
+    depthwise_conv2d,
+    gelu,
+    hadamard,
+    make_rng,
+    sum_all,
+)
 from linpaint.unet import (
     CheckpointError,
     FFNConfig,
@@ -55,6 +65,87 @@ def test_ffn_gradient():
     r = Tensor(rng.normal(size=(4, 8, 8)))
     err = finite_diff_check(lambda: sum_all(hadamard(ffn(x), r)), ffn.parameters())
     assert err < 1e-4
+
+
+def composed_ffn(ffn, x):
+    """The feed-forward unit as separate recorded ops: the fused op's reference."""
+    branch_i = depthwise_conv2d(conv2d(x, ffn.conv_i_w, ffn.conv_i_b),
+                                ffn.dw_i_w, ffn.dw_i_b, padding=1)
+    branch_g = gelu(depthwise_conv2d(conv2d(x, ffn.conv_g_w, ffn.conv_g_b),
+                                     ffn.dw_g_w, ffn.dw_g_b, padding=1))
+    return conv2d(hadamard(branch_i, branch_g), ffn.conv_out_w, ffn.conv_out_b)
+
+
+def _ffn_case(channels, expansion, h, w, seed=0):
+    rng = make_rng(seed)
+    ffn = FeedForward(rng, FFNConfig(channels, expansion), "ffn")
+    # Nonzero biases and a full-scale output, so every gradient term shows.
+    for p in ffn.parameters():
+        p.data[...] = rng.normal(size=p.shape) * 0.5
+    x = Parameter(rng.normal(size=(channels, h, w)))
+    r = Tensor(rng.normal(size=(channels, h, w)))
+    return ffn, x, r
+
+
+def _ffn_run(f, ffn, x, r):
+    """f's output and the gradients of x and of the ten parameters."""
+    with Tape() as tape:
+        out = f(x)
+        tape.backward(sum_all(hadamard(out, r)))
+    grads = [x.grad] + [p.grad for p in ffn.parameters()]
+    zero_grads([x, *ffn.parameters()])
+    return out.data, grads
+
+
+# (channels, expansion, H, W, hidden channels per block or None for the default)
+FFN_CASES = [
+    (3, 0.1, 6, 6, None),      # hidden width 1
+    (4, 2.0, 5, 7, None),      # a non-square odd map
+    (4, 2.0, 1, 1, None),      # a 1x1 map
+    (4, 1.75, 6, 6, 2),        # hidden 7 in blocks of 2: a ragged last block
+    (256, 2.0, 32, 32, None),  # the level-4 shape of the C=32 model at 256x256
+]
+
+
+@pytest.mark.parametrize("channels,expansion,h,w,per_block", FFN_CASES)
+def test_fused_ffn_matches_composed_ops(monkeypatch, channels, expansion, h, w, per_block):
+    if per_block is not None:
+        monkeypatch.setattr(U, "_FFN_BLOCK", 2 * per_block * (h + 2) * (w + 2))
+    ffn, x, r = _ffn_case(channels, expansion, h, w)
+    out, grads = _ffn_run(ffn, ffn, x, r)
+    want_out, want_grads = _ffn_run(lambda t: composed_ffn(ffn, t), ffn, x, r)
+    assert np.max(np.abs(out - want_out)) <= 1e-12 * max(1.0, np.max(np.abs(want_out)))
+    assert len(grads) == 11
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_fused_ffn_records_one_tape_step():
+    ffn, x, _ = _ffn_case(4, 2.0, 5, 5)
+    with Tape() as tape:
+        ffn(x)
+    assert len(tape) == 1
+
+
+def test_fused_ffn_frozen_parameters_get_no_gradient():
+    ffn, x, r = _ffn_case(4, 2.0, 5, 7)
+    _, unfrozen = _ffn_run(ffn, ffn, x, r)
+    for p in ffn.parameters():
+        p.requires_grad = False
+    _, frozen = _ffn_run(ffn, ffn, x, r)
+    assert all(g is None for g in frozen[1:])
+    assert np.array_equal(frozen[0], unfrozen[0])
+
+
+def test_fused_ffn_output_is_the_same_with_and_without_a_tape(monkeypatch):
+    # Several blocks: untaped, the depthwise output buffer is reused.
+    monkeypatch.setattr(U, "_FFN_BLOCK", 2 * 2 * 8 * 9)
+    ffn, x, _ = _ffn_case(4, 1.75, 6, 7)
+    plain = ffn(x).data
+    with Tape():
+        taped = ffn(x).data
+    assert np.array_equal(plain, taped)
 
 
 # ---------------------------------------------------------------------------
