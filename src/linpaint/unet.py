@@ -269,8 +269,9 @@ class FeedForward(Module):
             pre[:, 0] = pre[:, -1] = pre[:, :, 0] = pre[:, :, -1] = 0.0
             return pre
 
-        def depthwise_w(h0: int, h1: int) -> np.ndarray:
-            return np.concatenate([di_w[h0:h1], dg_w[h0:h1]])
+        def depthwise_params(h0: int, h1: int) -> tuple[np.ndarray, np.ndarray]:
+            return (np.concatenate([di_w[h0:h1], dg_w[h0:h1]]),
+                    np.concatenate([di_b[h0:h1], dg_b[h0:h1]]))
 
         xp = _pad_grid(x.data)
         kept: list[np.ndarray] | None = [] if recording(inputs) else None
@@ -283,8 +284,8 @@ class FeedForward(Module):
             if kept is not None:
                 dw_out = np.empty((2 * m, h, w))
                 kept.append(dw_out)
-            depthwise_taps(depthwise_input(xp, h0, h1), depthwise_w(h0, h1),
-                           np.concatenate([di_b[h0:h1], dg_b[h0:h1]]), 1, dw_out[:2 * m])
+            depthwise_taps(depthwise_input(xp, h0, h1), *depthwise_params(h0, h1), 1,
+                           dw_out[:2 * m])
             bi, dg = dw_out[:m].reshape(m, n), dw_out[m:2 * m].reshape(m, n)
             z = gauss_cdf(dg, out=gate[:m])
             z *= dg
@@ -323,7 +324,7 @@ class FeedForward(Module):
                 del phi, act, dz
                 d_dw_b[:, h0:h1] = g_dw.reshape(2, m, n).sum(axis=2)
                 pre = None if xp is None else depthwise_input(xp, h0, h1)
-                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_w(h0, h1), 1,
+                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], 1,
                                                  (2 * m, h + 2, w + 2), pre, need_pre)
                 if d_w is not None:
                     d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)

@@ -317,7 +317,8 @@ def test_depthwise_matches_nested_loop_oracle(k, stride, padding):
 @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (4, 2, 0)])
 def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padding):
     # Blocks of one channel, of two with a ragged last block, and one block of
-    # all seven sum each element's taps in the same order.
+    # all seven sum each element's taps in the same order. A channel's wide
+    # row holds (ho - 1) * (W + 2 * padding) + wo elements.
     rng = make_rng(300 + k + stride)
     x = Parameter(rng.normal(size=(7, 10, 9)))
     w = Parameter(rng.normal(size=(7, k, k)))
@@ -325,7 +326,8 @@ def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padd
     runs = []
     for channels in (1, 2, 7):
         ho, wo = depthwise_conv2d(x, w, b, stride, padding).shape[1:]
-        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", channels * ho * wo)
+        monkeypatch.setattr(T, "_DEPTHWISE_BLOCK",
+                            channels * ((ho - 1) * (9 + 2 * padding) + wo))
         with Tape() as tape:
             out = depthwise_conv2d(x, w, b, stride, padding)
             tape.backward(sum_all(hadamard(out, out)))
