@@ -458,11 +458,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
     out_data = np.empty((c, ho, wo))
     depthwise_taps(xp, w.data, bias.data, stride, out_data)
 
-    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray | None, ...]:
-        dxp, dw = depthwise_taps_back(g, w.data, stride, xp.shape,
-                                      xp if needs[1] else None, needs[0])
-        return (None if dxp is None else _crop_hw(dxp, padding), dw,
-                g.reshape(c, ho * wo).sum(axis=1) if needs[2] else None)
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        dxp, dw = depthwise_taps_back(g, w.data, stride, xp)
+        return _crop_hw(dxp, padding), dw, g.reshape(c, ho * wo).sum(axis=1)
 
     return fused_op(out_data, "depthwise_conv2d", (x, w, bias), vjp)
 
@@ -520,21 +518,18 @@ def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
 
 
 def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
-                        shape: tuple[int, int, int], xp: np.ndarray | None,
-                        need_x: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """For the gradient ``g`` of :func:`depthwise_taps`'s output, the gradient
-    of its padded input of ``shape`` (if ``need_x``) and of ``w`` (if that
-    input ``xp`` is given); None where not wanted.
+                        xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of the padded input ``xp`` and of ``w`` for the gradient
+    ``g`` of :func:`depthwise_taps`'s output.
 
     ``g`` is copied into wide rows whose extra elements stay zero, so the taps
     run over the same slices as the forward pass.
     """
-    c, hp, wp = shape
-    ho, wo, n, taps, blocks = _depthwise_plan(shape, w.shape[1], stride)
-    need_w = xp is not None
-    flat = xp.reshape(c, hp * wp) if need_w else None
-    dxp = np.zeros((c, hp * wp)) if need_x else None
-    dw = np.empty(w.shape) if need_w else None
+    c, hp, wp = xp.shape
+    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1], stride)
+    flat = xp.reshape(c, hp * wp)
+    dxp = np.zeros((c, hp * wp))
+    dw = np.empty(w.shape)
     wide = np.zeros((blocks[0].stop, n))
     tmp = np.empty(wide.shape)
     for cb in blocks:
@@ -542,12 +537,10 @@ def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
         gw, t, wb = wide[:m], tmp[:m], w[cb]
         _unwiden(gw, ho, wo, wp)[...] = g[cb]
         for ki, kj, sl in taps:
-            if need_x:
-                np.multiply(gw, wb[:, ki, kj, None], out=t)
-                dxp[cb, sl] += t
-            if need_w:
-                dw[cb, ki, kj] = np.einsum("cn,cn->c", flat[cb, sl], gw)
-    return None if dxp is None else dxp.reshape(shape), dw
+            np.multiply(gw, wb[:, ki, kj, None], out=t)
+            dxp[cb, sl] += t
+            dw[cb, ki, kj] = np.einsum("cn,cn->c", flat[cb, sl], gw)
+    return dxp.reshape(xp.shape), dw
 
 
 def nearest_upsample2x(x: Tensor) -> Tensor:

@@ -297,25 +297,19 @@ class FeedForward(Module):
         del xp, part, gate, dw_out
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
-            # Gradients of the stacked 1x1 map (for x and conv_i/conv_g) and
-            # of the depthwise kernels (which need that map, recomputed).
-            need_pre = needs[0] or any(needs[1:3] + needs[5:7])
-            need_dw = any(needs[3:5] + needs[7:9])
             g_mat, x_mat = g.reshape(c, n), x.data.reshape(c, n)
-            xp = _pad_grid(x.data) if needs[3] or needs[7] else None
+            xp = _pad_grid(x.data)
             dx = np.zeros((c, n)) if needs[0] else None
             d_rows, d_pre_b = np.empty((2, hidden, c)), np.empty((2, hidden))
             d_dw_w, d_dw_b = np.empty((2, hidden, 3, 3)), np.empty((2, hidden))
-            d_co = np.empty((c, hidden)) if needs[9] else None
+            d_co = np.empty((c, hidden))
             for (h0, h1), dw_out in zip(blocks, kept):
                 m = h1 - h0
                 bi, dg = dw_out[:m].reshape(m, n), dw_out[m:].reshape(m, n)
                 phi = gauss_cdf(dg)
                 act = dg * phi
-                if d_co is not None:
-                    np.matmul(g_mat, (bi * act).T, out=d_co[:, h0:h1])
-                if not (need_pre or need_dw):
-                    continue
+                np.matmul(g_mat, (bi * act).T, out=d_co[:, h0:h1])
+                # The gradient of the depthwise output: [d bi; d dg].
                 dz = co_mat[:, h0:h1].T @ g_mat
                 g_dw = np.empty((2 * m, h, w))
                 np.multiply(dz, act, out=g_dw[:m].reshape(m, n))
@@ -323,13 +317,10 @@ class FeedForward(Module):
                 np.multiply(dz, gelu_slope(dg, phi), out=g_dw[m:].reshape(m, n))
                 del phi, act, dz
                 d_dw_b[:, h0:h1] = g_dw.reshape(2, m, n).sum(axis=2)
-                pre = None if xp is None else depthwise_input(xp, h0, h1)
-                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], 1,
-                                                 (2 * m, h + 2, w + 2), pre, need_pre)
-                if d_w is not None:
-                    d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)
-                if d_pre is None:
-                    continue
+                pre = depthwise_input(xp, h0, h1)
+                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], 1, pre)
+                d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)
+                # The zeroed ring is a constant: only the interior has a gradient.
                 d_pre = np.ascontiguousarray(d_pre[:, 1:-1, 1:-1]).reshape(2 * m, n)
                 d_pre_b[:, h0:h1] = d_pre.reshape(2, m, n).sum(axis=2)
                 d_rows[:, h0:h1] = (d_pre @ x_mat.T).reshape(2, m, c)
@@ -338,8 +329,7 @@ class FeedForward(Module):
             grads = [None if dx is None else dx.reshape(x.shape)]
             for i in range(2):
                 grads += [d_rows[i].reshape(hidden, c, 1, 1), d_pre_b[i], d_dw_w[i], d_dw_b[i]]
-            grads += [None if d_co is None else d_co.reshape(co_w.shape), g_mat.sum(axis=1)]
-            return grads
+            return grads + [d_co.reshape(co_w.shape), g_mat.sum(axis=1)]
 
         return fused_op(out.reshape(c, h, w), "ffn", inputs, vjp)
 
