@@ -8,7 +8,8 @@ records a backward step for those inputs only; an operation on constants
 records nothing. The tape replays its steps once, in exact reverse order,
 freeing each step and intermediate gradient as it goes. :func:`fused_op`
 makes a computation written in plain numpy elsewhere one primitive, whose
-single step returns the gradients of all its inputs at once.
+single step returns the gradients of all its inputs at once; such a
+computation asks :func:`recording` whether to keep what its backward needs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "Tape",
     "make_rng",
     "fused_op",
+    "recording",
     "matmul",
     "transpose",
     "softmax_rows",
@@ -326,10 +328,11 @@ def unit_slices_back(a: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray
 #
 # No convolution builds the k*k-times-larger column matrix of its whole input:
 # dense convs multiply channel blocks of columns no larger than the padded
-# input, depthwise convs sum scaled shifted views, and a backward closure keeps
-# only the padded input, rebuilding each block when it needs it.
+# input, depthwise convs sum scaled strided slices of the flattened padded
+# input, and a backward closure keeps only the padded input, rebuilding each
+# block when it needs it.
 
-# Output elements per channel block of a depthwise conv (512 KB of float64).
+# Wide elements per channel block of a depthwise conv (512 KB of float64).
 # All k*k taps run over one block before the next, so it stays in cache.
 _DEPTHWISE_BLOCK = 1 << 16
 

@@ -294,7 +294,6 @@ class FeedForward(Module):
             if i:
                 out += part
         out += co_b[:, None]
-        del xp, part, gate, dw_out
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
             g_mat, x_mat = g.reshape(c, n), x.data.reshape(c, n)
