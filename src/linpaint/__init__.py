@@ -33,7 +33,6 @@ from .tensor import NonFiniteError, ShapeError, Tape, Tensor, make_rng
 from .unet import (
     InpaintingUNet,
     ModelConfig,
-    compose_with_mask,
     load_checkpoint,
     save_checkpoint,
 )

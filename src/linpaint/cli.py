@@ -51,12 +51,11 @@ from .losses import (
 )
 from .metrics import ImagePair, psnr
 from .netpbm import NetpbmError, read_image, read_mask, write_image
-from .tensor import NonFiniteError, ShapeError, Tensor, make_rng
+from .tensor import NonFiniteError, Tensor, make_rng
 from .unet import (
     CheckpointError,
     InpaintingUNet,
     ModelConfig,
-    compose_with_mask,
     load_checkpoint,
     parse_config,
     save_checkpoint,
@@ -88,7 +87,6 @@ class RunConfig:
     fx_seed: int = 101
     image: str | None = None
     mask: str | None = None
-    out: str | None = None
     checkpoint: str | None = None
 
     def validate(self) -> None:
@@ -187,8 +185,6 @@ def _parse_resolutions(text: str) -> list[tuple[int, int]]:
         if not sep or not w.isdigit() or not h.isdigit():
             raise ConfigError(f"bad resolution {part!r}, expected WxH like 64x64")
         out.append((int(w), int(h)))
-    if len({w * h for w, h in out}) < 2:
-        raise ConfigError("need at least two distinct resolutions for a slope fit")
     return out
 
 
@@ -205,38 +201,35 @@ def run_bench(resolutions: list[tuple[int, int]], channels: int,
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if len({w * h for w, h in resolutions}) < 2:
         raise ConfigError("need at least two distinct resolutions for a slope fit")
+    if not modes:
+        raise ConfigError("need at least one bench mode")
     for mode in modes:
         if mode not in BENCH_MODES:
             raise ConfigError(f"unknown bench mode {mode!r}, pick from {BENCH_MODES}")
+
+    def timed_call(mode: str, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> float:
+        start = time.perf_counter()
+        if mode == "quadratic":
+            taylor_attention_quadratic(q, k, v, mode="residual")
+        else:
+            taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode)
+        return time.perf_counter() - start
 
     rows: list[tuple[str, int, int, float, int]] = []
     slopes: dict[str, float] = {}
     for mode in modes:
         ns, ts = [], []
-        warmed = False
-        for w, h in sorted(resolutions, key=lambda r: r[0] * r[1]):
+        for i, (w, h) in enumerate(sorted(resolutions, key=lambda r: r[0] * r[1])):
             n = w * h
             rng = make_rng(seed)
             q = rng.normal(size=(n, channels))
             k = rng.normal(size=(n, channels))
             v = rng.normal(size=(n, channels))
-            if not warmed:
+            if i == 0:
                 # One untimed call at the smallest size so cold-start costs
                 # (allocator, BLAS thread pool) stay out of the slope fit.
-                if mode == "quadratic":
-                    taylor_attention_quadratic(q, k, v, mode="residual")
-                else:
-                    taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode)
-                warmed = True
-            times = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                if mode == "quadratic":
-                    taylor_attention_quadratic(q, k, v, mode="residual")
-                else:
-                    taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode)
-                times.append(time.perf_counter() - start)
-            median = float(np.median(times))
+                timed_call(mode, q, k, v)
+            median = float(np.median([timed_call(mode, q, k, v) for _ in range(repeats)]))
             macs = (quadratic_attention_macs(n, channels) if mode == "quadratic"
                     else linear_attention_macs(n, channels))
             rows.append((mode, n, channels, median, macs))
@@ -257,7 +250,7 @@ def run_bench(resolutions: list[tuple[int, int]], channels: int,
 def cmd_bench(ns: argparse.Namespace) -> int:
     resolutions = _parse_resolutions(ns.resolutions)
     modes = [m.strip() for m in ns.modes.split(",") if m.strip()]
-    run_bench(resolutions, ns.channels, modes, ns.repeats, ns.seed or 0, ns.csv)
+    run_bench(resolutions, ns.channels, modes, ns.repeats, ns.seed, ns.csv)
     return EXIT_OK
 
 
@@ -290,7 +283,6 @@ class TrainResult:
     masked_l1_last: float
     psnr_baseline: float
     psnr_final: float
-    checkpoint_path: str | None
 
 
 def _to_network(img01: np.ndarray) -> np.ndarray:
@@ -299,6 +291,14 @@ def _to_network(img01: np.ndarray) -> np.ndarray:
 
 def _to_unit(net: np.ndarray) -> np.ndarray:
     return np.clip((net + 1.0) / 2.0, 0.0, 1.0)
+
+
+def paste_known_pixels(pred01: np.ndarray, img01: np.ndarray,
+                       mask: np.ndarray) -> np.ndarray:
+    """The [0, 1] prediction with the image's valid pixels copied over it, in place."""
+    valid = mask[0] == 1.0
+    pred01[:, valid] = img01[:, valid]
+    return pred01
 
 
 def _masked_l1(out01: np.ndarray, ref01: np.ndarray, mask: np.ndarray) -> float:
@@ -337,13 +337,12 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
     d_params = disc.parameters()
 
     i_m = Tensor(_to_network(img01) * mask)
-    mask_t = Tensor(mask)
 
     rows = ["iter,rec,perc,style,adv,total"]
-    masked_first = masked_last = 0.0
+    masked_first: float | None = None
     for step in range(run.iters):
         with Tape() as tg:
-            i_out = model.forward(i_m, compose_output=False)
+            i_out = model.forward(i_m)
             if step == 0:
                 masked_first = _masked_l1(_to_unit(i_out.data), img01, mask)
             with Tape() as td:
@@ -364,21 +363,16 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
         rows.append(f"{step},{terms['rec'].item()!r},{terms['perc'].item()!r},"
                     f"{terms['style'].item()!r},{terms['adv'].item()!r},{total.item()!r}")
 
-    final = model.forward(i_m, compose_output=False)
-    final01 = _to_unit(final.data)
-    masked_last = _masked_l1(final01, img01, mask) if run.iters > 0 else masked_first
-    if run.iters == 0:
-        masked_first = masked_last = _masked_l1(final01, img01, mask)
-
-    composited = mask * img01 + (1.0 - mask) * final01
-    baseline = mask * img01 + (1.0 - mask) * 0.5   # zero-filled in network scale
+    final01 = _to_unit(model.forward(i_m).data)
+    masked_last = _masked_l1(final01, img01, mask)
+    # Zero-filled in network scale is 0.5 in [0, 1].
+    baseline = paste_known_pixels(np.full_like(img01, 0.5), img01, mask)
     result = TrainResult(
         csv_rows=rows,
-        masked_l1_first=masked_first,
+        masked_l1_first=masked_last if masked_first is None else masked_first,
         masked_l1_last=masked_last,
         psnr_baseline=psnr(ImagePair(img01, baseline)),
-        psnr_final=psnr(ImagePair(img01, composited)),
-        checkpoint_path=ckpt_path,
+        psnr_final=psnr(ImagePair(img01, paste_known_pixels(final01, img01, mask))),
     )
     if csv_path is not None:
         with open(csv_path, "w") as fh:
@@ -420,13 +414,9 @@ def cmd_inpaint(ns: argparse.Namespace) -> int:
     _, h, w = img01.shape
     if mask.shape != (1, h, w):
         raise ConfigError(f"mask shape {mask.shape} does not match image {img01.shape}")
-    i_m = Tensor(_to_network(img01) * mask)
-    out = model.forward(i_m, compose_output=False)
-    composited = compose_with_mask(Tensor(_to_network(img01)), out, Tensor(mask))
-    out01 = _to_unit(composited.data)
+    out = model.forward(Tensor(_to_network(img01) * mask))
     # Valid pixels pass through bit-exactly at the 8-bit boundary.
-    out01[:, mask[0] == 1.0] = img01[:, mask[0] == 1.0]
-    write_image(ns.out, out01)
+    write_image(ns.out, paste_known_pixels(_to_unit(out.data), img01, mask))
     print(f"wrote {ns.out}")
     return EXIT_OK
 
@@ -545,36 +535,27 @@ def _gradcheck_model(seed: int) -> float:
     im = Tensor(rng.uniform(-0.5, 0.5, size=(3, 16, 16)))
     r = Tensor(rng.normal(size=(3, 16, 16)))
     return finite_diff_check(
-        lambda: sum_all(hadamard(model.forward(im, compose_output=False), r)),
+        lambda: sum_all(hadamard(model.forward(im), r)),
         model.parameters(), coords_per_param=2, seed=seed)
 
 
 def run_gradcheck(scope: str, seed: int) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
+    # (label, max relative error, tolerance as printed)
+    checks: list[tuple[str, float, str]] = []
     if scope in ("ops", "all"):
-        for name, err in _gradcheck_ops(seed):
-            passed = err < 1e-4
-            ok &= passed
-            lines.append(f"op {name}: max rel err {err:.3e} "
-                         f"({'pass' if passed else 'FAIL'} at 1e-4)")
+        checks += [(f"op {name}", err, "1e-4") for name, err in _gradcheck_ops(seed)]
     if scope in ("block", "all"):
-        err = _gradcheck_block(seed)
-        passed = err < 1e-3
-        ok &= passed
-        lines.append(f"block 4x8x8: max rel err {err:.3e} "
-                     f"({'pass' if passed else 'FAIL'} at 1e-3)")
+        checks.append(("block 4x8x8", _gradcheck_block(seed), "1e-3"))
     if scope in ("model", "all"):
-        err = _gradcheck_model(seed)
-        passed = err < 1e-3
-        ok &= passed
-        lines.append(f"model 3x16x16: max rel err {err:.3e} "
-                     f"({'pass' if passed else 'FAIL'} at 1e-3)")
-    return ok, lines
+        checks.append(("model 3x16x16", _gradcheck_model(seed), "1e-3"))
+    passed = [err < float(tol) for _, err, tol in checks]
+    lines = [f"{label}: max rel err {err:.3e} ({'pass' if ok else 'FAIL'} at {tol})"
+             for (label, err, tol), ok in zip(checks, passed)]
+    return all(passed), lines
 
 
 def cmd_gradcheck(ns: argparse.Namespace) -> int:
-    ok, lines = run_gradcheck(ns.scope, ns.seed or 0)
+    ok, lines = run_gradcheck(ns.scope, ns.seed)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_TESTFAIL
@@ -603,19 +584,21 @@ def build_parser() -> argparse.ArgumentParser:
                "keys are rejected.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_flags=True):
+    # Each verb registers only the flags it reads.
+    def seed_flag(p, default):
+        p.add_argument("--seed", type=int, default=default, help="PRNG seed (Philox)")
+
+    def model_flags(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed (Philox)")
-        if model_flags:
-            p.add_argument("--mode", choices=TAYLOR_MODES, default=None,
-                           help="taylor attention mode")
-            p.add_argument("--no-gate", action="store_true",
-                           help="disable the attention gating mechanism")
-            p.add_argument("--no-norm", action="store_true",
-                           help="disable pre-sublayer normalization")
+        p.add_argument("--mode", choices=TAYLOR_MODES, default=None,
+                       help="taylor attention mode")
+        p.add_argument("--no-gate", action="store_true",
+                       help="disable the attention gating mechanism")
+        p.add_argument("--no-norm", action="store_true",
+                       help="disable pre-sublayer normalization")
 
     p = sub.add_parser("bench", help="time attention modes across resolutions")
-    common(p, model_flags=False)
+    seed_flag(p, 0)
     p.add_argument("--resolutions", default="32x32,64x64,128x128,256x256",
                    help="comma list of WxH sizes, N = W*H")
     p.add_argument("--channels", type=int, default=32)
@@ -626,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("count", help="parameter/MAC accounting and calibration")
-    common(p)
+    model_flags(p)
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--width", type=int, default=256)
     p.add_argument("--calibrate", default="32,40,48,64",
@@ -635,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("train-toy", help="overfit the model on one image/mask pair")
-    common(p)
+    model_flags(p)
+    seed_flag(p, None)
     p.add_argument("--image", default=None, help="PPM (P6) ground-truth image")
     p.add_argument("--mask", default=None, help="PGM (P5) mask, white=valid")
     p.add_argument("--iters", type=int, default=None)
@@ -645,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train_toy)
 
     p = sub.add_parser("inpaint", help="fill missing pixels using a checkpoint")
-    common(p, model_flags=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="PPM (P6) masked or full image")
     p.add_argument("--mask", required=True, help="PGM (P5) mask, white=valid")
@@ -653,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inpaint)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    common(p, model_flags=False)
+    seed_flag(p, 0)
     p.add_argument("--scope", choices=("ops", "block", "model", "all"), default="all")
     p.set_defaults(fn=cmd_gradcheck)
 
@@ -665,18 +648,12 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ShapeError, ValueError) as exc:
-        if isinstance(exc, (NetpbmError, CheckpointError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, NonFiniteError) as exc:
+    except (NetpbmError, CheckpointError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:   # ConfigError, ShapeError and any other bad value
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -184,22 +184,20 @@ def power_iteration_sigma(w: np.ndarray, state: SpectralNormState,
 class PatchDiscriminator(Module):
     """Stride-2 convolution stack scoring local patches, not a single scalar.
 
-    Channels 64 -> 128 -> 256 -> 512 with kernel 4 and leaky-ReLU slope 0.2,
-    then a 1-channel scoring convolution. Every convolution weight is divided
+    Four stages of ``base_width`` channels doubling per stage (64 -> 128 ->
+    256 -> 512 by default) with kernel 4 and leaky-ReLU slope 0.2, then a
+    1-channel scoring convolution. Every convolution weight is divided
     by its power-iteration spectral-norm estimate at call time; the estimate
     is treated as a constant in the backward pass.
     """
 
-    WIDTHS = (64, 128, 256, 512)
-
     def __init__(self, rng: np.random.Generator, in_channels: int = 3,
-                 base_width: int | None = None, power_iters: int = 1,
+                 base_width: int = 64, power_iters: int = 1,
                  init_power_iters: int = 60) -> None:
-        widths = self.WIDTHS if base_width is None else tuple(
-            base_width * 2 ** i for i in range(4))
         self.layers: list[tuple[Parameter, Parameter, SpectralNormState, int]] = []
         cin = in_channels
-        for i, cout in enumerate(widths):
+        for i in range(4):
+            cout = base_width * 2 ** i
             self._add_layer(rng, cin, cout, stride=2, tag=f"disc.conv{i}",
                             power_iters=power_iters, init_power_iters=init_power_iters)
             cin = cout

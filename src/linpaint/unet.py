@@ -34,7 +34,6 @@ from .tensor import (
     fused_op,
     gauss_cdf,
     gelu_slope,
-    hadamard,
     layer_norm_sites,
     nearest_upsample2x,
     recording,
@@ -50,7 +49,6 @@ __all__ = [
     "CheckpointError",
     "save_checkpoint",
     "load_checkpoint",
-    "compose_with_mask",
 ]
 
 NORM_KINDS = ("layer", "none")
@@ -89,7 +87,6 @@ class ModelConfig:
     attn_eps: float = 1e-6
     normalize_qk: bool = True
     divide: bool = True
-    compose_output: bool = True
 
     def validate(self) -> None:
         if self.base_channels < 1:
@@ -434,29 +431,15 @@ class InpaintingUNet(Module):
             return out, features
         return out
 
-    def forward(self, im: Tensor, mask: Tensor | None = None,
-                compose_output: bool | None = None) -> Tensor:
-        """Run the network; optionally paste valid input pixels back over the output.
+    def forward(self, im: Tensor) -> Tensor:
+        """The network's prediction in [-1, 1] for every pixel.
 
-        ``im`` must already have its missing pixels zero-filled (network scale,
-        [-1, 1]); ``mask`` is 1xHxW with 1 marking valid pixels.
+        ``im`` must already have its missing pixels zero-filled (network
+        scale, [-1, 1]). The known pixels are not pasted back here: training
+        scores the raw prediction, and the CLI pastes them back only when it
+        writes an image.
         """
-        compose = self.config.compose_output if compose_output is None else compose_output
-        out = self.decoder_forward(self.encoder_forward(im))
-        if compose:
-            if mask is None:
-                raise ValueError("compose_output needs a mask")
-            out = compose_with_mask(im, out, mask)
-        return out
-
-
-def compose_with_mask(im: Tensor, out: Tensor, mask: Tensor) -> Tensor:
-    """mask*im + (1-mask)*out, with the 1xHxW mask repeated over channels."""
-    if mask.data.ndim != 3 or mask.shape[0] != 1 or mask.shape[1:] != im.shape[1:]:
-        raise ShapeError(f"mask must be 1x{im.shape[1]}x{im.shape[2]}, got {mask.shape}")
-    mask3 = Tensor(np.repeat(mask.data, im.shape[0], axis=0))
-    inv3 = Tensor(1.0 - mask3.data)
-    return add(hadamard(mask3, im), hadamard(inv3, out))
+        return self.decoder_forward(self.encoder_forward(im))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from linpaint.netpbm import (
     write_image,
     write_mask,
 )
-from linpaint.tensor import make_rng
+from linpaint.tensor import NonFiniteError, ShapeError, make_rng
 from linpaint.unet import (
+    CheckpointError,
     InpaintingUNet,
     ModelConfig,
     format_config,
@@ -144,11 +145,11 @@ def test_config_keys_are_model_loss_and_run_fields():
     assert KNOWN_KEYS == {
         "base_channels", "block_counts", "heads_per_level", "in_channels",
         "out_channels", "taylor_mode", "gated", "norm", "ffn_expansion",
-        "attn_eps", "normalize_qk", "divide", "compose_output",
+        "attn_eps", "normalize_qk", "divide",
         "lambda_reconstruction", "lambda_perceptual", "lambda_style",
         "lambda_adversarial",
         "seed", "iters", "lr", "weight_decay", "disc_width", "fx_seed",
-        "image", "mask", "out", "checkpoint",
+        "image", "mask", "checkpoint",
     }
 
 
@@ -157,7 +158,7 @@ def test_every_model_field_round_trips_through_config_text_and_checkpoint(tmp_pa
                          heads_per_level=(2, 2, 4, 2, 4, 2, 2), in_channels=1,
                          out_channels=2, taylor_mode="sum", gated=False, norm="none",
                          ffn_expansion=1.5, attn_eps=1e-5, normalize_qk=False,
-                         divide=False, compose_output=False)
+                         divide=False)
     assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
     text = "\n".join(format_config(config))
     assert build_run_config(parse_config_text(text)).model == config
@@ -214,6 +215,11 @@ def test_bench_rejects_single_resolution():
 def test_bench_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         run_bench([(8, 8), (16, 16)], 4, ["softmaxish"], 1, 0, None)
+
+
+def test_bench_rejects_empty_mode_list(capsys):
+    assert main(["bench", "--resolutions", "8x8,16x16", "--modes", ","]) == 1
+    assert "at least one bench mode" in capsys.readouterr().err
 
 
 def test_gradcheck_ops_scope(capsys):
@@ -399,3 +405,42 @@ def test_main_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 1
+
+
+# Each verb registers only the flags it reads; the rest are argument errors.
+@pytest.mark.parametrize("argv", [
+    ["inpaint", "--seed", "1"],
+    ["inpaint", "--config", "f"],
+    ["gradcheck", "--config", "f"],
+    ["bench", "--config", "f"],
+    ["count", "--seed", "1"],
+], ids=["inpaint-seed", "inpaint-config", "gradcheck-config", "bench-config",
+        "count-seed"])
+def test_unread_flags_are_rejected(tmp_path, capsys, argv):
+    if argv[0] == "inpaint":
+        argv = argv + ["--checkpoint", "c", "--image", "i", "--mask", "m",
+                       "--out", str(tmp_path / "o.ppm")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (NetpbmError("bad netpbm"), 2),
+    (CheckpointError("bad checkpoint"), 2),
+    (OSError("no such file"), 2),
+    (NonFiniteError("non-finite"), 2),
+    (ConfigError("bad config"), 1),
+    (ShapeError("bad shape"), 1),
+    (ValueError("bad value"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_main_exit_code_per_error_type(monkeypatch, capsys, error, code):
+    import linpaint.cli as cli
+
+    def fail(ns):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"

@@ -318,7 +318,7 @@ def test_total_loss_gradient_reaches_every_generator_parameter():
     im = Tensor(rng.uniform(-0.5, 0.5, size=(3, 32, 32)))
     target = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
     with Tape() as tape:
-        out = model.forward(im, compose_output=False)
+        out = model.forward(im)
         loss, _ = total_loss(out, target, fx.features(target), fx, disc, LossWeights())
         tape.backward(loss)
     dead = [p.name for p in model.parameters()
@@ -345,7 +345,7 @@ def test_frozen_discriminator_leaves_generator_gradients_unchanged():
         for p in disc.parameters():
             p.requires_grad = not frozen
         with Tape() as tape:
-            out = model.forward(im, compose_output=False)
+            out = model.forward(im)
             loss, _ = total_loss(out, target, fx.features(target), fx, disc, LossWeights())
             tape.backward(loss)
         runs.append([p.grad for p in model.parameters()])

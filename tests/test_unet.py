@@ -6,6 +6,7 @@ import pytest
 from conftest import forge_checkpoint
 
 import linpaint.unet as U
+from linpaint.cli import paste_known_pixels
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.tensor import (
     ShapeError,
@@ -24,7 +25,6 @@ from linpaint.unet import (
     InpaintingUNet,
     ModelConfig,
     TransformerBlock,
-    compose_with_mask,
     load_checkpoint,
     save_checkpoint,
 )
@@ -208,8 +208,8 @@ def test_forward_roundtrip_and_determinism():
     rng = make_rng(11)
     model = InpaintingUNet(tiny_config(), make_rng(12))
     im = Tensor(rng.normal(size=(3, 16, 16)) * 0.2)
-    out1 = model.forward(im, compose_output=False)
-    out2 = model.forward(im, compose_output=False)
+    out1 = model.forward(im)
+    out2 = model.forward(im)
     assert out1.shape == (3, 16, 16)
     assert np.array_equal(out1.data, out2.data)
     assert np.all(np.abs(out1.data) <= 1.0)  # tanh output range
@@ -218,7 +218,7 @@ def test_forward_roundtrip_and_determinism():
 def test_forward_rejects_indivisible_dims():
     model = InpaintingUNet(tiny_config(), make_rng(13))
     with pytest.raises(ShapeError):
-        model.forward(Tensor(np.zeros((3, 20, 16))), compose_output=False)
+        model.forward(Tensor(np.zeros((3, 20, 16))))
 
 
 def test_shape_law_random_configs():
@@ -242,21 +242,22 @@ def test_shape_law_random_configs():
 
 def test_compose_all_valid_mask_returns_input():
     model = InpaintingUNet(tiny_config(), make_rng(16))
-    im = Tensor(make_rng(17).uniform(-1, 1, size=(3, 16, 16)))
-    mask = Tensor(np.ones((1, 16, 16)))
-    out = model.forward(im, mask=mask, compose_output=True)
-    assert np.array_equal(out.data, im.data)
+    im = make_rng(17).uniform(0, 1, size=(3, 16, 16))
+    mask = np.ones((1, 16, 16))
+    pred = (model.forward(Tensor(2.0 * im - 1.0)).data + 1.0) / 2.0
+    out = paste_known_pixels(pred, im, mask)
+    assert np.array_equal(out, im)
 
 
 def test_compose_mixes_regions():
     rng = make_rng(18)
-    im = Tensor(rng.uniform(-1, 1, size=(3, 8, 8)))
-    net = Tensor(rng.uniform(-1, 1, size=(3, 8, 8)))
+    im = rng.uniform(0, 1, size=(3, 8, 8))
+    net = rng.uniform(0, 1, size=(3, 8, 8))
     mask = np.zeros((1, 8, 8))
     mask[0, :4] = 1.0
-    out = compose_with_mask(im, net, Tensor(mask)).data
-    assert np.array_equal(out[:, :4], im.data[:, :4])
-    assert np.array_equal(out[:, 4:], net.data[:, 4:])
+    out = paste_known_pixels(net.copy(), im, mask)
+    assert np.array_equal(out[:, :4], im[:, :4])
+    assert np.array_equal(out[:, 4:], net[:, 4:])
 
 
 def test_model_gradient_full():
@@ -266,7 +267,7 @@ def test_model_gradient_full():
     r = Tensor(rng.normal(size=(3, 16, 16)))
 
     def f():
-        return sum_all(hadamard(model.forward(im, compose_output=False), r))
+        return sum_all(hadamard(model.forward(im), r))
 
     err = finite_diff_check(f, model.parameters(), coords_per_param=2, seed=3)
     assert err < 1e-3
@@ -316,8 +317,21 @@ def test_checkpoint_roundtrip(tmp_path):
         assert a.name == b.name
         assert np.array_equal(a.data, b.data)
     im = Tensor(make_rng(22).uniform(-1, 1, size=(3, 16, 16)))
-    assert np.array_equal(model.forward(im, compose_output=False).data,
-                          loaded.forward(im, compose_output=False).data)
+    assert np.array_equal(model.forward(im).data,
+                          loaded.forward(im).data)
+
+
+def test_parent_format_checkpoint_loads(tmp_path):
+    # Checkpoints written before compose_output was removed carry its header
+    # line; the loader ignores header keys that are not ModelConfig fields.
+    model = InpaintingUNet(tiny_config(base_channels=2), make_rng(27))
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    forge_checkpoint(path, rb"\nparam_count=", b"\ncompose_output=true\nparam_count=")
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    im = Tensor(make_rng(28).uniform(-1, 1, size=(3, 16, 16)))
+    assert np.array_equal(model.forward(im).data, loaded.forward(im).data)
 
 
 def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
@@ -379,7 +393,6 @@ def test_checkpoint_header_bytes(tmp_path):
                 b"attn_eps=1e-06\n"
                 b"normalize_qk=true\n"
                 b"divide=true\n"
-                b"compose_output=true\n"
                 b"param_count=5109219\n"
                 b"end-header\n")
     with open(path, "rb") as fh:
