@@ -36,6 +36,7 @@ from .tensor import (
     gelu,
     hadamard,
     matmul,
+    recording,
     scale,
     softmax_rows,
     transpose,
@@ -185,19 +186,22 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool,
-                 divide: bool) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
+                 divide: bool, keep: bool = True
+                 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """The linear map on a (3, heads, d, N) q/k/v stack, each head's tokens as
     columns, in plain numpy: every step is one batched op over all heads.
 
     Returns the (heads, d, N) output and ``back(g, dqkv)``, which writes the
     gradients of q, k and v for the output gradient ``g`` into ``dqkv``.
     ``back`` keeps the stack, the normalized q and k, the output and terms
-    of heads x d x d or heads x N; nothing N x N is built either way.
+    of heads x d x d or heads x N; nothing N x N is built either way. With
+    ``keep`` False, q and k are normalized in place inside ``qkv`` and
+    ``back`` must not be called.
     """
     q, k, v = qkv
     n = q.shape[2]
-    qb, q_norm = unit_slices(q, axis=1) if normalize_qk else (q, None)
-    kb, k_norm = unit_slices(k, axis=1) if normalize_qk else (k, None)
+    qb, q_norm = unit_slices(q, 1, out=None if keep else q) if normalize_qk else (q, None)
+    kb, k_norm = unit_slices(k, 1, out=None if keep else k) if normalize_qk else (k, None)
 
     m = v @ _swap(kb)                       # heads x d x d, through a view of kb
     out = m @ qb                            # the numerator, heads x d x N
@@ -311,7 +315,8 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     qkv = w_qkv @ x_mat
     qkv += np.concatenate([p.data for p in inputs[2::2]])[:, None]
     stack = qkv.reshape(3, cfg.heads, cfg.head_dim, n)
-    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide)
+    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide,
+                             keep=recording(inputs))
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
         d_qkv = np.empty(stack.shape)

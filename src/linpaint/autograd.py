@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tensor import Tape, Tensor, make_rng
+from .tensor import NonFiniteError, Tape, Tensor, make_rng
 
 __all__ = ["Parameter", "Module", "adamw_step", "zero_grads", "finite_diff_check", "Tape"]
 
@@ -80,9 +80,17 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so past a parameter's first
     update, whose zeroed moments it allocates, it allocates nothing per
     parameter.
+
+    A non-finite gradient raises :class:`NonFiniteError` naming its
+    parameter before anything is updated.
     """
     size = max((p.size for p in params), default=0)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
+    finite = np.empty(size, dtype=bool)
+    for p in params:
+        if p.grad is not None and not np.isfinite(
+                p.grad, out=finite[:p.size].reshape(p.shape)).all():
+            raise NonFiniteError(f"gradient of {p.name!r} is non-finite")
     for p in params:
         g = p.grad
         a = scratch_a[:p.size].reshape(p.shape)

@@ -429,7 +429,7 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     from .tensor import (absolute, conv2d, depthwise_conv2d, div_broadcast, gelu,
                          hadamard, l2_normalize, layer_norm_sites, leaky_relu,
                          matmul, nearest_upsample2x, sigmoid, softmax_rows, sum_all,
-                         tanh, transpose)
+                         tanh, transpose, upsample_conv2d)
     rng = make_rng(seed)
     results = []
 
@@ -511,6 +511,10 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     xf = Parameter(rng.normal(size=(4, 5, 5)))
     ffn = FeedForward(rng, FFNConfig(4), "ffn")
     r_xf = Tensor(rng.normal(size=(4, 5, 5)))
+    # Drawn last, so the other units' inputs are unchanged.
+    r_up = Tensor(rng.normal(size=(3, 10, 10)))
+    unit("upsample_conv2d",
+         lambda: sum_all(hadamard(upsample_conv2d(x, wc, bc), r_up)), [x, wc, bc])
     unit("feed_forward", lambda: sum_all(hadamard(ffn(xf), r_xf)), [xf, *ffn.parameters()])
     return results
 

@@ -35,6 +35,7 @@ __all__ = [
     "conv2d",
     "depthwise_conv2d",
     "nearest_upsample2x",
+    "upsample_conv2d",
     "gelu",
     "tanh",
     "sigmoid",
@@ -296,14 +297,16 @@ def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     return np.expand_dims(np.einsum(f"{ix},{ix}->{kept}", a, b), axis)
 
 
-def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12) -> tuple[np.ndarray, tuple]:
+def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
     """The numpy kernel of :func:`l2_normalize`: ``a`` with each slice along
-    ``axis`` scaled to unit norm, and what :func:`unit_slices_back` needs."""
+    ``axis`` scaled to unit norm, written to ``out`` if given (which may be
+    ``a``), and what :func:`unit_slices_back` needs."""
     norms = np.sqrt(_inner(a, a, axis))
     live = norms >= eps
     dead = None if live.all() else ~live
     safe = np.where(live, norms, 1.0)
-    unit = a / safe
+    unit = np.divide(a, safe, out=out)
     if dead is not None:
         np.copyto(unit, 0.0, where=dead)
     return unit, (axis, safe, dead)
@@ -321,6 +324,17 @@ def unit_slices_back(a: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray
     if dead is not None:
         np.copyto(out, 0.0, where=dead)
     return out
+
+
+def matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out += a @ b`` for a 2-D ``out``, a block of columns at a time through
+    a scratch of about 2**17 elements (1 MB): no second array of out's size."""
+    cols = max(1, (1 << 17) // out.shape[0])
+    scratch = np.empty((out.shape[0], min(cols, out.shape[1])))
+    for j in range(0, out.shape[1], cols):
+        part = scratch[:, :min(cols, out.shape[1] - j)]
+        np.matmul(a, b[:, j:j + cols], out=part)
+        out[:, j:j + cols] += part
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +420,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     buf = new_buf()
     out_mat = np.empty((cout, n))
-    part = np.empty((cout, n)) if len(blocks) > 1 else None
     for i, (c0, c1) in enumerate(blocks):
-        np.matmul(w_mat[:, c0 * kk:c1 * kk], gather(c0, c1, buf), out=part if i else out_mat)
+        w_cols, cols = w_mat[:, c0 * kk:c1 * kk], gather(c0, c1, buf)
         if i:
-            out_mat += part
+            matmul_add(w_cols, cols, out_mat)
+        else:
+            np.matmul(w_cols, cols, out=out_mat)
     out_mat += bias.data[:, None]
     out = _finish(out_mat.reshape(cout, ho, wo), "conv2d")
 
@@ -552,6 +567,56 @@ def nearest_upsample2x(x: Tensor) -> Tensor:
     c, h, w = x.shape
     out = _finish(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), "nearest_upsample2x")
     _record(out, (x, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
+    return out
+
+
+# Row 2a + i: tap i of phase a's 2-tap kernel along one axis, as a sum of a
+# 3x3 kernel's taps: [w0, w1 + w2] for phase 0, [w0 + w1, w2] for phase 1.
+_UP_FOLD = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def upsample_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``conv2d(nearest_upsample2x(x), w, bias, 1, 1)`` for a 3x3 kernel, at x's
+    resolution and with 4/9 of the multiply-adds.
+
+    Output pixel (2i + a, 2j + b) reads only x's rows i - 1 + a, i + a and
+    columns j - 1 + b, j + b: it is a 2x2 conv of x padded by one whose taps
+    are the 3x3 taps folded along each axis by ``_UP_FOLD``. The four phase
+    kernels run as one conv2d with 4 C_out output channels, phase (a, b) in
+    rows (2a + b) C_out onwards, and its outputs are interleaved with the
+    bias. The fold and the interleave are recorded steps, so the backward
+    goes through conv2d's; the upsampled map is never built.
+    """
+    _require(w.data.ndim == 4 and w.shape[2:] == (3, 3) and bias.shape == w.shape[:1],
+             f"upsample_conv2d needs a Co x Ci x 3 x 3 kernel and Co biases, "
+             f"got {w.shape} and {bias.shape}")
+    cout, cin = w.shape[:2]
+    folded = (_UP_FOLD @ w.data @ _UP_FOLD.T).reshape(cout, cin, 2, 2, 2, 2)
+    kernels = _finish(folded.transpose(2, 4, 0, 1, 3, 5).reshape(4 * cout, cin, 2, 2),
+                      "upsample_conv2d")
+
+    def back_w(g: np.ndarray) -> np.ndarray:
+        g = g.reshape(2, 2, cout, cin, 2, 2).transpose(2, 3, 0, 4, 1, 5)
+        return _UP_FOLD.T @ g.reshape(cout, cin, 4, 4) @ _UP_FOLD
+
+    _record(kernels, (w, back_w))
+    y = conv2d(x, kernels, Tensor(np.zeros(4 * cout)), 1, 1)
+    h, wd = y.shape[1] - 1, y.shape[2] - 1
+    phases = [(a, b, slice((2 * a + b) * cout, (2 * a + b + 1) * cout))
+              for a in (0, 1) for b in (0, 1)]
+    out_data = np.empty((cout, 2 * h, 2 * wd))
+    for a, b, p in phases:
+        np.add(y.data[p, a:a + h, b:b + wd], bias.data[:, None, None],
+               out=out_data[:, a::2, b::2])
+    out = _finish(out_data, "upsample_conv2d")
+
+    def back_y(g: np.ndarray) -> np.ndarray:
+        dy = np.zeros(y.shape)
+        for a, b, p in phases:
+            dy[p, a:a + h, b:b + wd] = g[:, a::2, b::2]
+        return dy
+
+    _record(out, (y, back_y), (bias, lambda g: g.reshape(cout, -1).sum(axis=1)))
     return out
 
 
@@ -726,12 +791,14 @@ def layer_norm_sites(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     c = x.shape[0]
     _require(gamma.shape == (c,) and beta.shape == (c,),
              f"affine params must have shape ({c},), got {gamma.shape}, {beta.shape}")
-    mu = x.data.mean(axis=0)
-    xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=0) + eps)
-    xhat = xc * inv
-    out = _finish(xhat * gamma.data[:, None, None] + beta.data[:, None, None],
-                  "layer_norm_sites")
+    # Two C x H x W arrays: x-hat, and the output, which holds the squares first.
+    xhat = x.data - x.data.mean(axis=0)
+    out_data = np.multiply(xhat, xhat, out=np.empty(x.shape))
+    inv = 1.0 / np.sqrt(out_data.mean(axis=0) + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data[:, None, None], out=out_data)
+    out_data += beta.data[:, None, None]
+    out = _finish(out_data, "layer_norm_sites")
 
     def back_x(g: np.ndarray) -> np.ndarray:
         gx = g * gamma.data[:, None, None]

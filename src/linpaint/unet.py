@@ -3,14 +3,18 @@
 Shape law: at level i the feature map has 2^(i-1) * C channels over an
 H/2^(i-1) x W/2^(i-1) grid. A 7x7 convolution lifts the 3-channel masked
 image to C channels, strided 3x3 convolutions step down between encoder
-stages, and the decoder mirrors the path with nearest-neighbour upsampling,
-skip concatenation and a 1x1 fusion convolution that halves the channels
-again. Every block wraps gated linear attention and a gated feed-forward
-unit in residual connections.
+stages, and the decoder mirrors the path with a 3x3 convolution of the
+nearest-neighbour upsampled map, skip concatenation and a 1x1 fusion
+convolution that halves the channels again. Every block wraps gated linear
+attention and a gated feed-forward unit in residual connections.
 
 The feed-forward unit is one recorded op, like attention: its forward pass
 runs over blocks of hidden channels, so no full-width hidden map is ever
 built, and its hand-derived backward keeps only the depthwise outputs.
+
+Without a tape no full-resolution map outlives its last use: the up conv runs
+at the low resolution and each normalized map and skip map is freed once
+used. A tape gives the same values and keeps what the backward pass needs.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from .tensor import (
     gauss_cdf,
     gelu_slope,
     layer_norm_sites,
-    nearest_upsample2x,
+    matmul_add,
     recording,
     tanh,
+    upsample_conv2d,
 )
 
 __all__ = [
@@ -184,13 +189,20 @@ def _conv_params(rng: np.random.Generator, cout: int, cin: int, k: int,
 
 
 class ConvLayer(Module):
+    """A convolution with its weights; with ``upsample``, a 3x3 stride-1
+    padding-1 conv of x's nearest-neighbour 2x upsampling, run as
+    :func:`upsample_conv2d`."""
+
     def __init__(self, rng, cin: int, cout: int, k: int, stride: int, padding: int,
-                 name: str) -> None:
+                 name: str, upsample: bool = False) -> None:
         self.w, self.b = _conv_params(rng, cout, cin, k, name)
         self.stride = stride
         self.padding = padding
+        self.upsample = upsample
 
     def __call__(self, x: Tensor) -> Tensor:
+        if self.upsample:
+            return upsample_conv2d(x, self.w, self.b)
         return conv2d(x, self.w, self.b, self.stride, self.padding)
 
 
@@ -273,7 +285,6 @@ class FeedForward(Module):
         xp = _pad_grid(x.data)
         kept: list[np.ndarray] | None = [] if recording(inputs) else None
         out = np.empty((c, n))
-        part = np.empty((c, n)) if len(blocks) > 1 else None
         gate = np.empty((per_block, n))
         dw_out = np.empty((2 * per_block, h, w))
         for i, (h0, h1) in enumerate(blocks):
@@ -287,9 +298,10 @@ class FeedForward(Module):
             z = gauss_cdf(dg, out=gate[:m])
             z *= dg
             z *= bi
-            np.matmul(co_mat[:, h0:h1], z, out=part if i else out)
             if i:
-                out += part
+                matmul_add(co_mat[:, h0:h1], z, out)
+            else:
+                np.matmul(co_mat[:, h0:h1], z, out=out)
         out += co_b[:, None]
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
@@ -356,10 +368,10 @@ class TransformerBlock(Module):
         self.ffn = FeedForward(rng, FFNConfig(channels, cfg.ffn_expansion), f"{name}.ffn")
 
     def __call__(self, x: Tensor) -> Tensor:
-        pre = self.norm1(x) if self.use_norm else x
-        y = add(x, gated_attention(pre, self.proj, self.attn_cfg))
-        pre2 = self.norm2(y) if self.use_norm else y
-        return add(y, self.ffn(pre2))
+        # A normalized map is freed once its branch returns, unless a tape keeps it.
+        y = add(x, gated_attention(self.norm1(x) if self.use_norm else x,
+                                   self.proj, self.attn_cfg))
+        return add(y, self.ffn(self.norm2(y) if self.use_norm else y))
 
 
 class InpaintingUNet(Module):
@@ -391,7 +403,7 @@ class InpaintingUNet(Module):
         self.decoder: list[tuple[ConvLayer, ConvLayer, list[TransformerBlock]]] = []
         for idx, level in enumerate((3, 2, 1)):
             ch = c * 2 ** (level - 1)
-            up = ConvLayer(rng, 2 * ch, ch, 3, 1, 1, f"dec{level}.up")
+            up = ConvLayer(rng, 2 * ch, ch, 3, 1, 1, f"dec{level}.up", upsample=True)
             fuse = ConvLayer(rng, 2 * ch, ch, 1, 1, 0, f"dec{level}.fuse")
             self.decoder.append((up, fuse, blocks(4 + idx, ch, f"dec{level}")))
 
@@ -404,7 +416,8 @@ class InpaintingUNet(Module):
         if h % 8 != 0 or w % 8 != 0:
             raise ShapeError(f"spatial dims must be divisible by 8, got {h}x{w}")
 
-    def encoder_forward(self, im: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    def encoder_forward(self, im: Tensor) -> list[Tensor]:
+        """The outputs of encoder levels 1..4, in that order."""
         self._check_input(im)
         x = self.head(im)
         encs = []
@@ -414,15 +427,20 @@ class InpaintingUNet(Module):
             encs.append(x)
             if down is not None:
                 x = down(x)
-        return tuple(encs)
+        return encs
 
-    def decoder_forward(self, encs, with_features: bool = False):
+    def decoder_forward(self, encs: list[Tensor], with_features: bool = False):
+        """The prediction from :meth:`encoder_forward`'s list, which this
+        consumes: each map is popped when it is used, so without a tape a skip
+        map is freed once concatenated. With ``with_features``, also the map
+        shapes after each up conv and after each level's blocks."""
         features: dict[str, tuple[int, ...]] = {}
-        x = encs[3]
+        x = encs.pop()
         for level, (up, fuse, stage) in zip((3, 2, 1), self.decoder):
-            x = up(nearest_upsample2x(x))
+            x = up(x)
             features[f"D{level}"] = x.shape
-            x = fuse(concat_channels(x, encs[level - 1]))
+            x = concat_channels(x, encs.pop())
+            x = fuse(x)
             for block in stage:
                 x = block(x)
             features[f"D{level}_blocks"] = x.shape

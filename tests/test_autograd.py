@@ -3,6 +3,7 @@ import pytest
 
 from linpaint.autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from linpaint.tensor import (
+    NonFiniteError,
     ShapeError,
     Tensor,
     absolute,
@@ -31,6 +32,7 @@ from linpaint.tensor import (
     sum_axis,
     tanh,
     transpose,
+    upsample_conv2d,
 )
 
 
@@ -222,6 +224,26 @@ def test_adamw_in_place_matches_formula():
         assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
 
 
+def test_adamw_non_finite_gradient_names_parameter_and_updates_nothing():
+    rng = make_rng(5)
+    params = [Parameter(rng.normal(size=(3, 3)), name="enc1.block0.attn.wq.w"),
+              Parameter(rng.normal(size=(3,)), name="enc1.block0.attn.wq.b")]
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    adamw_step(params, lr=0.01)
+    for p in params:
+        p.grad = rng.normal(size=p.shape)
+    params[1].grad[2] = np.nan
+    before = [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count)
+              for p in params]
+    with pytest.raises(NonFiniteError, match=r"enc1\.block0\.attn\.wq\.b"):
+        adamw_step(params, lr=0.01, weight_decay=0.1)
+    for p, (data, m, v, steps) in zip(params, before):
+        assert np.array_equal(p.data, data)
+        assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
+        assert p.step_count == steps
+
+
 def test_zero_grads():
     p = Parameter(np.ones(2))
     p.grad = np.ones(2)
@@ -336,6 +358,15 @@ def test_grad_upsample():
     x = Parameter(rng.normal(size=(2, 3, 3)))
     r = Tensor(rng.normal(size=(2, 6, 6)))
     _check(lambda: sum_all(hadamard(nearest_upsample2x(x), r)), [x])
+
+
+def test_grad_upsample_conv2d():
+    rng = make_rng(26)
+    x = Parameter(rng.normal(size=(3, 3, 5)))
+    w = Parameter(rng.normal(size=(2, 3, 3, 3)))
+    b = Parameter(rng.normal(size=(2,)))
+    r = Tensor(rng.normal(size=(2, 6, 10)))
+    _check(lambda: sum_all(hadamard(upsample_conv2d(x, w, b), r)), [x, w, b])
 
 
 def test_grad_pointwise():

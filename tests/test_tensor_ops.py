@@ -29,6 +29,7 @@ from linpaint.tensor import (
     sum_all,
     sum_axis,
     transpose,
+    upsample_conv2d,
 )
 
 
@@ -439,6 +440,32 @@ def test_upsample_preserves_channel_mean_exactly():
         assert np.array_equal(np.sort(up[c].ravel()),
                               np.sort(np.repeat(x[c].ravel(), 4)))
     assert np.allclose(up.mean(axis=(1, 2)), x.mean(axis=(1, 2)), rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# upsample_conv2d
+
+
+@pytest.mark.parametrize("cin", [1, 3, 37])
+@pytest.mark.parametrize("cout", [1, 5])
+def test_upsample_conv2d_matches_conv_of_upsampled_map(cin, cout):
+    # 37 input channels run as several channel blocks of the phase conv.
+    rng = make_rng(400 + 10 * cin + cout)
+    x = Tensor(rng.normal(size=(cin, 5, 7)))
+    w = Tensor(rng.normal(size=(cout, cin, 3, 3)))
+    b = Tensor(rng.normal(size=cout))
+    got = upsample_conv2d(x, w, b).data
+    want = conv2d(nearest_upsample2x(x), w, b, 1, 1).data
+    assert got.shape == (cout, 10, 14)
+    assert _rel_err(got, want) <= 1e-12
+
+
+def test_upsample_conv2d_rejects_other_kernels():
+    x = Tensor(np.zeros((2, 3, 3)))
+    with pytest.raises(ShapeError):
+        upsample_conv2d(x, Tensor(np.zeros((4, 2, 5, 5))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        upsample_conv2d(x, Tensor(np.zeros((4, 2, 3, 3))), Tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
