@@ -3,9 +3,10 @@
 The linear form rests on two steps: replace exp(x) by its first-order
 expansion 1 + x (accurate because query/key rows are unit-normalized, keeping
 the inner products near zero), then reorder (Q K^T) V into Q (K^T V) so the
-cost drops from O(N^2 C) to O(N C^2). No N x N array is ever built here; the
-quadratic reference that does build it lives in
-:func:`taylor_attention_quadratic` and exists for benchmarking only.
+cost drops from O(N^2 C) to O(N C^2). No N x N array is ever built here
+except by :func:`taylor_attention_quadratic`, the same map evaluated the
+quadratic way: the oracle the linear form is checked against and the
+baseline it is timed against; the model never runs it.
 
 The model runs the map channel-major: a C x H x W map is a C x N matrix under
 a free reshape, and one product with the stacked [wq; wk; wv] gives q/k/v as
@@ -97,7 +98,8 @@ class AttentionConfig:
 
 @dataclass
 class ProjectionSet(Module):
-    """The five 1x1-convolution weight/bias pairs of one attention layer."""
+    """The 1x1-convolution weight/bias pairs of one attention layer: q, k, v,
+    the gate (None unless ``gated``) and the output."""
 
     wq: Parameter
     bq: Parameter
@@ -105,14 +107,14 @@ class ProjectionSet(Module):
     bk: Parameter
     wv: Parameter
     bv: Parameter
-    w_gate: Parameter
-    b_gate: Parameter
+    w_gate: Parameter | None
+    b_gate: Parameter | None
     w_out: Parameter
     b_out: Parameter
 
     @classmethod
     def init(cls, channels: int, rng: np.random.Generator, prefix: str = "attn",
-             out_gain: float = 1.0) -> "ProjectionSet":
+             out_gain: float = 1.0, gated: bool = True) -> "ProjectionSet":
         std = math.sqrt(1.0 / channels)
 
         def conv_pair(tag: str, gain: float = 1.0) -> tuple[Parameter, Parameter]:
@@ -124,7 +126,7 @@ class ProjectionSet(Module):
         wq, bq = conv_pair("wq")
         wk, bk = conv_pair("wk")
         wv, bv = conv_pair("wv")
-        wg, bg = conv_pair("w_gate")
+        wg, bg = conv_pair("w_gate") if gated else (None, None)
         wo, bo = conv_pair("w_out", gain=out_gain)
         return cls(wq, bq, wk, bk, wv, bv, wg, bg, wo, bo)
 
@@ -263,7 +265,7 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 
     Materializes the pairwise weights (in row chunks so large N stays within
     memory) and is deliberately kept forward-only plain numpy: it is the
-    benchmarking counterweight, not part of the model.
+    oracle and the benchmarking counterweight, not part of the model.
     """
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")

@@ -102,7 +102,8 @@ def _block_lines(prefix: str, c: int, heads: int, n: int,
     use_norm = config.norm == "layer"
     if use_norm:
         lines.append(CostLine(f"{prefix}.norm1", 2 * c, 0))
-    for tag in ("wq", "wk", "wv", "w_gate", "w_out"):
+    gate = ("w_gate",) if config.gated else ()
+    for tag in ("wq", "wk", "wv", *gate, "w_out"):
         lines.append(CostLine(f"{prefix}.attn.{tag}", c * c + c, conv_macs(c, c, 1, 1, n)))
     d = c // heads
     lines.append(CostLine(f"{prefix}.attn.core", 0, heads * linear_attention_macs(n, d)))

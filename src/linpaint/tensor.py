@@ -31,10 +31,7 @@ __all__ = [
     "matmul",
     "transpose",
     "softmax_rows",
-    "l2_normalize",
     "conv2d",
-    "depthwise_conv2d",
-    "nearest_upsample2x",
     "upsample_conv2d",
     "gelu",
     "tanh",
@@ -50,9 +47,6 @@ __all__ = [
     "reshape",
     "sum_all",
     "mean_all",
-    "sum_axis",
-    "div_broadcast",
-    "guard_denominator",
     "layer_norm_sites",
 ]
 
@@ -278,18 +272,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Scale each 1-D slice along ``axis`` to unit L2 norm; slices with norm < eps
-    become all zeros."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    normed, saved = unit_slices(a.data, axis, eps)
-    out = _finish(normed, "l2_normalize")
-    _record(out, (a, lambda g: unit_slices_back(a.data, saved, g, np.empty(a.shape),
-                                                np.empty(a.shape))))
-    return out
-
-
 def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     """sum(a * b) along ``axis``, kept with size 1, with no product temporary."""
     ix = "abcdefgh"[:a.ndim]
@@ -299,8 +281,8 @@ def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
 
 def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12,
                 out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """The numpy kernel of :func:`l2_normalize`: ``a`` with each slice along
-    ``axis`` scaled to unit norm, written to ``out`` if given (which may be
+    """``a`` with each slice along ``axis`` scaled to unit L2 norm (slices
+    with norm < eps become zeros), written to ``out`` if given (which may be
     ``a``), and what :func:`unit_slices_back` needs."""
     norms = np.sqrt(_inner(a, a, axis))
     live = norms >= eps
@@ -342,7 +324,7 @@ def matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 #
 # No convolution builds the k*k-times-larger column matrix of its whole input:
 # dense convs multiply channel blocks of columns no larger than the padded
-# input, depthwise convs sum scaled strided slices of the flattened padded
+# input, the depthwise kernel sums scaled slices of the flattened padded
 # input, and a backward closure keeps only the padded input, rebuilding each
 # block when it needs it.
 
@@ -454,51 +436,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     return out
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
-                     padding: int = 0) -> Tensor:
-    """Per-channel convolution: output channel c depends only on input channel c.
-
-    x is C x H x W, w is C x k x k, bias is C.
-    """
-    _require(x.data.ndim == 3, f"depthwise input must be CxHxW, got {x.shape}")
-    _require(w.data.ndim == 3 and w.shape[1] == w.shape[2],
-             f"depthwise kernel must be Cxkxk, got {w.shape}")
-    _require(w.shape[0] == x.shape[0],
-             f"depthwise channel mismatch: input {x.shape} vs kernel {w.shape}")
-    _require(bias.data.ndim == 1 and bias.shape[0] == x.shape[0],
-             f"depthwise bias must have {x.shape[0]} entries, got {bias.shape}")
-    if stride < 1 or padding < 0:
-        raise ValueError(f"bad stride/padding: {stride}, {padding}")
-
-    c, h, wd = x.shape
-    ho, wo = _conv_out_size(h, wd, w.shape[1], stride, padding)
-    xp = _pad_hw(x.data, padding)
-    out_data = np.empty((c, ho, wo))
-    depthwise_taps(xp, w.data, bias.data, stride, out_data)
-
-    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
-        dxp, dw = depthwise_taps_back(g, w.data, stride, xp)
-        return _crop_hw(dxp, padding), dw, g.reshape(c, ho * wo).sum(axis=1)
-
-    return fused_op(out_data, "depthwise_conv2d", (x, w, bias), vjp)
-
-
-def _depthwise_plan(shape: tuple[int, int, int], k: int, stride: int):
+def _depthwise_plan(shape: tuple[int, int, int], k: int):
     """Output size, wide length, per-tap flat slices and channel blocks of a
-    depthwise conv over a padded C x Hp x Wp map.
+    stride-1 depthwise conv over a padded C x Hp x Wp map.
 
     Output (i, j) is element i*Wp + j of a channel's "wide" row of
     n = (ho - 1)*Wp + wo elements, and tap (ki, kj) reads the flattened padded
-    map at ki*Wp + kj + stride*(i*Wp + j): one strided slice per tap, so each
-    tap is one long inner loop per channel. Wide elements with j >= wo hold
+    map at ki*Wp + kj + i*Wp + j: one contiguous slice per tap, so each tap
+    is one long inner loop per channel. Wide elements with j >= wo hold
     products of the next row's inputs and are never read back. A block holds
     about ``_DEPTHWISE_BLOCK`` wide elements (at least one channel).
     """
     c, hp, wp = shape
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    ho, wo = hp - k + 1, wp - k + 1
     n = (ho - 1) * wp + wo
-    span = stride * (n - 1) + 1
-    taps = [(ki, kj, slice(ki * wp + kj, ki * wp + kj + span, stride))
+    taps = [(ki, kj, slice(ki * wp + kj, ki * wp + kj + n))
             for ki in range(k) for kj in range(k)]
     per_block = min(c, max(1, _DEPTHWISE_BLOCK // n))
     blocks = [slice(c0, min(c, c0 + per_block)) for c0 in range(0, c, per_block)]
@@ -512,16 +464,17 @@ def _unwiden(wide: np.ndarray, ho: int, wo: int, wp: int) -> np.ndarray:
         wide, (wide.shape[0], ho, wo), (wide.shape[1] * s, wp * s, s), writeable=True)
 
 
-def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
+def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
                    out: np.ndarray) -> None:
-    """Write the depthwise conv of the padded, C-contiguous C x Hp x Wp map
-    ``xp`` with C x k x k kernels ``w`` and bias ``b`` to ``out`` (C x ho x wo).
+    """Write the stride-1 depthwise conv of the padded, C-contiguous
+    C x Hp x Wp map ``xp`` with C x k x k kernels ``w`` and bias ``b`` to
+    ``out`` (C x ho x wo).
 
     Each element sums its taps in (ki, kj) order, then adds the bias, however
     the channels are blocked.
     """
     c, hp, wp = xp.shape
-    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1], stride)
+    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1])
     flat = xp.reshape(c, hp * wp)
     wide = np.empty((blocks[0].stop, n))
     tmp = np.empty(wide.shape)
@@ -535,7 +488,7 @@ def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
         np.add(_unwiden(acc, ho, wo, wp), b[cb, None, None], out=out[cb])
 
 
-def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
+def depthwise_taps_back(g: np.ndarray, w: np.ndarray,
                         xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of the padded input ``xp`` and of ``w`` for the gradient
     ``g`` of :func:`depthwise_taps`'s output.
@@ -544,7 +497,7 @@ def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
     run over the same slices as the forward pass.
     """
     c, hp, wp = xp.shape
-    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1], stride)
+    ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1])
     flat = xp.reshape(c, hp * wp)
     dxp = np.zeros((c, hp * wp))
     dw = np.empty(w.shape)
@@ -561,23 +514,14 @@ def depthwise_taps_back(g: np.ndarray, w: np.ndarray, stride: int,
     return dxp.reshape(xp.shape), dw
 
 
-def nearest_upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling: out[c,i,j] = x[c, i//2, j//2]."""
-    _require(x.data.ndim == 3, f"nearest_upsample2x needs CxHxW, got {x.shape}")
-    c, h, w = x.shape
-    out = _finish(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), "nearest_upsample2x")
-    _record(out, (x, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
-    return out
-
-
 # Row 2a + i: tap i of phase a's 2-tap kernel along one axis, as a sum of a
 # 3x3 kernel's taps: [w0, w1 + w2] for phase 0, [w0 + w1, w2] for phase 1.
 _UP_FOLD = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def upsample_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """``conv2d(nearest_upsample2x(x), w, bias, 1, 1)`` for a 3x3 kernel, at x's
-    resolution and with 4/9 of the multiply-adds.
+    """The 3x3 stride-1 padding-1 conv of x's nearest-neighbour 2x upsampling,
+    computed at x's resolution with 4/9 of the multiply-adds.
 
     Output pixel (2i + a, 2j + b) reads only x's rows i - 1 + a, i + a and
     columns j - 1 + b, j + b: it is a 2x2 conv of x padded by one whose taps
@@ -750,38 +694,6 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.size
     out = _finish(np.asarray(a.data.mean()), "mean_all")
     _record(out, (a, lambda g: np.full(a.shape, float(g) / n)))
-    return out
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    """Totals along one axis, which is kept with size 1."""
-    out = _finish(a.data.sum(axis=axis, keepdims=True), "sum_axis")
-    _record(out, (a, lambda g: np.broadcast_to(g, a.shape).copy()))
-    return out
-
-
-def div_broadcast(a: Tensor, d: Tensor) -> Tensor:
-    """a / d, where d has a's rank and each axis of d matches a's or has size 1."""
-    _require(d.data.ndim == a.data.ndim and all(m in (1, n) for m, n in zip(d.shape, a.shape)),
-             f"div_broadcast cannot broadcast denominator {d.shape} to {a.shape}")
-    axes = tuple(i for i, (m, n) in enumerate(zip(d.shape, a.shape)) if m != n)
-    out = _finish(a.data / d.data, "div_broadcast")
-    _record(out, (a, lambda g: g / d.data),
-            (d, lambda g: -(g * a.data).sum(axis=axes, keepdims=True) / d.data**2))
-    return out
-
-
-def guard_denominator(d: Tensor, eps: float) -> Tensor:
-    """Clamp entries with |d| < eps to sign(d)*eps, with sign(0) = +1.
-
-    Gradient passes through unclamped entries and is zero on clamped ones.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    live = np.abs(d.data) >= eps
-    signs = np.where(d.data >= 0, 1.0, -1.0)
-    out = _finish(np.where(live, d.data, signs * eps), "guard_denominator")
-    _record(out, (d, lambda g: np.where(live, g, 0.0)))
     return out
 
 

@@ -292,7 +292,7 @@ class FeedForward(Module):
             if kept is not None:
                 dw_out = np.empty((2 * m, h, w))
                 kept.append(dw_out)
-            depthwise_taps(depthwise_input(xp, h0, h1), *depthwise_params(h0, h1), 1,
+            depthwise_taps(depthwise_input(xp, h0, h1), *depthwise_params(h0, h1),
                            dw_out[:2 * m])
             bi, dg = dw_out[:m].reshape(m, n), dw_out[m:2 * m].reshape(m, n)
             z = gauss_cdf(dg, out=gate[:m])
@@ -326,7 +326,7 @@ class FeedForward(Module):
                 del phi, act, dz
                 d_dw_b[:, h0:h1] = g_dw.reshape(2, m, n).sum(axis=2)
                 pre = depthwise_input(xp, h0, h1)
-                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], 1, pre)
+                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], pre)
                 d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)
                 # The zeroed ring is a constant: only the interior has a gradient.
                 d_pre = np.ascontiguousarray(d_pre[:, 1:-1, 1:-1]).reshape(2 * m, n)
@@ -362,7 +362,8 @@ class TransformerBlock(Module):
         if self.use_norm:
             self.norm1 = ChannelNorm(rng, channels, f"{name}.norm1")
         self.proj = ProjectionSet.init(channels, rng, prefix=f"{name}.attn",
-                                       out_gain=FeedForward.RESIDUAL_OUT_GAIN)
+                                       out_gain=FeedForward.RESIDUAL_OUT_GAIN,
+                                       gated=cfg.gated)
         if self.use_norm:
             self.norm2 = ChannelNorm(rng, channels, f"{name}.norm2")
         self.ffn = FeedForward(rng, FFNConfig(channels, cfg.ffn_expansion), f"{name}.ffn")
@@ -429,25 +430,18 @@ class InpaintingUNet(Module):
                 x = down(x)
         return encs
 
-    def decoder_forward(self, encs: list[Tensor], with_features: bool = False):
+    def decoder_forward(self, encs: list[Tensor]) -> Tensor:
         """The prediction from :meth:`encoder_forward`'s list, which this
         consumes: each map is popped when it is used, so without a tape a skip
-        map is freed once concatenated. With ``with_features``, also the map
-        shapes after each up conv and after each level's blocks."""
-        features: dict[str, tuple[int, ...]] = {}
+        map is freed once concatenated."""
         x = encs.pop()
-        for level, (up, fuse, stage) in zip((3, 2, 1), self.decoder):
+        for up, fuse, stage in self.decoder:
             x = up(x)
-            features[f"D{level}"] = x.shape
             x = concat_channels(x, encs.pop())
             x = fuse(x)
             for block in stage:
                 x = block(x)
-            features[f"D{level}_blocks"] = x.shape
-        out = tanh(self.tail(x))
-        if with_features:
-            return out, features
-        return out
+        return tanh(self.tail(x))
 
     def forward(self, im: Tensor) -> Tensor:
         """The network's prediction in [-1, 1] for every pixel.

@@ -92,6 +92,27 @@ def forge_checkpoint(path: str, pattern: bytes, replacement: bytes) -> None:
         fh.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
 
 
+def decode_with_up_shapes(model, encs):
+    """``model.decoder_forward(encs)`` and the shape of each decoder level's up
+    conv output (D3, D2, D1, in that order)."""
+    shapes = []
+
+    def watched(up):
+        def call(x):
+            y = up(x)
+            shapes.append(y.shape)
+            return y
+        return call
+
+    levels = model.decoder
+    model.decoder = [(watched(up), fuse, stage) for up, fuse, stage in levels]
+    try:
+        out = model.decoder_forward(encs)
+    finally:
+        model.decoder = levels
+    return out, shapes
+
+
 @pytest.fixture
 def created_parameters(monkeypatch):
     """Every Parameter constructed while the test runs, in creation order."""

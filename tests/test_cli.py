@@ -228,10 +228,17 @@ def test_gradcheck_ops_scope(capsys):
     assert rc == 0
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
     assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
-    for name in ("matmul_batched", "transpose_batched", "l2_normalize_batched",
+    for name in ("matmul_batched", "transpose_batched",
                  "multi_head_attention", "feed_forward"):
         assert f"op {name}:" in out
     assert out.strip().splitlines()[-1].startswith("op feed_forward:")
+    # One unit per op that the library runs, and no other.
+    units = [line.split(":")[0].removeprefix("op ") for line in out.strip().splitlines()]
+    assert units == [
+        "matmul", "transpose", "softmax_rows", "conv2d", "conv2d_1x1", "conv2d_k4s2",
+        "gelu", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
+        "matmul_batched", "transpose_batched", "multi_head_attention",
+        "upsample_conv2d", "feed_forward"]
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):
@@ -382,6 +389,21 @@ def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement)
                "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
     assert rc == 2
     assert "bad checkpoint header" in capsys.readouterr().err
+
+
+def test_inpaint_rejects_ungated_checkpoint_with_gate_weights(tmp_path, capsys):
+    # Ungated models used to store the unused gate projection too: at C=4
+    # that layout has 93439 parameters, the gated model's count, where an
+    # ungated model now has 87255.
+    img_path, mask_path = _write_pair(tmp_path, seed=17)
+    ckpt_path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(ModelConfig(base_channels=4), make_rng(18)), ckpt_path)
+    forge_checkpoint(ckpt_path, rb"gated=true", b"gated=false")
+    rc = main(["inpaint", "--checkpoint", ckpt_path, "--image", img_path,
+               "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad checkpoint header" in err and "93439" in err
 
 
 # A hidden width of base_channels * 8 * ffn_expansion beyond float range

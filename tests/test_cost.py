@@ -77,6 +77,13 @@ def test_analytic_count_equals_census(config):
     assert analytic_param_count(config) == count_params(model)
 
 
+def test_ungated_model_has_no_gate_parameters():
+    config = ModelConfig(base_channels=4, gated=False)
+    model = InpaintingUNet(config, make_rng(2))
+    assert not [p.name for p in model.parameters() if ".w_gate." in p.name]
+    assert analytic_param_count(config) == count_params(model) == 87255
+
+
 def test_params_independent_of_resolution():
     config = cfg()
     assert cost_report(config, 16, 16).total_params == cost_report(config, 64, 64).total_params

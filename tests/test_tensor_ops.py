@@ -1,7 +1,16 @@
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_ops import (
+    depthwise_conv2d,
+    div_broadcast,
+    l2_normalize,
+    nearest_upsample2x,
+    sum_axis,
+)
 
 from linpaint import tensor as T
 from linpaint.autograd import Parameter, zero_grads
@@ -14,20 +23,15 @@ from linpaint.tensor import (
     absolute,
     concat_channels,
     conv2d,
-    depthwise_conv2d,
     gelu,
     hadamard,
-    div_broadcast,
-    l2_normalize,
     make_rng,
     matmul,
-    nearest_upsample2x,
     reshape,
     scale,
     softmax_rows,
     sub,
     sum_all,
-    sum_axis,
     transpose,
     upsample_conv2d,
 )
@@ -35,6 +39,14 @@ from linpaint.tensor import (
 
 def arr(t):
     return t.data
+
+
+def test_every_public_name_is_used_by_another_module():
+    # The package holds only what it runs: a tensor op that only tests call
+    # belongs in tests/reference_ops.py.
+    package = Path(T.__file__).parent
+    others = "\n".join(p.read_text() for p in package.glob("*.py") if p.name != "tensor.py")
+    assert [name for name in T.__all__ if not re.search(rf"\b{name}\b", others)] == []
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +331,15 @@ def test_depthwise_matches_nested_loop_oracle(k, stride, padding):
 def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padding):
     # Blocks of one channel, of two with a ragged last block, and one block of
     # all seven sum each element's taps in the same order. A channel's wide
-    # row holds (ho - 1) * (W + 2 * padding) + wo elements.
+    # row holds (ho - 1) * (W + 2 * padding) + wo elements, ho x wo being the
+    # size of the stride-1 map that the kernel computes at every stride.
     rng = make_rng(300 + k + stride)
     x = Parameter(rng.normal(size=(7, 10, 9)))
     w = Parameter(rng.normal(size=(7, k, k)))
     b = Parameter(rng.normal(size=7))
     runs = []
     for channels in (1, 2, 7):
-        ho, wo = depthwise_conv2d(x, w, b, stride, padding).shape[1:]
+        ho, wo = depthwise_conv2d(x, w, b, 1, padding).shape[1:]
         monkeypatch.setattr(T, "_DEPTHWISE_BLOCK",
                             channels * ((ho - 1) * (9 + 2 * padding) + wo))
         with Tape() as tape:
@@ -341,12 +354,13 @@ def test_depthwise_channel_blocks_are_bit_identical(monkeypatch, k, stride, padd
 @pytest.mark.parametrize("stride", [1, 2])
 def test_depthwise_many_channel_blocks_match_oracle(monkeypatch, stride):
     # A block of two channels' wide rows runs nine channels as four blocks of
-    # two and a ragged last block of one.
+    # two and a ragged last block of one. The kernel computes the stride-1
+    # map, 10 x 13, at every stride.
     rng = make_rng(350 + stride)
     x = rng.normal(size=(9, 10, 13))
     w = rng.normal(size=(9, 3, 3))
     b = rng.normal(size=9)
-    ho, wo = (10 - 1) // stride + 1, (13 - 1) // stride + 1
+    ho, wo = 10, 13
     monkeypatch.setattr(T, "_DEPTHWISE_BLOCK", 2 * ((ho - 1) * 15 + wo))
     got = depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=1).data
     want = np.concatenate([reference_conv2d(x[c:c + 1], w[c][None, None], b[c:c + 1],

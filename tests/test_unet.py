@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import forge_checkpoint
+from conftest import decode_with_up_shapes, forge_checkpoint
+from reference_ops import depthwise_conv2d
 
 import linpaint.unet as U
 from linpaint.cli import paste_known_pixels
@@ -12,7 +13,6 @@ from linpaint.tensor import (
     ShapeError,
     Tensor,
     conv2d,
-    depthwise_conv2d,
     gelu,
     hadamard,
     make_rng,
@@ -197,10 +197,10 @@ def test_encoder_bottom_level_shape_rule():
 def test_decoder_fusion_channels():
     model = InpaintingUNet(tiny_config(base_channels=4), make_rng(10))
     encs = model.encoder_forward(Tensor(np.zeros((3, 32, 32))))
-    out, feats = model.decoder_forward(encs, with_features=True)
-    assert feats["D3"] == (16, 8, 8)      # 4C at H/4 before fusion
-    assert feats["D2"] == (8, 16, 16)
-    assert feats["D1"] == (4, 32, 32)
+    out, (d3, d2, d1) = decode_with_up_shapes(model, encs)
+    assert d3 == (16, 8, 8)      # 4C at H/4 before fusion
+    assert d2 == (8, 16, 16)
+    assert d1 == (4, 32, 32)
     assert out.shape == (3, 32, 32)
 
 
@@ -261,10 +261,10 @@ def test_shape_law_random_configs():
         encs = model.encoder_forward(Tensor(np.zeros((3, h, w))))
         for i, e in enumerate(encs, start=1):
             assert e.shape == (c * 2 ** (i - 1), h // 2 ** (i - 1), w // 2 ** (i - 1))
-        out, feats = model.decoder_forward(encs, with_features=True)
-        for level in (3, 2, 1):
-            assert feats[f"D{level}"] == (c * 2 ** (level - 1), h // 2 ** (level - 1),
-                                          w // 2 ** (level - 1))
+        out, shapes = decode_with_up_shapes(model, encs)
+        for level, shape in zip((3, 2, 1), shapes, strict=True):
+            assert shape == (c * 2 ** (level - 1), h // 2 ** (level - 1),
+                             w // 2 ** (level - 1))
         assert out.shape == (3, h, w)
 
 
