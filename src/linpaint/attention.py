@@ -61,14 +61,14 @@ TAYLOR_MODES = ("sum", "residual", "none")
 
 @dataclass
 class AttentionConfig:
-    """Knobs for one attention layer.
+    """The settings of one attention layer.
 
     taylor_mode picks the numerator's constant term: ``residual`` keeps the
     per-row value (the default; its removal is the "no value shortcut"
     ablation via ``none``), ``sum`` uses the value column totals. ``gated``
-    switches the learned GELU gate on the attention output. ``divide``
-    selects whether the linearized weights are normalized by their row sum;
-    both variants are exposed because they differ only by the denominator.
+    switches the learned GELU gate on the attention output. q and k are
+    always unit-normalized per head and the weights always divided by their
+    row sum, clamped away from zero by ``eps``.
     """
 
     channels: int
@@ -76,8 +76,6 @@ class AttentionConfig:
     taylor_mode: str = "residual"
     gated: bool = True
     eps: float = 1e-6
-    normalize_qk: bool = True
-    divide: bool = True
 
     def validate(self) -> None:
         if self.channels < 1:
@@ -155,29 +153,28 @@ def vanilla_attention(q: Tensor, k: Tensor, v: Tensor,
 
 def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
                             mode: str = "residual", eps: float = 1e-6,
-                            normalize_qk: bool = True,
-                            divide: bool = True) -> Tensor:
+                            normalize_qk: bool = True) -> Tensor:
     """Linearized attention in O(N C^2) time and O(N C + C^2) space.
 
-    With qb, kb the (optionally row-normalized) queries and keys, the row
-    weights are 1 + qb_i . kb_j. Grouping the value side first gives
-    M = kb^T v (C x C) and column totals s = sum_j kb_j, so each output row
-    costs O(C^2):
+    With qb, kb the row-normalized queries and keys, the row weights are
+    1 + qb_i . kb_j. Grouping the value side first gives M = kb^T v (C x C)
+    and column totals s = sum_j kb_j, so each output row costs O(C^2):
 
         numerator_i = v_i + qb_i M      (mode "residual")
                       sum_j v_j + qb_i M  (mode "sum")
                       qb_i M            (mode "none", the plain kernel family)
         denominator_i = N + qb_i . s    (clamped away from zero by eps)
 
-    ``divide=False`` returns the bare numerator. This N x C form is the
-    one-head case of the channel-major core :func:`multi_head_attention` runs.
+    and the output row is their quotient. ``normalize_qk=False`` (the Taylor-
+    limit study) skips the normalization. This N x C form is the one-head
+    case of the channel-major core :func:`multi_head_attention` runs.
     """
     n, c = _check_qkv(q, k, v)
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
 
     qkv = np.stack([t.data.T for t in (q, k, v)])[:, None]       # 3 x 1 x C x N
-    out, back = _taylor_core(qkv, mode, eps, normalize_qk, divide)
+    out, back = _taylor_core(qkv, mode, eps, normalize_qk)
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
         dqkv = np.empty(qkv.shape)
@@ -187,11 +184,12 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
     return fused_op(out[0].T, "taylor_linear_attention", (q, k, v), vjp)
 
 
-def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool,
-                 divide: bool, keep: bool = True
+def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = True,
+                 keep: bool = True
                  ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """The linear map on a (3, heads, d, N) q/k/v stack, each head's tokens as
     columns, in plain numpy: every step is one batched op over all heads.
+    q and k are normalized over d unless ``normalize_qk`` is False.
 
     Returns the (heads, d, N) output and ``back(g, dqkv)``, which writes the
     gradients of q, k and v for the output gradient ``g`` into ``dqkv``.
@@ -212,30 +210,25 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool,
     elif mode == "sum":
         out += v.sum(axis=2, keepdims=True)
 
-    if divide:
-        k_sum = kb.sum(axis=2, keepdims=True)           # heads x d x 1
-        denom = _swap(k_sum) @ qb                       # heads x 1 x N
-        denom += n
-        live = np.abs(denom) >= eps
-        denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
-        out /= denom
+    k_sum = kb.sum(axis=2, keepdims=True)               # heads x d x 1
+    denom = _swap(k_sum) @ qb                           # heads x 1 x N
+    denom += n
+    live = np.abs(denom) >= eps
+    denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
+    out /= denom
 
     def back(g: np.ndarray, dqkv: np.ndarray) -> None:
         dq, dk, dv = dqkv
         heads, d = q.shape[:2]
-        if divide:
-            # The numerator's and the denominator's gradients, stacked so that
-            # one product [m^T | s] [g_num; g_den] gives both terms of dq.
-            # d out / d denom = -out / denom, and 0 where the guard clamped.
-            g_both = np.empty((heads, d + 1, n))
-            g_num = np.divide(g, denom, out=g_both[:, :d])
-            g_den = g_both[:, d:]
-            dot = np.einsum("hdn,hdn->hn", g, out)[:, None]
-            np.copyto(g_den, np.where(live, -dot / denom, 0.0))
-            np.matmul(np.concatenate([_swap(m), k_sum], axis=2), g_both, out=dq)
-        else:
-            g_num = g
-            np.matmul(_swap(m), g_num, out=dq)
+        # The numerator's and the denominator's gradients, stacked so that
+        # one product [m^T | s] [g_num; g_den] gives both terms of dq.
+        # d out / d denom = -out / denom, and 0 where the guard clamped.
+        g_both = np.empty((heads, d + 1, n))
+        g_num = np.divide(g, denom, out=g_both[:, :d])
+        g_den = g_both[:, d:]
+        dot = np.einsum("hdn,hdn->hn", g, out)[:, None]
+        np.copyto(g_den, np.where(live, -dot / denom, 0.0))
+        np.matmul(np.concatenate([_swap(m), k_sum], axis=2), g_both, out=dq)
         g_m = g_num @ _swap(qb)                         # heads x d x d
         np.matmul(g_m, kb, out=dv)
         np.matmul(_swap(g_m), v, out=dk)
@@ -243,8 +236,7 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool,
             dv += g_num
         elif mode == "sum":
             dv += g_num.sum(axis=2, keepdims=True)
-        if divide:
-            dk += qb @ _swap(g_den)
+        dk += qb @ _swap(g_den)
         if normalize_qk:
             scratch = np.empty(q.shape)
             unit_slices_back(q, q_norm, dq, dq, scratch)
@@ -259,7 +251,7 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                                mode: str = "residual", eps: float = 1e-6,
-                               normalize_qk: bool = True, divide: bool = True,
+                               normalize_qk: bool = True,
                                row_chunk: int = 256) -> np.ndarray:
     """Same map as :func:`taylor_linear_attention`, evaluated the O(N^2 C) way.
 
@@ -288,12 +280,10 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             num = num + v[lo:hi]
         elif mode == "sum":
             num = num + v_total
-        if divide:
-            denom = n + weights.sum(axis=1, keepdims=True)
-            clamped = np.abs(denom) < eps
-            denom = np.where(clamped, np.where(denom >= 0, eps, -eps), denom)
-            num = num / denom
-        out[lo:hi] = num
+        denom = n + weights.sum(axis=1, keepdims=True)
+        clamped = np.abs(denom) < eps
+        denom = np.where(clamped, np.where(denom >= 0, eps, -eps), denom)
+        out[lo:hi] = num / denom
     return out
 
 
@@ -317,8 +307,7 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     qkv = w_qkv @ x_mat
     qkv += np.concatenate([p.data for p in inputs[2::2]])[:, None]
     stack = qkv.reshape(3, cfg.heads, cfg.head_dim, n)
-    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, cfg.normalize_qk, cfg.divide,
-                             keep=recording(inputs))
+    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, keep=recording(inputs))
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
         d_qkv = np.empty(stack.shape)

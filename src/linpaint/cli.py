@@ -472,7 +472,7 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
          lambda: sum_all(hadamard(layer_norm_sites(xn, gamma, beta), r_ln)),
          [xn, gamma, beta])
 
-    # Rank-3 stacks with a leading batch axis, as multi-head attention uses them.
+    # Rank-3 batched stacks, as the tests' composed multi-head reference uses them.
     sa = Parameter(rng.normal(size=(2, 3, 4)))
     sb = Parameter(rng.normal(size=(2, 4, 5)))
     r_sab = Tensor(rng.normal(size=(2, 3, 5)))
@@ -490,9 +490,9 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
          [xa, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv])
 
     # The fused feed-forward op: x and all ten parameters.
-    from .unet import FeedForward, FFNConfig
+    from .unet import FeedForward
     xf = Parameter(rng.normal(size=(4, 5, 5)))
-    ffn = FeedForward(rng, FFNConfig(4), "ffn")
+    ffn = FeedForward(rng, 4, ModelConfig().ffn_hidden(4), "ffn")
     r_xf = Tensor(rng.normal(size=(4, 5, 5)))
     # Drawn last, so the other units' inputs are unchanged.
     r_up = Tensor(rng.normal(size=(3, 10, 10)))

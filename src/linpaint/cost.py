@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .unet import FFNConfig, InpaintingUNet, ModelConfig
+from .unet import IMAGE_CHANNELS, InpaintingUNet, ModelConfig
 
 __all__ = [
     "REFERENCE_PARAMS",
@@ -97,7 +97,7 @@ def quadratic_attention_macs(n: int, head_dim: int) -> int:
 
 def _block_lines(prefix: str, c: int, heads: int, n: int,
                  config: ModelConfig) -> list[CostLine]:
-    hidden = FFNConfig(c, config.ffn_expansion).hidden
+    hidden = config.ffn_hidden(c)
     lines: list[CostLine] = []
     use_norm = config.norm == "layer"
     if use_norm:
@@ -128,8 +128,8 @@ def cost_report(config: ModelConfig, h: int, w: int) -> CostReport:
     if h % 8 != 0 or w % 8 != 0 or h < 8 or w < 8:
         raise ValueError(f"spatial dims must be positive multiples of 8, got {h}x{w}")
     c = config.base_channels
-    lines = [CostLine("head", config.in_channels * c * 49 + c,
-                      conv_macs(config.in_channels, c, 7, h, w))]
+    lines = [CostLine("head", IMAGE_CHANNELS * c * 49 + c,
+                      conv_macs(IMAGE_CHANNELS, c, 7, h, w))]
     for level in range(1, 5):
         ch = c * 2 ** (level - 1)
         hh, ww = h // 2 ** (level - 1), w // 2 ** (level - 1)
@@ -149,8 +149,8 @@ def cost_report(config: ModelConfig, h: int, w: int) -> CostReport:
                               conv_macs(2 * ch, ch, 1, hh, ww)))
         for b in range(config.block_counts[4 + idx]):
             lines += _block_lines(f"dec{level}.block{b}", ch, heads, hh * ww, config)
-    lines.append(CostLine("tail", c * config.out_channels * 49 + config.out_channels,
-                          conv_macs(c, config.out_channels, 7, h, w)))
+    lines.append(CostLine("tail", c * IMAGE_CHANNELS * 49 + IMAGE_CHANNELS,
+                          conv_macs(c, IMAGE_CHANNELS, 7, h, w)))
     return CostReport(lines)
 
 

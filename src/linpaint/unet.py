@@ -46,7 +46,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "FFNConfig",
+    "IMAGE_CHANNELS",
     "ModelConfig",
     "format_config",
     "parse_config",
@@ -58,6 +58,9 @@ __all__ = [
 
 NORM_KINDS = ("layer", "none")
 
+# The model reads and writes RGB images.
+IMAGE_CHANNELS = 3
+
 CHECKPOINT_MAGIC = b"LINPAINT-CKPT-1\n"
 
 # Elements of a feed-forward block's stacked 1x1 map over the padded grid
@@ -67,31 +70,17 @@ _FFN_BLOCK = 1 << 21
 
 
 @dataclass
-class FFNConfig:
-    channels: int
-    expansion: float = 2.0
-
-    @property
-    def hidden(self) -> int:
-        return max(1, round(self.channels * self.expansion))
-
-
-@dataclass
 class ModelConfig:
     """Full architecture description; everything the checkpoint must restore."""
 
     base_channels: int = 32
     block_counts: tuple[int, ...] = (1, 2, 3, 4, 3, 2, 1)
     heads_per_level: tuple[int, ...] = (1, 2, 4, 8, 4, 2, 1)
-    in_channels: int = 3
-    out_channels: int = 3
     taylor_mode: str = "residual"
     gated: bool = True
     norm: str = "layer"
     ffn_expansion: float = 2.0
     attn_eps: float = 1e-6
-    normalize_qk: bool = True
-    divide: bool = True
 
     def validate(self) -> None:
         if self.base_channels < 1:
@@ -104,14 +93,15 @@ class ModelConfig:
             raise ValueError(f"taylor_mode must be one of {TAYLOR_MODES}")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
-        # Level 4's FFN width, its channels times ffn_expansion, is rounded to an int.
-        widest = self.level_channels(3) * self.ffn_expansion
-        if not (self.ffn_expansion > 0 and math.isfinite(widest)):
-            raise ValueError(f"ffn_expansion must be finite and > 0, got {self.ffn_expansion}")
+        bad_expansion = f"ffn_expansion must be finite and > 0, got {self.ffn_expansion}"
+        if not self.ffn_expansion > 0:
+            raise ValueError(bad_expansion)
+        try:    # level 4's FFN is the widest; round() overflows on an infinite width
+            self.ffn_hidden(self.level_channels(3))
+        except OverflowError:
+            raise ValueError(bad_expansion) from None
         if self.attn_eps <= 0:
             raise ValueError(f"attn_eps must be > 0, got {self.attn_eps}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be >= 1")
         for idx, heads in enumerate(self.heads_per_level):
             c = self.level_channels(idx)
             if heads < 1 or c % heads != 0:
@@ -122,6 +112,10 @@ class ModelConfig:
         """Channels at block-stack index 0..6 (enc 1..4 then dec 3..1)."""
         level = idx + 1 if idx < 4 else 7 - idx
         return self.base_channels * 2 ** (level - 1)
+
+    def ffn_hidden(self, channels: int) -> int:
+        """The hidden width of a feed-forward unit on ``channels`` channels."""
+        return max(1, round(channels * self.ffn_expansion))
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +231,17 @@ class FeedForward(Module):
     # identity map; training only has to grow the branches it needs.
     RESIDUAL_OUT_GAIN = 0.125
 
-    def __init__(self, rng, cfg: FFNConfig, name: str) -> None:
-        c, h = cfg.channels, cfg.hidden
-        self.conv_i_w, self.conv_i_b = _conv_params(rng, h, c, 1, f"{name}.conv_i")
-        self.dw_i_w = Parameter(rng.normal(0.0, math.sqrt(1.0 / 9.0), size=(h, 3, 3)),
+    def __init__(self, rng, channels: int, hidden: int, name: str) -> None:
+        self.conv_i_w, self.conv_i_b = _conv_params(rng, hidden, channels, 1, f"{name}.conv_i")
+        self.dw_i_w = Parameter(rng.normal(0.0, math.sqrt(1.0 / 9.0), size=(hidden, 3, 3)),
                                 name=f"{name}.dw_i.w")
-        self.dw_i_b = Parameter(np.zeros(h), name=f"{name}.dw_i.b")
-        self.conv_g_w, self.conv_g_b = _conv_params(rng, h, c, 1, f"{name}.conv_g")
-        self.dw_g_w = Parameter(rng.normal(0.0, math.sqrt(1.0 / 9.0), size=(h, 3, 3)),
+        self.dw_i_b = Parameter(np.zeros(hidden), name=f"{name}.dw_i.b")
+        self.conv_g_w, self.conv_g_b = _conv_params(rng, hidden, channels, 1, f"{name}.conv_g")
+        self.dw_g_w = Parameter(rng.normal(0.0, math.sqrt(1.0 / 9.0), size=(hidden, 3, 3)),
                                 name=f"{name}.dw_g.w")
-        self.dw_g_b = Parameter(np.zeros(h), name=f"{name}.dw_g.b")
+        self.dw_g_b = Parameter(np.zeros(hidden), name=f"{name}.dw_g.b")
         self.conv_out_w, self.conv_out_b = _conv_params(
-            rng, c, h, 1, f"{name}.conv_out", gain=self.RESIDUAL_OUT_GAIN)
+            rng, channels, hidden, 1, f"{name}.conv_out", gain=self.RESIDUAL_OUT_GAIN)
 
     def __call__(self, x: Tensor) -> Tensor:
         params = self.parameters()
@@ -355,8 +348,7 @@ class TransformerBlock(Module):
                  name: str) -> None:
         self.attn_cfg = AttentionConfig(
             channels=channels, heads=heads, taylor_mode=cfg.taylor_mode,
-            gated=cfg.gated, eps=cfg.attn_eps, normalize_qk=cfg.normalize_qk,
-            divide=cfg.divide)
+            gated=cfg.gated, eps=cfg.attn_eps)
         self.attn_cfg.validate()
         self.use_norm = cfg.norm == "layer"
         if self.use_norm:
@@ -366,7 +358,7 @@ class TransformerBlock(Module):
                                        gated=cfg.gated)
         if self.use_norm:
             self.norm2 = ChannelNorm(rng, channels, f"{name}.norm2")
-        self.ffn = FeedForward(rng, FFNConfig(channels, cfg.ffn_expansion), f"{name}.ffn")
+        self.ffn = FeedForward(rng, channels, cfg.ffn_hidden(channels), f"{name}.ffn")
 
     def __call__(self, x: Tensor) -> Tensor:
         # A normalized map is freed once its branch returns, unless a tape keeps it.
@@ -393,7 +385,7 @@ class InpaintingUNet(Module):
                                      f"{name}.block{b}")
                     for b in range(config.block_counts[idx])]
 
-        self.head = ConvLayer(rng, config.in_channels, c, 7, 1, 3, "head")
+        self.head = ConvLayer(rng, IMAGE_CHANNELS, c, 7, 1, 3, "head")
         self.encoder: list[tuple[list[TransformerBlock], ConvLayer | None]] = []
         for level in range(1, 5):
             ch = c * 2 ** (level - 1)
@@ -408,11 +400,11 @@ class InpaintingUNet(Module):
             fuse = ConvLayer(rng, 2 * ch, ch, 1, 1, 0, f"dec{level}.fuse")
             self.decoder.append((up, fuse, blocks(4 + idx, ch, f"dec{level}")))
 
-        self.tail = ConvLayer(rng, c, config.out_channels, 7, 1, 3, "tail")
+        self.tail = ConvLayer(rng, c, IMAGE_CHANNELS, 7, 1, 3, "tail")
 
     def _check_input(self, im: Tensor) -> None:
-        if im.data.ndim != 3 or im.shape[0] != self.config.in_channels:
-            raise ShapeError(f"expected {self.config.in_channels}xHxW input, got {im.shape}")
+        if im.data.ndim != 3 or im.shape[0] != IMAGE_CHANNELS:
+            raise ShapeError(f"expected {IMAGE_CHANNELS}xHxW input, got {im.shape}")
         _, h, w = im.shape
         if h % 8 != 0 or w % 8 != 0:
             raise ShapeError(f"spatial dims must be divisible by 8, got {h}x{w}")
@@ -463,6 +455,12 @@ class CheckpointError(ValueError):
     """Malformed, truncated or corrupted checkpoint file."""
 
 
+# Header keys that older checkpoints carry, with the one value the model now
+# always has; any other value describes a different model.
+_RETIRED_KEYS = {"in_channels": "3", "out_channels": "3", "normalize_qk": "true",
+                 "divide": "true"}
+
+
 def save_checkpoint(model: InpaintingUNet, path: str) -> None:
     params = model.parameters()
     header = format_config(model.config)
@@ -485,6 +483,9 @@ def _read_header(text: bytes, data_bytes: int) -> ModelConfig:
     for key in [f.name for f in fields(ModelConfig)] + ["param_count"]:
         if key not in pairs:
             raise ValueError(f"missing key {key!r}")
+    for key, kept in _RETIRED_KEYS.items():
+        if pairs.get(key, kept) != kept:
+            raise ValueError(f"{key}={pairs[key]} is no longer supported, only {key}={kept}")
     config = parse_config(ModelConfig(), pairs)
     config.validate()
     declared = int(pairs["param_count"])

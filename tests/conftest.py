@@ -9,7 +9,7 @@ from linpaint.autograd import Parameter
 from linpaint.tensor import make_rng
 
 
-def reference_taylor(q, k, v, mode, eps=1e-6, normalize_qk=True, divide=True):
+def reference_taylor(q, k, v, mode, eps=1e-6, normalize_qk=True):
     """Independent O(N^2 C) oracle: materialize the pairwise weights outright."""
     def unit_rows(a):
         out = np.zeros_like(a)
@@ -29,8 +29,6 @@ def reference_taylor(q, k, v, mode, eps=1e-6, normalize_qk=True, divide=True):
         numer = v + sim @ v
     else:
         numer = sim @ v
-    if not divide:
-        return numer
     denom = n + sim.sum(axis=1, keepdims=True)
     small = np.abs(denom) < eps
     denom = np.where(small, np.where(denom >= 0, eps, -eps), denom)

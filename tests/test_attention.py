@@ -92,16 +92,15 @@ def test_taylor_residual_zero_query():
 
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
 @pytest.mark.parametrize("normalize_qk", [True, False])
-@pytest.mark.parametrize("divide", [True, False])
-def test_taylor_matches_quadratic_oracle(mode, normalize_qk, divide):
+def test_taylor_matches_quadratic_oracle(mode, normalize_qk):
     rng = make_rng(5)
     for n, c in [(8, 4), (16, 8), (32, 4)]:
         q = rng.normal(size=(n, c))
         k = rng.normal(size=(n, c))
         v = rng.normal(size=(n, c))
         got = taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode,
-                                      normalize_qk=normalize_qk, divide=divide).data
-        want = reference_taylor(q, k, v, mode, normalize_qk=normalize_qk, divide=divide)
+                                      normalize_qk=normalize_qk).data
+        want = reference_taylor(q, k, v, mode, normalize_qk=normalize_qk)
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -178,12 +177,12 @@ def test_taylor_gradient_matches_finite_differences():
     k = Parameter(rng.normal(size=(6, 4)))
     v = Parameter(rng.normal(size=(6, 4)))
     r = Tensor(rng.normal(size=(6, 4)))
+    for normalize_qk in (True, False):
+        def f():
+            out = taylor_linear_attention(q, k, v, mode="residual", normalize_qk=normalize_qk)
+            return sum_all(hadamard(out, r))
 
-    def f():
-        out = taylor_linear_attention(q, k, v, mode="residual")
-        return sum_all(hadamard(out, r))
-
-    assert finite_diff_check(f, [q, k, v]) < 1e-4
+        assert finite_diff_check(f, [q, k, v]) < 1e-4, normalize_qk
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +209,11 @@ def test_multi_head_single_head_equals_flat():
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
-@pytest.mark.parametrize("divide", [True, False])
-@pytest.mark.parametrize("normalize_qk", [True, False])
-def test_multi_head_matches_per_head_loop(heads, mode, divide, normalize_qk):
+def test_multi_head_matches_per_head_loop(heads, mode):
     # The batched heads against one taylor_linear_attention call per head on
     # that head's channels of the projections.
     rng = make_rng(20 + heads)
-    cfg = AttentionConfig(channels=16, heads=heads, taylor_mode=mode, gated=False,
-                          normalize_qk=normalize_qk, divide=divide)
+    cfg = AttentionConfig(channels=16, heads=heads, taylor_mode=mode, gated=False)
     proj = ProjectionSet.init(16, rng)
     x = Tensor(rng.normal(size=(16, 5, 6)))
     got = multi_head_attention(x, proj, cfg).data.reshape(16, 30)
@@ -232,32 +228,35 @@ def test_multi_head_matches_per_head_loop(heads, mode, divide, normalize_qk):
         rows = slice(h * d, (h + 1) * d)
         want = taylor_linear_attention(
             Tensor(q[rows].T), Tensor(k[rows].T), Tensor(v[rows].T), mode=mode,
-            eps=cfg.eps, normalize_qk=normalize_qk, divide=divide).data
+            eps=cfg.eps).data
         assert np.max(np.abs(got[rows] - want.T)) <= 1e-12
 
 
-def _composed_multi_head(x, proj, cfg):
-    """multi_head_attention as a composition of generic taped ops, one per
-    step of the map: the reference the fused op is held to."""
-    _, h, w = x.shape
-    heads, n = cfg.heads, h * w
-    stack = (heads, cfg.head_dim, n)
-    q, k, v = (reshape(conv2d(x, wt, b), stack) for wt, b in
-               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
-    qb = l2_normalize(q, axis=1) if cfg.normalize_qk else q
-    kb = l2_normalize(k, axis=1) if cfg.normalize_qk else k
+def _composed_taylor(q, k, v, mode, eps, normalize_qk=True):
+    """The linear map on (heads, d, N) q/k/v stacks as a composition of generic
+    taped ops, one per step of the map: the reference the fused ops are held to."""
+    heads, _, n = q.shape
+    qb = l2_normalize(q, axis=1) if normalize_qk else q
+    kb = l2_normalize(k, axis=1) if normalize_qk else k
     q_kv = matmul(matmul(v, transpose(kb)), qb)
-    if cfg.taylor_mode == "residual":
+    if mode == "residual":
         out = add(v, q_kv)
-    elif cfg.taylor_mode == "sum":
+    elif mode == "sum":
         out = add(matmul(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
     else:
         out = q_kv
-    if cfg.divide:
-        denom = add(matmul(transpose(sum_axis(kb, 2)), qb),
-                    Tensor(np.full((heads, 1, n), float(n))))
-        out = div_broadcast(out, guard_denominator(denom, cfg.eps))
-    return reshape(out, x.shape)
+    denom = add(matmul(transpose(sum_axis(kb, 2)), qb),
+                Tensor(np.full((heads, 1, n), float(n))))
+    return div_broadcast(out, guard_denominator(denom, eps))
+
+
+def _composed_multi_head(x, proj, cfg):
+    """multi_head_attention built on :func:`_composed_taylor`."""
+    _, h, w = x.shape
+    stack = (cfg.heads, cfg.head_dim, h * w)
+    q, k, v = (reshape(conv2d(x, wt, b), stack) for wt, b in
+               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
+    return reshape(_composed_taylor(q, k, v, cfg.taylor_mode, cfg.eps), x.shape)
 
 
 def _attention_case(seed, channels, heads, shape=(5, 6), **cfg_kwargs):
@@ -272,11 +271,18 @@ def _attention_case(seed, channels, heads, shape=(5, 6), **cfg_kwargs):
 
 
 def _assert_fused_matches_composed(cfg, proj, x, r):
-    params = [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    _assert_matches_composed(lambda: multi_head_attention(x, proj, cfg),
+                             lambda: _composed_multi_head(x, proj, cfg),
+                             [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv], r)
+
+
+def _assert_matches_composed(fused, composed, params, r):
+    """fused() against composed(): outputs within 1e-12, and the gradients of
+    every parameter under the loss sum(out * r) within 1e-10 relative."""
     results = []
-    for attend in (multi_head_attention, _composed_multi_head):
+    for attend in (fused, composed):
         with Tape() as tape:
-            out = attend(x, proj, cfg)
+            out = attend()
             tape.backward(sum_all(hadamard(out, r)))
         results.append((out.data, [p.grad for p in params]))
         for p in params:
@@ -290,11 +296,8 @@ def _assert_fused_matches_composed(cfg, proj, x, r):
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
-@pytest.mark.parametrize("divide", [True, False])
-@pytest.mark.parametrize("normalize_qk", [True, False])
-def test_multi_head_matches_composed_ops(heads, mode, divide, normalize_qk):
-    _assert_fused_matches_composed(*_attention_case(
-        30 + heads, 16, heads, taylor_mode=mode, divide=divide, normalize_qk=normalize_qk))
+def test_multi_head_matches_composed_ops(heads, mode):
+    _assert_fused_matches_composed(*_attention_case(30 + heads, 16, heads, taylor_mode=mode))
 
 
 def test_multi_head_dead_query_column_matches_composed_ops():
@@ -308,17 +311,27 @@ def test_multi_head_dead_query_column_matches_composed_ops():
     _assert_fused_matches_composed(cfg, proj, x, r)
 
 
-def test_multi_head_clamped_denominator_matches_composed_ops():
+def test_taylor_clamped_denominator_matches_composed_ops():
     # Without normalization the denominators N + s.q spread widely; an eps
     # between two of them clamps about half, away from any sign ambiguity.
-    cfg, proj, x, r = _attention_case(42, 8, 2, normalize_qk=False)
-    q, k = ((wt.data.reshape(8, 8) @ x.data.reshape(8, 30) + b.data[:, None]).reshape(2, 4, 30)
-            for wt, b in ((proj.wq, proj.bq), (proj.wk, proj.bk)))
-    denom = np.abs(30.0 + np.einsum("hd,hdn->hn", k.sum(axis=2), q)).ravel()
-    ranked = np.sort(denom)
-    cfg.eps = float(ranked[29] + ranked[30]) / 2.0
-    assert ranked[30] - ranked[29] > 1e-6 * ranked[30]
-    _assert_fused_matches_composed(cfg, proj, x, r)
+    rng = make_rng(42)
+    n, c = 30, 4
+    q, k, v = (Parameter(rng.normal(size=(n, c))) for _ in range(3))
+    r = Tensor(rng.normal(size=(n, c)))
+    ranked = np.sort(np.abs(n + q.data @ k.data.sum(axis=0)))
+    eps = float(ranked[14] + ranked[15]) / 2.0
+    assert ranked[15] - ranked[14] > 1e-6 * ranked[15]
+
+    def composed():
+        def stack(t):
+            return reshape(transpose(t), (1, c, n))
+        out = _composed_taylor(stack(q), stack(k), stack(v), "residual", eps,
+                               normalize_qk=False)
+        return transpose(reshape(out, (c, n)))
+
+    _assert_matches_composed(
+        lambda: taylor_linear_attention(q, k, v, eps=eps, normalize_qk=False),
+        composed, [q, k, v], r)
 
 
 def test_multi_head_records_one_tape_step():

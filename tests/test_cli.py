@@ -1,3 +1,5 @@
+import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -112,8 +114,10 @@ def test_parse_config_text_roundtrip():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("bogus_key=1\n")
+    # divide was a model setting; it is now a constant of the model.
+    for line in ("bogus_key=1", "divide=true"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(line + "\n")
 
 
 def test_duplicate_key_rejected():
@@ -143,9 +147,8 @@ def test_invalid_model_config_is_config_error():
 
 def test_config_keys_are_model_loss_and_run_fields():
     assert KNOWN_KEYS == {
-        "base_channels", "block_counts", "heads_per_level", "in_channels",
-        "out_channels", "taylor_mode", "gated", "norm", "ffn_expansion",
-        "attn_eps", "normalize_qk", "divide",
+        "base_channels", "block_counts", "heads_per_level", "taylor_mode",
+        "gated", "norm", "ffn_expansion", "attn_eps",
         "lambda_reconstruction", "lambda_perceptual", "lambda_style",
         "lambda_adversarial",
         "seed", "iters", "lr", "weight_decay", "disc_width", "fx_seed",
@@ -155,16 +158,24 @@ def test_config_keys_are_model_loss_and_run_fields():
 
 def test_every_model_field_round_trips_through_config_text_and_checkpoint(tmp_path):
     config = ModelConfig(base_channels=4, block_counts=(1, 0, 2, 0, 1, 0, 1),
-                         heads_per_level=(2, 2, 4, 2, 4, 2, 2), in_channels=1,
-                         out_channels=2, taylor_mode="sum", gated=False, norm="none",
-                         ffn_expansion=1.5, attn_eps=1e-5, normalize_qk=False,
-                         divide=False)
+                         heads_per_level=(2, 2, 4, 2, 4, 2, 2), taylor_mode="sum",
+                         gated=False, norm="none", ffn_expansion=1.5, attn_eps=1e-5)
     assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
     text = "\n".join(format_config(config))
     assert build_run_config(parse_config_text(text)).model == config
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(InpaintingUNet(config, make_rng(15)), path)
     assert load_checkpoint(path).config == config
+
+
+def test_readme_config_table_names_every_key():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme[readme.index("| group | keys |"):].split("\n\n")[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        keys = re.sub(r"\([^)]*\)", "", row.split("|")[2])   # drop the value notes
+        named.update(re.findall(r"`([^`]+)`", keys))
+    assert named == KNOWN_KEYS
 
 
 def test_run_config_validation():
@@ -363,22 +374,29 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("pattern,replacement", [
-    (rb"base_channels=\d+", b"base_channels=x"),
-    (rb"param_count=\d+", b"param_count=abc"),
-    (rb"base_channels=\d+", b"base_channels=0"),
-    (rb"block_counts=[\d,]+", b"block_counts=1,1"),
-    (rb"taylor_mode=\w+", "taylor_mode=r\u00e9sidual".encode()),
-    (rb"\nnorm=\w+", b""),
-    (rb"gated=\w+", b"gated=yes"),
-    (rb"attn_eps=[^\n]+", b"attn_eps=0.0"),
-    (rb"ffn_expansion=[^\n]+", b"ffn_expansion=inf"),
+# (pattern, replacement, a text the error message must contain)
+@pytest.mark.parametrize("pattern,replacement,named", [
+    (rb"base_channels=\d+", b"base_channels=x", "base_channels"),
+    (rb"param_count=\d+", b"param_count=abc", "'abc'"),
+    (rb"base_channels=\d+", b"base_channels=0", "base_channels"),
+    (rb"block_counts=[\d,]+", b"block_counts=1,1", "block_counts"),
+    (rb"taylor_mode=\w+", "taylor_mode=r\u00e9sidual".encode(), "ascii"),
+    (rb"\nnorm=\w+", b"", "'norm'"),
+    (rb"gated=\w+", b"gated=yes", "gated"),
+    (rb"attn_eps=[^\n]+", b"attn_eps=0.0", "attn_eps"),
+    (rb"ffn_expansion=[^\n]+", b"ffn_expansion=inf", "ffn_expansion"),
     # More blocks than the data block has parameters.
-    (rb"block_counts=[\d,]+", b"block_counts=2000,0,0,0,0,0,0"),
+    (rb"block_counts=[\d,]+", b"block_counts=2000,0,0,0,0,0,0", "2000 blocks"),
+    # Retired keys of older checkpoints, at a value the model no longer has.
+    (rb"\nparam_count=", b"\ndivide=false\nparam_count=", "divide"),
+    (rb"\nparam_count=", b"\nnormalize_qk=false\nparam_count=", "normalize_qk"),
+    (rb"\nparam_count=", b"\nin_channels=1\nparam_count=", "in_channels"),
+    (rb"\nparam_count=", b"\nout_channels=1\nparam_count=", "out_channels"),
 ], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
         "missing-key", "bad-bool", "zero-eps", "infinite-expansion",
-        "blocks-beyond-params"])
-def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement):
+        "blocks-beyond-params", "retired-divide", "retired-normalize_qk",
+        "retired-in_channels", "retired-out_channels"])
+def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement, named):
     img_path, mask_path = _write_pair(tmp_path, seed=15)
     ckpt_path = str(tmp_path / "model.ckpt")
     config = ModelConfig(base_channels=1, block_counts=(1, 0, 0, 0, 0, 0, 0),
@@ -388,7 +406,33 @@ def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement)
     rc = main(["inpaint", "--checkpoint", ckpt_path, "--image", img_path,
                "--mask", mask_path, "--out", str(tmp_path / "o.ppm")])
     assert rc == 2
-    assert "bad checkpoint header" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad checkpoint header" in err and named in err
+
+
+def test_inpaint_reads_checkpoint_with_retired_keys_at_kept_values(tmp_path):
+    # Checkpoints written while in_channels, out_channels, normalize_qk and
+    # divide were model settings carry their lines; at the values the model
+    # now always has they load as the same model.
+    img_path, mask_path = _write_pair(tmp_path, seed=19)
+    ckpt_path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(ModelConfig(base_channels=2, block_counts=(1,) * 7,
+                                               heads_per_level=(1,) * 7), make_rng(20)),
+                    ckpt_path)
+
+    def inpaint(name):
+        out_path = str(tmp_path / name)
+        assert main(["inpaint", "--checkpoint", ckpt_path, "--image", img_path,
+                     "--mask", mask_path, "--out", out_path]) == 0
+        return open(out_path, "rb").read()
+
+    current = inpaint("current.ppm")
+    # Where the older format wrote them.
+    forge_checkpoint(ckpt_path, rb"\ntaylor_mode=",
+                     b"\nin_channels=3\nout_channels=3\ntaylor_mode=")
+    forge_checkpoint(ckpt_path, rb"\nparam_count=",
+                     b"\nnormalize_qk=true\ndivide=true\nparam_count=")
+    assert inpaint("older.ppm") == current
 
 
 def test_inpaint_rejects_ungated_checkpoint_with_gate_weights(tmp_path, capsys):

@@ -20,7 +20,6 @@ from linpaint.tensor import (
 )
 from linpaint.unet import (
     CheckpointError,
-    FFNConfig,
     FeedForward,
     InpaintingUNet,
     ModelConfig,
@@ -41,7 +40,7 @@ def tiny_config(**overrides):
 
 
 def test_ffn_zero_weights_gives_zero():
-    ffn = FeedForward(make_rng(0), FFNConfig(4), "ffn")
+    ffn = FeedForward(make_rng(0), 4, 8, "ffn")
     for p in ffn.parameters():
         p.data[:] = 0.0
     out = ffn(Tensor(make_rng(1).normal(size=(4, 6, 6))))
@@ -49,18 +48,18 @@ def test_ffn_zero_weights_gives_zero():
 
 
 def test_ffn_preserves_shape():
-    ffn = FeedForward(make_rng(2), FFNConfig(16, 2.0), "ffn")
+    ffn = FeedForward(make_rng(2), 16, 32, "ffn")
     assert ffn(Tensor(np.zeros((16, 32, 32)))).shape == (16, 32, 32)
 
 
 def test_ffn_hidden_width():
-    assert FFNConfig(10, 2.0).hidden == 20
-    assert FFNConfig(3, 0.1).hidden == 1
+    assert ModelConfig(ffn_expansion=2.0).ffn_hidden(10) == 20
+    assert ModelConfig(ffn_expansion=0.1).ffn_hidden(3) == 1
 
 
 def test_ffn_gradient():
     rng = make_rng(3)
-    ffn = FeedForward(rng, FFNConfig(4), "ffn")
+    ffn = FeedForward(rng, 4, 8, "ffn")
     x = Tensor(rng.normal(size=(4, 8, 8)))
     r = Tensor(rng.normal(size=(4, 8, 8)))
     err = finite_diff_check(lambda: sum_all(hadamard(ffn(x), r)), ffn.parameters())
@@ -78,7 +77,8 @@ def composed_ffn(ffn, x):
 
 def _ffn_case(channels, expansion, h, w, seed=0):
     rng = make_rng(seed)
-    ffn = FeedForward(rng, FFNConfig(channels, expansion), "ffn")
+    hidden = ModelConfig(ffn_expansion=expansion).ffn_hidden(channels)
+    ffn = FeedForward(rng, channels, hidden, "ffn")
     # Nonzero biases and a full-scale output, so every gradient term shows.
     for p in ffn.parameters():
         p.data[...] = rng.normal(size=p.shape) * 0.5
@@ -412,15 +412,11 @@ def test_checkpoint_header_bytes(tmp_path):
                 b"base_channels=32\n"
                 b"block_counts=1,2,3,4,3,2,1\n"
                 b"heads_per_level=1,2,4,8,4,2,1\n"
-                b"in_channels=3\n"
-                b"out_channels=3\n"
                 b"taylor_mode=residual\n"
                 b"gated=true\n"
                 b"norm=layer\n"
                 b"ffn_expansion=2.0\n"
                 b"attn_eps=1e-06\n"
-                b"normalize_qk=true\n"
-                b"divide=true\n"
                 b"param_count=5109219\n"
                 b"end-header\n")
     with open(path, "rb") as fh:
