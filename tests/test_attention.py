@@ -9,6 +9,7 @@ from reference_ops import div_broadcast, guard_denominator, l2_normalize, sum_ax
 from linpaint.attention import (
     AttentionConfig,
     ProjectionSet,
+    _taylor_core,
     gated_attention,
     multi_head_attention,
     taylor_attention_quadratic,
@@ -22,6 +23,7 @@ from linpaint.tensor import (
     Tensor,
     add,
     conv2d,
+    fused_op,
     hadamard,
     make_rng,
     matmul,
@@ -90,17 +92,36 @@ def test_taylor_residual_zero_query():
     assert np.allclose(out, v / 5.0, atol=1e-12)
 
 
+def _denominators(q, k, normalize_qk):
+    """The denominators N + s.q of the map on (heads, d, N) q/k stacks."""
+    if normalize_qk:
+        q, k = (a / np.sqrt((a * a).sum(axis=1, keepdims=True)) for a in (q, k))
+    return q.shape[2] + np.einsum("hd,hdn->hn", k.sum(axis=2), q)
+
+
+def _eps_between(denom):
+    """An eps halfway between the two middle |denominators|: it clamps about
+    half of them, away from any sign ambiguity."""
+    ranked = np.sort(np.abs(denom).ravel())
+    m = ranked.size // 2
+    assert ranked[m] - ranked[m - 1] > 1e-6 * ranked[m]
+    return float(ranked[m - 1] + ranked[m]) / 2.0
+
+
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
 @pytest.mark.parametrize("normalize_qk", [True, False])
-def test_taylor_matches_quadratic_oracle(mode, normalize_qk):
+@pytest.mark.parametrize("clamp", [True, False])
+def test_taylor_matches_quadratic_oracle(mode, normalize_qk, clamp):
+    # clamp sets eps between two denominators, so the guard clamps about half.
     rng = make_rng(5)
     for n, c in [(8, 4), (16, 8), (32, 4)]:
         q = rng.normal(size=(n, c))
         k = rng.normal(size=(n, c))
         v = rng.normal(size=(n, c))
-        got = taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode,
+        eps = _eps_between(_denominators(q.T[None], k.T[None], normalize_qk)) if clamp else 1e-6
+        got = taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode, eps=eps,
                                       normalize_qk=normalize_qk).data
-        want = reference_taylor(q, k, v, mode, normalize_qk=normalize_qk)
+        want = reference_taylor(q, k, v, mode, eps=eps, normalize_qk=normalize_qk)
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
@@ -207,29 +228,40 @@ def test_multi_head_single_head_equals_flat():
     assert np.allclose(tokens(out).data, flat.data, atol=1e-14)
 
 
+def _qkv(x, proj, cfg):
+    """The (3, heads, d, N) q/k/v stack multi_head_attention projects x to."""
+    c = cfg.channels
+    x_mat = x.data.reshape(c, -1)
+    return np.stack([w.data.reshape(c, c) @ x_mat + b.data[:, None] for w, b in
+                     ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv))]
+                    ).reshape(3, cfg.heads, cfg.head_dim, -1)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
-def test_multi_head_matches_per_head_loop(heads, mode):
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("normalize_qk", [True, False])
+def test_multi_head_matches_per_head_loop(heads, mode, clamp, normalize_qk):
     # The batched heads against one taylor_linear_attention call per head on
-    # that head's channels of the projections.
+    # that head's channels of the projections. The model always normalizes q
+    # and k; the kernel-level normalize_qk=False runs the same batched core.
+    # clamp sets eps between two denominators, so the guard clamps about half.
     rng = make_rng(20 + heads)
     cfg = AttentionConfig(channels=16, heads=heads, taylor_mode=mode, gated=False)
     proj = ProjectionSet.init(16, rng)
     x = Tensor(rng.normal(size=(16, 5, 6)))
-    got = multi_head_attention(x, proj, cfg).data.reshape(16, 30)
-
-    def tokens(w, b):
-        return w.data.reshape(16, 16) @ x.data.reshape(16, 30) + b.data[:, None]
-
-    q, k, v = (tokens(w, b) for w, b in
-               ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
-    d = cfg.head_dim
+    q, k, v = stack = _qkv(x, proj, cfg)
+    if clamp:
+        cfg.eps = _eps_between(_denominators(q, k, normalize_qk))
+    if normalize_qk:
+        got = multi_head_attention(x, proj, cfg).data.reshape(q.shape)
+    else:
+        got, _ = _taylor_core(stack, mode, cfg.eps, normalize_qk=False)
     for h in range(heads):
-        rows = slice(h * d, (h + 1) * d)
         want = taylor_linear_attention(
-            Tensor(q[rows].T), Tensor(k[rows].T), Tensor(v[rows].T), mode=mode,
-            eps=cfg.eps).data
-        assert np.max(np.abs(got[rows] - want.T)) <= 1e-12
+            Tensor(q[h].T), Tensor(k[h].T), Tensor(v[h].T), mode=mode,
+            eps=cfg.eps, normalize_qk=normalize_qk).data
+        assert np.max(np.abs(got[h] - want.T)) <= 1e-12
 
 
 def _composed_taylor(q, k, v, mode, eps, normalize_qk=True):
@@ -250,13 +282,34 @@ def _composed_taylor(q, k, v, mode, eps, normalize_qk=True):
     return div_broadcast(out, guard_denominator(denom, eps))
 
 
-def _composed_multi_head(x, proj, cfg):
-    """multi_head_attention built on :func:`_composed_taylor`."""
+def _heads(x, proj, cfg, attend):
+    """Project x to (heads, d, N) q/k/v stacks with taped ops, run
+    ``attend(q, k, v)`` on them and fold the result back to x's shape."""
     _, h, w = x.shape
     stack = (cfg.heads, cfg.head_dim, h * w)
     q, k, v = (reshape(conv2d(x, wt, b), stack) for wt, b in
                ((proj.wq, proj.bq), (proj.wk, proj.bk), (proj.wv, proj.bv)))
-    return reshape(_composed_taylor(q, k, v, cfg.taylor_mode, cfg.eps), x.shape)
+    return reshape(attend(q, k, v), x.shape)
+
+
+def _composed_multi_head(x, proj, cfg, normalize_qk=True):
+    """multi_head_attention built on :func:`_composed_taylor`."""
+    return _heads(x, proj, cfg, lambda q, k, v: _composed_taylor(
+        q, k, v, cfg.taylor_mode, cfg.eps, normalize_qk))
+
+
+def _unnormalized_core(q, k, v, mode, eps):
+    """The batched core with the kernel-level normalize_qk=False on three
+    (heads, d, N) tensors, as one recorded op."""
+    qkv = np.stack([q.data, k.data, v.data])
+    out, back = _taylor_core(qkv, mode, eps, normalize_qk=False)
+
+    def vjp(g, needs):
+        dqkv = np.empty(qkv.shape)
+        back(g, dqkv)
+        return tuple(dqkv)
+
+    return fused_op(out, "taylor_core", (q, k, v), vjp)
 
 
 def _attention_case(seed, channels, heads, shape=(5, 6), **cfg_kwargs):
@@ -296,8 +349,24 @@ def _assert_matches_composed(fused, composed, params, r):
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 @pytest.mark.parametrize("mode", ["sum", "residual", "none"])
-def test_multi_head_matches_composed_ops(heads, mode):
-    _assert_fused_matches_composed(*_attention_case(30 + heads, 16, heads, taylor_mode=mode))
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("normalize_qk", [True, False])
+def test_multi_head_matches_composed_ops(heads, mode, clamp, normalize_qk):
+    # normalize_qk=False holds the batched core the kernel-level switch runs
+    # to the composed ops; clamp sets eps between two denominators, so the
+    # guard clamps about half and the clamped branch of the backward runs.
+    cfg, proj, x, r = _attention_case(30 + heads, 16, heads, taylor_mode=mode)
+    if clamp:
+        q, k, _ = _qkv(x, proj, cfg)
+        cfg.eps = _eps_between(_denominators(q, k, normalize_qk))
+    if normalize_qk:
+        _assert_fused_matches_composed(cfg, proj, x, r)
+    else:
+        _assert_matches_composed(
+            lambda: _heads(x, proj, cfg, lambda q, k, v: _unnormalized_core(
+                q, k, v, mode, cfg.eps)),
+            lambda: _composed_multi_head(x, proj, cfg, normalize_qk=False),
+            [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv], r)
 
 
 def test_multi_head_dead_query_column_matches_composed_ops():
@@ -318,9 +387,7 @@ def test_taylor_clamped_denominator_matches_composed_ops():
     n, c = 30, 4
     q, k, v = (Parameter(rng.normal(size=(n, c))) for _ in range(3))
     r = Tensor(rng.normal(size=(n, c)))
-    ranked = np.sort(np.abs(n + q.data @ k.data.sum(axis=0)))
-    eps = float(ranked[14] + ranked[15]) / 2.0
-    assert ranked[15] - ranked[14] > 1e-6 * ranked[15]
+    eps = _eps_between(_denominators(q.data.T[None], k.data.T[None], normalize_qk=False))
 
     def composed():
         def stack(t):
