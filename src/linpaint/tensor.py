@@ -10,6 +10,12 @@ freeing each step and intermediate gradient as it goes. :func:`fused_op`
 makes a computation written in plain numpy elsewhere one primitive, whose
 single step returns the gradients of all its inputs at once; such a
 computation asks :func:`recording` whether to keep what its backward needs.
+
+GELU's Gaussian CDF, :func:`gauss_cdf`, is plain numpy too: degree-5 Taylor
+coefficients of Phi tabulated at k/128 over [-40, 9], built at import from
+``math.erfc``, gathered per element and evaluated by Horner's rule. It is
+within 2.5e-16 of ``0.5 * erfc(-x / sqrt(2))`` absolutely, and within 1e-11
+relatively for x >= -8.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "ShapeError",
@@ -568,9 +573,83 @@ def upsample_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # Pointwise nonlinearities
 
 
+# Phi is tabulated on the grid x_k = k / 128 over [-40, 9]: Phi(9) rounds to
+# 1.0 and Phi(-40) underflows to 0.0, so clipping to the grid changes nothing.
+_CDF_STEP = 128
+_CDF_LO, _CDF_HI = -40.0, 9.0
+_CDF_CHUNK = 8192
+
+
+def _cdf_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Degree-5 Taylor coefficients of Phi at every grid point x_k, scaled to
+    the offset u = 128 (x - x_k): c_j = Phi^(j)(x_k) / (j! 128^j).
+
+    Phi^(0) comes from ``math.erfc``; for j >= 1, Phi^(j) = (-1)^(j-1)
+    He_{j-1}(x) phi(x) with the probabilists' Hermite polynomials. The rows
+    (c5, c4, c3, c2) and (c1, c0) are viewed as single 32- and 16-byte items,
+    so one gather fetches each group.
+    """
+    xs = np.arange(_CDF_LO * _CDF_STEP, _CDF_HI * _CDF_STEP + 1) / _CDF_STEP
+    he = [np.ones_like(xs), xs]
+    for n in range(1, 4):
+        he.append(xs * he[n] - n * he[n - 1])
+    pdf = np.exp(-0.5 * xs * xs) * _INV_SQRT2PI
+    coef = [np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in xs.tolist()])]
+    coef += [(-1) ** (j - 1) * he[j - 1] * pdf / (math.factorial(j) * _CDF_STEP**j)
+             for j in range(1, 6)]
+
+    def rows(js: tuple[int, ...]) -> np.ndarray:
+        table = np.stack([coef[j] for j in js], axis=1)
+        return table.view(np.dtype((np.void, table.itemsize * len(js)))).reshape(-1)
+
+    return rows((5, 4, 3, 2)), rows((1, 0))
+
+
+_CDF_HIGH, _CDF_LOW = _cdf_tables()
+
+
 def gauss_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The standard normal CDF Phi(x), in one pass: GELU(x) = x * Phi(x)."""
-    return ndtr(x, out=out)
+    """The standard normal CDF Phi(x), elementwise: GELU(x) = x * Phi(x).
+
+    Table lookup and a degree-5 Taylor polynomial. With x clipped to
+    [-40, 9], s = 128 x, r = rint(s) and u = s - r (all exact, |u| <= 1/2),
+    Phi(x) is Horner's rule in u over the coefficients at grid point r / 128.
+    It is within 2.5e-16 of 0.5 * erfc(-x / sqrt(2)) everywhere and within
+    1e-11 of it relatively for x >= -8; Phi(0) is 0.5, Phi is 1.0 from 9 up
+    and 0.0 from -40 down, and Phi(NaN) is NaN. The work runs in chunks of
+    8192 elements, and an element's value does not depend on its chunk.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    res = out if out is not None and out.flags.c_contiguous else np.empty(x.shape)
+    xs, ys = x.reshape(-1), res.reshape(-1)
+    m = max(1, min(_CDF_CHUNK, xs.size))
+    # One scratch block per call: with five separate buffers, a 256x256
+    # inpaint process's peak RSS was 10 MB higher in about a third of runs.
+    scratch = np.empty(9 * m)
+    u, r, k = scratch[:m], scratch[m:2 * m], scratch[2 * m:3 * m].view(np.intp)
+    high, low = scratch[3 * m:7 * m].view(_CDF_HIGH.dtype), scratch[7 * m:].view(_CDF_LOW.dtype)
+    # A NaN stays NaN in u and so in the result. Its index is an arbitrary
+    # integer (the cast is silenced) that mode="clip" keeps inside the table.
+    with np.errstate(invalid="ignore"):
+        for a in range(0, xs.size, m):
+            n = min(m, xs.size - a)
+            un, rn, kn, y = u[:n], r[:n], k[:n], ys[a:a + n]
+            np.clip(xs[a:a + n], _CDF_LO, _CDF_HI, out=un)
+            un *= _CDF_STEP
+            np.rint(un, out=rn)
+            un -= rn
+            np.subtract(rn, _CDF_LO * _CDF_STEP, out=kn, casting="unsafe")
+            c5432 = np.take(_CDF_HIGH, kn, out=high[:n], mode="clip").view(np.float64)
+            c10 = np.take(_CDF_LOW, kn, out=low[:n], mode="clip").view(np.float64)
+            np.multiply(c5432[0::4], un, out=y)
+            for c in (c5432[1::4], c5432[2::4], c5432[3::4], c10[0::2]):
+                y += c
+                y *= un
+            y += c10[1::2]
+    if out is not None and res is not out:
+        out[...] = res
+        return out
+    return res
 
 
 def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,19 @@ block_counts=1,1,1,1,1,1,1
 heads_per_level=1,1,1,1,1,1,1
 disc_width=4
 """
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.special alone costs about as much as the rest of the
+    # package's import; numpy is linpaint's only runtime dependency.
+    code = ("import sys, linpaint, linpaint.cli; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +493,54 @@ def test_gelu_values():
     assert out.data[0] == 0.0
     assert abs(out.data[1] - 10.0) <= 1e-6
     assert abs(out.data[2] - 0.8413447460685429) <= 1e-9
+
+
+def _erfc_cdf(x):
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+
+
+def test_gauss_cdf_accuracy_against_erfc():
+    # A dense grid over both tails and the clipped ends, plus the values the
+    # gates mostly see.
+    x = np.concatenate([np.linspace(-40.0, 40.0, 320_001),
+                        make_rng(0).normal(0.0, 1.5, size=100_000)])
+    got, want = T.gauss_cdf(x), _erfc_cdf(x)
+    err = np.abs(got - want)
+    assert err.max() <= 2.5e-16
+    upper = x >= -8.0
+    assert (err[upper] / want[upper]).max() <= 1e-11
+
+
+def test_gauss_cdf_exact_values():
+    assert T.gauss_cdf(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+    high = np.concatenate([np.linspace(9.0, 40.0, 1001), [1e300, np.inf]])
+    assert np.all(T.gauss_cdf(high) == 1.0)
+    low = np.concatenate([np.linspace(-100.0, -40.0, 1001), [-1e300, -np.inf]])
+    assert np.all(T.gauss_cdf(low) == 0.0)
+
+
+def test_gauss_cdf_out_and_chunks_give_the_same_bits():
+    x = make_rng(1).normal(0.0, 1.5, size=(3, 8192 + 77))
+    full = T.gauss_cdf(x)
+    out = np.empty_like(x)
+    assert T.gauss_cdf(x, out=out) is out
+    assert out.tobytes() == full.tobytes()
+    strided = np.empty((x.shape[1], 3)).T
+    T.gauss_cdf(x, out=strided)
+    assert strided.tobytes() == full.tobytes()
+    flat, flat_full = x.reshape(-1), full.reshape(-1)
+    for a, b in [(0, 1), (5, 8197), (8191, 16385), (100, flat.size)]:
+        assert T.gauss_cdf(flat[a:b]).tobytes() == flat_full[a:b].tobytes()
+
+
+def test_gauss_cdf_nan_is_nan_without_warning():
+    x = np.zeros(20_000)
+    x[::7] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.gauss_cdf(x)
+    assert np.array_equal(np.isnan(y), np.isnan(x))
+    assert np.all(y[~np.isnan(x)] == 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import linpaint.unet as U
 from linpaint.cli import paste_known_pixels
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.tensor import (
+    NonFiniteError,
     ShapeError,
     Tensor,
     conv2d,
@@ -55,6 +57,16 @@ def test_ffn_preserves_shape():
 def test_ffn_hidden_width():
     assert ModelConfig(ffn_expansion=2.0).ffn_hidden(10) == 20
     assert ModelConfig(ffn_expansion=0.1).ffn_hidden(3) == 1
+
+
+def test_ffn_nan_gate_weight_raises_nonfinite():
+    ffn = FeedForward(make_rng(4), 4, 8, "ffn")
+    ffn.dw_g_w.data[3, 1, 1] = np.nan
+    x = Tensor(make_rng(5).normal(size=(4, 6, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="ffn produced non-finite values"):
+            ffn(x)
 
 
 def test_ffn_gradient():
