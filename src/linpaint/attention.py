@@ -86,8 +86,8 @@ class AttentionConfig:
         if self.taylor_mode not in TAYLOR_MODES:
             raise ValueError(f"taylor_mode must be one of {TAYLOR_MODES}, "
                              f"got {self.taylor_mode!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
     @property
     def head_dim(self) -> int:

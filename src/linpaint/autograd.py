@@ -118,13 +118,16 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
         p.grad = None
 
 
+# The central-difference step of every gradient check.
+_FD_STEP = 1e-5
+
+
 def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Parameter],
-                      h: float = 1e-5, coords_per_param: int | None = None,
-                      seed: int = 0) -> float:
+                      coords_per_param: int | None = None, seed: int = 0) -> float:
     """Max relative error between tape gradients and central differences.
 
     ``f`` rebuilds its computation from the current parameter values and
@@ -132,8 +135,6 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Parameter],
     ``coords_per_param`` limits each parameter to a seeded random subset
     (needed to keep large-model checks tractable).
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
     with Tape() as tape:
         loss = f()
         tape.backward(loss)
@@ -152,11 +153,11 @@ def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Parameter],
         an_flat = an.reshape(-1)
         for idx in coords:
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + _FD_STEP
             f_plus = f().item()
-            flat[idx] = orig - h
+            flat[idx] = orig - _FD_STEP
             f_minus = f().item()
             flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
+            fd = (f_plus - f_minus) / (2.0 * _FD_STEP)
             worst = max(worst, _rel_err(fd, float(an_flat[idx])))
     return worst

@@ -21,6 +21,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -99,10 +100,10 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.iters < 0:
             raise ConfigError(f"iters must be >= 0, got {self.iters}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.disc_width < 1:
             raise ConfigError(f"disc_width must be >= 1, got {self.disc_width}")
 
@@ -461,7 +462,7 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     unit("gelu", lambda: sum_all(hadamard(gelu(p), r_p)), [p])
     unit("tanh", lambda: sum_all(hadamard(tanh(p), r_p)), [p])
     unit("sigmoid", lambda: sum_all(hadamard(sigmoid(p), r_p)), [p])
-    unit("leaky_relu", lambda: sum_all(hadamard(leaky_relu(p, 0.2), r_p)), [p])
+    unit("leaky_relu", lambda: sum_all(hadamard(leaky_relu(p), r_p)), [p])
     unit("absolute", lambda: sum_all(hadamard(absolute(p), r_p)), [p])
 
     xn = Parameter(rng.normal(size=(4, 3, 3)))

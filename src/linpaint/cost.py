@@ -191,25 +191,22 @@ class CalibrationResult:
 
 
 def calibrate_channels(sweep: tuple[int, ...] = (32, 40, 48, 64),
-                       target_params: int = REFERENCE_PARAMS,
-                       template: ModelConfig | None = None,
-                       h: int = REFERENCE_RESOLUTION,
-                       w: int = REFERENCE_RESOLUTION) -> CalibrationResult:
-    """Find the base width whose parameter count lands nearest the target."""
+                       template: ModelConfig | None = None) -> CalibrationResult:
+    """Find the base width whose parameter count lands nearest the reference."""
     if not sweep:
         raise ValueError("sweep must not be empty")
     template = template if template is not None else ModelConfig()
     table = []
     for channels in sorted(sweep):
         cfg = ModelConfig(**{**template.__dict__, "base_channels": channels})
-        report = cost_report(cfg, h, w)
+        report = cost_report(cfg, REFERENCE_RESOLUTION, REFERENCE_RESOLUTION)
         table.append((channels, report.total_params, report.total_macs))
-    best = min(table, key=lambda row: abs(row[1] - target_params))
+    best = min(table, key=lambda row: abs(row[1] - REFERENCE_PARAMS))
     return CalibrationResult(
         best_channels=best[0],
         params=best[1],
         macs=best[2],
-        param_gap=(best[1] - target_params) / target_params,
+        param_gap=(best[1] - REFERENCE_PARAMS) / REFERENCE_PARAMS,
         mac_gap=(best[2] - REFERENCE_MACS) / REFERENCE_MACS,
         table=table,
     )

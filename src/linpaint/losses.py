@@ -13,7 +13,7 @@ spectrally normalized via power iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .tensor import (
     sum_all,
     transpose,
 )
+from .unet import IMAGE_CHANNELS
 
 __all__ = [
     "LossWeights",
@@ -44,13 +45,25 @@ __all__ = [
     "perceptual_loss",
     "gram_matrix",
     "style_loss",
-    "SpectralNormState",
     "power_iteration_sigma",
     "PatchDiscriminator",
     "discriminator_loss",
     "generator_adversarial_loss",
     "total_loss",
 ]
+
+# The random extractor's stage widths, and the factor its feature maps are
+# reported at.
+_FEATURE_WIDTHS = (8, 16, 32)
+_FEATURE_GAIN = 0.1
+
+# Power-iteration steps each discriminator layer runs when it is built; every
+# forward then runs one more.
+_INIT_POWER_ITERS = 60
+
+# Norms below this make the spectral-norm estimate 0: the weight is used
+# undivided.
+_SIGMA_FLOOR = 1e-12
 
 
 @dataclass
@@ -61,9 +74,10 @@ class LossWeights:
     adversarial: float = 0.1
 
     def validate(self) -> None:
-        for name in ("reconstruction", "perceptual", "style", "adversarial"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"loss weight {f.name} must be finite and >= 0, got {value}")
 
 
 class RandomConvFeatureExtractor:
@@ -71,18 +85,15 @@ class RandomConvFeatureExtractor:
 
     Weights are plain tensors, not parameters: gradients flow through the
     stages to the image but the extractor itself is never trained. Reported
-    feature maps are scaled by ``feature_gain`` so the Gram magnitudes stay
+    feature maps are scaled by ``_FEATURE_GAIN`` so the Gram magnitudes stay
     in the range the published style weight (250) was tuned for.
     """
 
-    def __init__(self, seed: int = 0, in_channels: int = 3,
-                 widths: tuple[int, ...] = (8, 16, 32),
-                 feature_gain: float = 0.1) -> None:
+    def __init__(self, seed: int) -> None:
         rng = make_rng(seed)
-        self.feature_gain = feature_gain
         self.layers: list[tuple[Tensor, Tensor]] = []
-        cin = in_channels
-        for cout in widths:
+        cin = IMAGE_CHANNELS
+        for cout in _FEATURE_WIDTHS:
             std = math.sqrt(2.0 / (cin * 9))
             w = Tensor(rng.normal(0.0, std, size=(cout, cin, 3, 3)))
             b = Tensor(np.zeros(cout))
@@ -93,8 +104,8 @@ class RandomConvFeatureExtractor:
         feats = []
         x = im
         for w, b in self.layers:
-            x = leaky_relu(conv2d(x, w, b, stride=2, padding=1), 0.2)
-            feats.append(scale(x, self.feature_gain))
+            x = leaky_relu(conv2d(x, w, b, stride=2, padding=1))
+            feats.append(scale(x, _FEATURE_GAIN))
         return feats
 
 
@@ -139,42 +150,25 @@ def style_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:
 # Spectral normalization
 
 
-@dataclass
-class SpectralNormState:
-    """Persistent left singular-vector estimate for one weight matrix."""
+def power_iteration_sigma(w: np.ndarray, u: np.ndarray) -> float:
+    """One power-iteration step: the largest-singular-value estimate of ``w``.
 
-    u: np.ndarray
-    power_iters: int = 1
-
-    @classmethod
-    def init(cls, rows: int, rng: np.random.Generator, power_iters: int = 1
-             ) -> "SpectralNormState":
-        u = rng.normal(size=rows)
-        return cls(u=u / np.linalg.norm(u), power_iters=power_iters)
-
-
-def power_iteration_sigma(w: np.ndarray, state: SpectralNormState,
-                          eps: float = 1e-12) -> float:
-    """Largest-singular-value estimate; updates state.u in place (kept unit norm)."""
+    ``u`` is the unit left singular-vector estimate; it is advanced in place.
+    Returns 0.0, leaving ``u`` as it was, for an effectively zero matrix.
+    """
     if w.ndim != 2:
         raise ShapeError(f"power iteration needs a matrix, got shape {w.shape}")
-    if state.power_iters < 1:
-        raise ValueError("power_iters must be >= 1")
-    u = state.u
-    v = None
-    for _ in range(state.power_iters):
-        v = w.T @ u
-        nv = np.linalg.norm(v)
-        if nv < eps:                       # effectively zero matrix
-            return 0.0
-        v = v / nv
-        u = w @ v
-        nu = np.linalg.norm(u)
-        if nu < eps:
-            return 0.0
-        u = u / nu
-    state.u = u
-    return float(u @ (w @ v))
+    v = w.T @ u
+    nv = np.linalg.norm(v)
+    if nv < _SIGMA_FLOOR:
+        return 0.0
+    v /= nv
+    wv = w @ v
+    nu = np.linalg.norm(wv)
+    if nu < _SIGMA_FLOOR:
+        return 0.0
+    np.divide(wv, nu, out=u)
+    return float(u @ wv)
 
 
 # ---------------------------------------------------------------------------
@@ -185,45 +179,38 @@ class PatchDiscriminator(Module):
     """Stride-2 convolution stack scoring local patches, not a single scalar.
 
     Four stages of ``base_width`` channels doubling per stage (64 -> 128 ->
-    256 -> 512 by default) with kernel 4 and leaky-ReLU slope 0.2, then a
-    1-channel scoring convolution. Every convolution weight is divided
-    by its power-iteration spectral-norm estimate at call time; the estimate
-    is treated as a constant in the backward pass.
+    256 -> 512 at the default ``disc_width``) with kernel 4 and leaky-ReLU
+    slope 0.2, then a 1-channel scoring convolution. Every convolution weight
+    is divided by its spectral-norm estimate at call time, after one
+    power-iteration step; the estimate is treated as a constant in the
+    backward pass.
     """
 
-    def __init__(self, rng: np.random.Generator, in_channels: int = 3,
-                 base_width: int = 64, power_iters: int = 1,
-                 init_power_iters: int = 60) -> None:
-        self.layers: list[tuple[Parameter, Parameter, SpectralNormState, int]] = []
-        cin = in_channels
-        for i in range(4):
-            cout = base_width * 2 ** i
-            self._add_layer(rng, cin, cout, stride=2, tag=f"disc.conv{i}",
-                            power_iters=power_iters, init_power_iters=init_power_iters)
+    def __init__(self, rng: np.random.Generator, base_width: int) -> None:
+        self.layers: list[tuple[Parameter, Parameter, np.ndarray, int]] = []
+        stages = [(f"disc.conv{i}", base_width * 2 ** i, 2) for i in range(4)]
+        cin = IMAGE_CHANNELS
+        for tag, cout, stride in stages + [("disc.score", 1, 1)]:
+            std = math.sqrt(2.0 / (cin * 16))
+            w = Parameter(rng.normal(0.0, std, size=(cout, cin, 4, 4)), name=f"{tag}.w")
+            b = Parameter(np.zeros(cout), name=f"{tag}.b")
+            u = rng.normal(size=cout)
+            u /= np.linalg.norm(u)
+            # Converge u up front so the very first sigma estimates are accurate.
+            for _ in range(_INIT_POWER_ITERS):
+                power_iteration_sigma(w.data.reshape(cout, -1), u)
+            self.layers.append((w, b, u, stride))
             cin = cout
-        self._add_layer(rng, cin, 1, stride=1, tag="disc.score",
-                        power_iters=power_iters, init_power_iters=init_power_iters)
-
-    def _add_layer(self, rng, cin: int, cout: int, stride: int, tag: str,
-                   power_iters: int, init_power_iters: int) -> None:
-        std = math.sqrt(2.0 / (cin * 16))
-        w = Parameter(rng.normal(0.0, std, size=(cout, cin, 4, 4)), name=f"{tag}.w")
-        b = Parameter(np.zeros(cout), name=f"{tag}.b")
-        state = SpectralNormState.init(cout, rng, power_iters)
-        # Converge u up front so the very first sigma estimates are accurate.
-        for _ in range(init_power_iters):
-            power_iteration_sigma(w.data.reshape(w.shape[0], -1), state)
-        self.layers.append((w, b, state, stride))
 
     def forward(self, im: Tensor) -> Tensor:
         x = im
         last = len(self.layers) - 1
-        for i, (w, b, state, stride) in enumerate(self.layers):
-            sigma = power_iteration_sigma(w.data.reshape(w.shape[0], -1), state)
-            w_used = scale(w, 1.0 / sigma) if sigma > 1e-12 else w
+        for i, (w, b, u, stride) in enumerate(self.layers):
+            sigma = power_iteration_sigma(w.data.reshape(w.shape[0], -1), u)
+            w_used = scale(w, 1.0 / sigma) if sigma > _SIGMA_FLOOR else w
             x = conv2d(x, w_used, b, stride=stride, padding=1)
             if i != last:
-                x = leaky_relu(x, 0.2)
+                x = leaky_relu(x)
         return x
 
 
@@ -239,7 +226,7 @@ def discriminator_loss(disc: PatchDiscriminator, real: Tensor,
                        fake_detached: Tensor) -> Tensor:
     """-[mean log s(D(real)) + mean log(1 - s(D(fake)))]; fake must be detached."""
     term_real = _mean_log_sigmoid(disc.forward(real))
-    term_fake = mean_all(log_clamped(sigmoid(scale(disc.forward(fake_detached), -1.0))))
+    term_fake = _mean_log_sigmoid(scale(disc.forward(fake_detached), -1.0))
     return scale(add(term_real, term_fake), -1.0)
 
 

@@ -681,20 +681,24 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    factor = np.where(x.data >= 0, 1.0, slope)
+# The negative-side slope of every leaky ReLU, and the floor of every clamped
+# log (the losses' logs of sigmoid scores).
+_LEAKY_SLOPE = 0.2
+_LOG_FLOOR = 1e-12
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    factor = np.where(x.data >= 0, 1.0, _LEAKY_SLOPE)
     out = _finish(x.data * factor, "leaky_relu")
     _record(out, (x, lambda g: g * factor))
     return out
 
 
-def log_clamped(x: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); gradient is zero on the clamped region."""
-    if floor <= 0:
-        raise ValueError("floor must be > 0")
-    live = x.data > floor
-    out = _finish(np.log(np.maximum(x.data, floor)), "log_clamped")
-    _record(out, (x, lambda g: np.where(live, g / np.maximum(x.data, floor), 0.0)))
+def log_clamped(x: Tensor) -> Tensor:
+    """log(max(x, _LOG_FLOOR)); gradient is zero on the clamped region."""
+    live = x.data > _LOG_FLOOR
+    out = _finish(np.log(np.maximum(x.data, _LOG_FLOOR)), "log_clamped")
+    _record(out, (x, lambda g: np.where(live, g / np.maximum(x.data, _LOG_FLOOR), 0.0)))
     return out
 
 

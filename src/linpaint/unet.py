@@ -100,8 +100,8 @@ class ModelConfig:
             self.ffn_hidden(self.level_channels(3))
         except OverflowError:
             raise ValueError(bad_expansion) from None
-        if self.attn_eps <= 0:
-            raise ValueError(f"attn_eps must be > 0, got {self.attn_eps}")
+        if not (math.isfinite(self.attn_eps) and self.attn_eps > 0):
+            raise ValueError(f"attn_eps must be finite and > 0, got {self.attn_eps}")
         for idx, heads in enumerate(self.heads_per_level):
             c = self.level_channels(idx)
             if heads < 1 or c % heads != 0:

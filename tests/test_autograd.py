@@ -378,7 +378,7 @@ def test_grad_pointwise():
     _check(lambda: sum_all(hadamard(gelu(x), r)), [x])
     _check(lambda: sum_all(hadamard(tanh(x), r)), [x])
     _check(lambda: sum_all(hadamard(sigmoid(x), r)), [x])
-    _check(lambda: sum_all(hadamard(leaky_relu(x, 0.2), r)), [x])
+    _check(lambda: sum_all(hadamard(leaky_relu(x), r)), [x])
     _check(lambda: sum_all(hadamard(absolute(x), r)), [x])
 
 

@@ -20,6 +20,7 @@ from linpaint.cli import (
     run_bench,
     train_toy,
 )
+from linpaint.losses import LossWeights
 from linpaint.netpbm import (
     NetpbmError,
     read_gray,
@@ -331,6 +332,52 @@ def _toy_cfg(tmp_path):
     return path
 
 
+# Loss rows of train_toy at base_channels=4, 32x32, disc_width=4, lr=1e-3,
+# seed 0, recorded before the spectral norm became a one-step function. They
+# shift by about 1e-14 relative with the BLAS thread count, hence rtol 1e-10.
+PINNED_ROWS = [
+    (0.3677042254445361, 0.08340857229654455, 0.0047276094077012085,
+     0.6977467544773771, 1.7027898251141207),
+    (0.34346406529515616, 0.06787435374035125, 0.004443235328742505,
+     0.696806208415481, 1.5918278720626817),
+    (0.3352266436819173, 0.06526722193582837, 0.004371794169551473,
+     0.6975591694232971, 1.5631983249479435),
+]
+
+
+def test_train_toy_loss_rows_match_recorded_values():
+    img = np.round(synth_image(32, 32, seed=0) * 255) / 255.0
+    mask = synth_mask(32, 32, 0.25, seed=1)
+    run = RunConfig(model=ModelConfig(base_channels=4), seed=0, iters=3, lr=1e-3,
+                    disc_width=4)
+    result = train_toy(run, img, mask, None, None)
+    rows = [[float(v) for v in line.split(",")] for line in result.csv_rows[1:]]
+    assert [row[0] for row in rows] == [0, 1, 2]
+    for row, pinned in zip(rows, PINNED_ROWS, strict=True):
+        assert row[1:] == pytest.approx(pinned, rel=1e-10, abs=0.0)
+
+
+def _float_keys():
+    """Every float setting's config key."""
+    keys = []
+    for default, prefix in ((ModelConfig(), ""), (LossWeights(), "lambda_"),
+                            (RunConfig(), "")):
+        keys += [prefix + f.name for f in fields(default)
+                 if isinstance(getattr(default, f.name), float)]
+    return keys
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _float_keys())
+def test_non_finite_float_setting_is_validation_error(tmp_path, capsys, key, value):
+    img_path, mask_path = _write_pair(tmp_path)
+    cfg_path = str(tmp_path / "bad.cfg")
+    open(cfg_path, "w").write(TOY_CONFIG + f"{key}={value}\n")
+    for argv in (["count"], ["train-toy", "--image", img_path, "--mask", mask_path]):
+        assert main(argv + ["--config", cfg_path]) == 1, argv
+        assert key.removeprefix("lambda_") in capsys.readouterr().err
+
+
 def test_train_toy_rejects_bad_dims(tmp_path):
     run = build_run_config(parse_config_text(TOY_CONFIG))
     with pytest.raises(ConfigError, match="divisible"):
@@ -400,6 +447,7 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"\nnorm=\w+", b"", "'norm'"),
     (rb"gated=\w+", b"gated=yes", "gated"),
     (rb"attn_eps=[^\n]+", b"attn_eps=0.0", "attn_eps"),
+    (rb"attn_eps=[^\n]+", b"attn_eps=nan", "attn_eps"),
     (rb"ffn_expansion=[^\n]+", b"ffn_expansion=inf", "ffn_expansion"),
     # More blocks than the data block has parameters.
     (rb"block_counts=[\d,]+", b"block_counts=2000,0,0,0,0,0,0", "2000 blocks"),
@@ -409,7 +457,7 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"\nparam_count=", b"\nin_channels=1\nparam_count=", "in_channels"),
     (rb"\nparam_count=", b"\nout_channels=1\nparam_count=", "out_channels"),
 ], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
-        "missing-key", "bad-bool", "zero-eps", "infinite-expansion",
+        "missing-key", "bad-bool", "zero-eps", "nan-eps", "infinite-expansion",
         "blocks-beyond-params", "retired-divide", "retired-normalize_qk",
         "retired-in_channels", "retired-out_channels"])
 def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement, named):

@@ -8,7 +8,6 @@ from linpaint.losses import (
     LossWeights,
     PatchDiscriminator,
     RandomConvFeatureExtractor,
-    SpectralNormState,
     discriminator_loss,
     generator_adversarial_loss,
     gram_matrix,
@@ -18,7 +17,7 @@ from linpaint.losses import (
     style_loss,
     total_loss,
 )
-from linpaint.tensor import Tensor, make_rng
+from linpaint.tensor import Tensor, conv2d, leaky_relu, make_rng, scale
 from linpaint.unet import InpaintingUNet, ModelConfig
 
 
@@ -128,21 +127,32 @@ def test_style_hand_computed_case():
 # spectral normalization
 
 
+def _unit_vector(rows, rng):
+    u = rng.normal(size=rows)
+    return u / np.linalg.norm(u)
+
+
+def _sigma_after(steps, w, u):
+    """The estimate of the last of ``steps`` one-step calls."""
+    for _ in range(steps):
+        sigma = power_iteration_sigma(w, u)
+    return sigma
+
+
 def test_power_iteration_diagonal():
-    state = SpectralNormState.init(2, make_rng(13), power_iters=20)
+    u = _unit_vector(2, make_rng(13))
     w = np.diag([3.0, 1.0])
-    sigma = power_iteration_sigma(w, state)
+    sigma = _sigma_after(20, w, u)
     assert abs(sigma - 3.0) <= 1e-6
-    assert abs(np.linalg.norm(state.u) - 1.0) <= 1e-12
-    normalized = w / power_iteration_sigma(w, SpectralNormState.init(2, make_rng(14), 20))
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    normalized = w / _sigma_after(20, w, _unit_vector(2, make_rng(14)))
     assert abs(np.linalg.svd(normalized, compute_uv=False)[0] - 1.0) <= 1e-6
 
 
 def test_power_iteration_matches_svd():
     rng = make_rng(15)
     w = rng.normal(size=(8, 8))
-    state = SpectralNormState.init(8, rng, power_iters=100)
-    sigma = power_iteration_sigma(w, state)
+    sigma = _sigma_after(100, w, _unit_vector(8, rng))
     assert abs(sigma - np.linalg.svd(w, compute_uv=False)[0]) <= 1e-4
 
 
@@ -150,20 +160,23 @@ def test_spectral_normalize_near_identity_when_already_normalized():
     rng = make_rng(16)
     w = rng.normal(size=(6, 6))
     w = w / np.linalg.svd(w, compute_uv=False)[0]
-    sigma = power_iteration_sigma(w, SpectralNormState.init(6, rng, power_iters=50))
+    sigma = _sigma_after(50, w, _unit_vector(6, rng))
     assert abs(sigma - 1.0) <= 1e-4
 
 
 def test_spectral_normalize_zero_matrix_unchanged():
     # A zero sigma tells PatchDiscriminator to use the weight undivided.
-    assert power_iteration_sigma(np.zeros((4, 4)), SpectralNormState.init(4, make_rng(17))) == 0.0
+    u = _unit_vector(4, make_rng(17))
+    before = u.copy()
+    assert power_iteration_sigma(np.zeros((4, 4)), u) == 0.0
+    assert np.array_equal(u, before)
 
 
 def test_spectral_norm_five_iterations_window():
     rng = make_rng(18)
     for _ in range(5):
         w = rng.normal(size=(10, 10))
-        out = w / power_iteration_sigma(w, SpectralNormState.init(10, rng, power_iters=5))
+        out = w / _sigma_after(5, w, _unit_vector(10, rng))
         top = np.linalg.svd(out, compute_uv=False)[0]
         assert 0.9 <= top <= 1.1
 
@@ -231,13 +244,33 @@ def test_adversarial_clamping_keeps_losses_finite():
 
 def test_generator_adversarial_gradient_matches_fd():
     rng = make_rng(23)
-    disc = PatchDiscriminator(rng, base_width=2, power_iters=5)
+    disc = PatchDiscriminator(rng, base_width=2)
     img = Parameter(rng.uniform(-0.5, 0.5, size=(3, 32, 32)))
-    for _ in range(100):  # converge power iteration so sigma is static
+    for _ in range(500):  # converge power iteration so sigma is static
         disc.forward(img)
     err = finite_diff_check(lambda: generator_adversarial_loss(disc, img), [img],
                             coords_per_param=6)
     assert err < 1e-4
+
+
+def test_discriminator_forward_takes_one_power_iteration_step_per_layer():
+    # Each forward advances every layer's u by exactly one step and divides
+    # that layer's weight by the estimate the step returns.
+    disc = PatchDiscriminator(make_rng(41), base_width=2)
+    im = Tensor(make_rng(42).uniform(-1, 1, size=(3, 32, 32)))
+    for _ in range(3):
+        expected_u = [u.copy() for _, _, u, _ in disc.layers]
+        sigmas = [power_iteration_sigma(w.data.reshape(w.shape[0], -1), u)
+                  for (w, _, _, _), u in zip(disc.layers, expected_u)]
+        out = disc.forward(im)
+        x = im
+        for i, ((w, b, u, stride), u_next, sigma) in enumerate(
+                zip(disc.layers, expected_u, sigmas)):
+            assert np.array_equal(u, u_next)
+            x = conv2d(x, scale(w, 1.0 / sigma), b, stride=stride, padding=1)
+            if i != len(disc.layers) - 1:
+                x = leaky_relu(x)
+        assert np.array_equal(out.data, x.data)
 
 
 def test_discriminator_loss_detaches_generator():
