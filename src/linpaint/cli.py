@@ -96,10 +96,10 @@ class RunConfig:
             self.weights.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.iters < 0:
-            raise ConfigError(f"iters must be >= 0, got {self.iters}")
+        for name in ("seed", "fx_seed", "iters"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         for name in ("lr", "weight_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

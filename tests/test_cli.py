@@ -142,6 +142,12 @@ def test_duplicate_key_rejected():
         parse_config_text("seed=1\nseed=2\n")
 
 
+@pytest.mark.parametrize("key", ["seed", "fx_seed"])
+def test_negative_seed_rejected(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0"):
+        build_run_config({key: "-1"})
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
         build_run_config({"base_channels": "many"})
