@@ -18,7 +18,6 @@ from .attention import (
 from .autograd import Parameter, adamw_step, finite_diff_check, zero_grads
 from .cost import calibrate_channels, cost_report, count_macs, count_params
 from .losses import (
-    LossWeights,
     PatchDiscriminator,
     RandomConvFeatureExtractor,
     gram_matrix,

@@ -28,10 +28,11 @@ from typing import Callable
 
 import numpy as np
 
-from .autograd import Module, Parameter
+from .autograd import Module, Parameter, _conv_params
 from .tensor import (
     ShapeError,
     Tensor,
+    _swap,
     conv2d,
     fused_op,
     gelu,
@@ -113,13 +114,8 @@ class ProjectionSet(Module):
     @classmethod
     def init(cls, channels: int, rng: np.random.Generator, prefix: str = "attn",
              out_gain: float = 1.0, gated: bool = True) -> "ProjectionSet":
-        std = math.sqrt(1.0 / channels)
-
         def conv_pair(tag: str, gain: float = 1.0) -> tuple[Parameter, Parameter]:
-            w = Parameter(rng.normal(0.0, gain * std, size=(channels, channels, 1, 1)),
-                          name=f"{prefix}.{tag}.w")
-            b = Parameter(np.zeros(channels), name=f"{prefix}.{tag}.b")
-            return w, b
+            return _conv_params(rng, channels, channels, 1, f"{prefix}.{tag}", gain)
 
         wq, bq = conv_pair("wq")
         wk, bk = conv_pair("wk")
@@ -243,10 +239,6 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = Tr
             unit_slices_back(k, k_norm, dk, dk, scratch)
 
     return out, back
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return a.swapaxes(-1, -2)
 
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,

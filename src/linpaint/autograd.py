@@ -7,6 +7,7 @@ the pieces needed to train with it and to validate it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,14 +65,28 @@ def _collect(values: Iterable[object]) -> list[Parameter]:
     return out
 
 
+def _conv_params(rng: np.random.Generator, cout: int, cin: int, k: int,
+                 name: str, gain: float = 1.0) -> tuple[Parameter, Parameter]:
+    """A convolution's weight, drawn from N(0, gain^2 / (cin k k)), and its zero bias."""
+    # Variance-preserving init (gain 1): most convolutions here feed residual
+    # sums or further linear maps, not ReLU-family activations, so a sqrt(2)
+    # gain would compound across the depth and saturate the output tanh.
+    std = gain * math.sqrt(1.0 / (cin * k * k))
+    w = Parameter(rng.normal(0.0, std, size=(cout, cin, k, k)), name=f"{name}.w")
+    b = Parameter(np.zeros(cout), name=f"{name}.b")
+    return w, b
+
+
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
 
 
-def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
-               weight_decay: float = 0.0) -> None:
+# Adam's usual moment decay rates (beta1, beta2) and denominator floor (eps).
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adamw_step(params: Sequence[Parameter], lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update; clears gradients afterwards.
 
     Decay multiplies the value by (1 - lr*weight_decay) before the Adam term,
@@ -100,18 +115,18 @@ def adamw_step(params: Sequence[Parameter], lr: float, beta1: float = 0.9,
             p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
         if weight_decay != 0.0:
             p.data *= 1.0 - lr * weight_decay
-        p.adam_m *= beta1
-        p.adam_v *= beta2
+        p.adam_m *= _BETA1
+        p.adam_v *= _BETA2
         if g is not None:
-            np.multiply(g, 1.0 - beta1, out=a)
+            np.multiply(g, 1.0 - _BETA1, out=a)
             p.adam_m += a
             np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
+            a *= 1.0 - _BETA2
             p.adam_v += a
-        np.divide(p.adam_m, 1.0 - beta1**p.step_count, out=a)     # m_hat
-        np.divide(p.adam_v, 1.0 - beta2**p.step_count, out=b)     # v_hat
+        np.divide(p.adam_m, 1.0 - _BETA1**p.step_count, out=a)     # m_hat
+        np.divide(p.adam_v, 1.0 - _BETA2**p.step_count, out=b)     # v_hat
         np.sqrt(b, out=b)
-        b += eps
+        b += _ADAM_EPS
         a *= lr
         a /= b
         p.data -= a

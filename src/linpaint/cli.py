@@ -44,7 +44,6 @@ from .cost import (
     quadratic_attention_macs,
 )
 from .losses import (
-    LossWeights,
     PatchDiscriminator,
     RandomConvFeatureExtractor,
     discriminator_loss,
@@ -79,13 +78,11 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
-    weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     iters: int = 500
     lr: float = 1e-4
     weight_decay: float = 0.0
     disc_width: int = 64
-    fx_seed: int = 101
     image: str | None = None
     mask: str | None = None
     checkpoint: str | None = None
@@ -93,10 +90,9 @@ class RunConfig:
     def validate(self) -> None:
         try:
             self.model.validate()
-            self.weights.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("seed", "fx_seed", "iters"):
+        for name in ("seed", "iters"):
             value = getattr(self, name)
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
@@ -108,11 +104,9 @@ class RunConfig:
             raise ConfigError(f"disc_width must be >= 1, got {self.disc_width}")
 
 
-# Config keys: the model's fields, each loss weight as lambda_<term>, and the
-# run's own scalar fields.
-_LOSS_PREFIX = "lambda_"
+# Config keys: the model's fields and the run's own scalar fields. A flag that
+# sets one has the key as its dest.
 KNOWN_KEYS = ({f.name for f in fields(ModelConfig)}
-              | {_LOSS_PREFIX + f.name for f in fields(LossWeights)}
               | {f.name for f in fields(RunConfig) if f.default is not MISSING})
 
 
@@ -140,7 +134,6 @@ def build_run_config(pairs: dict[str, str]) -> RunConfig:
     try:
         run = parse_config(run, pairs)
         run.model = parse_config(run.model, pairs)
-        run.weights = parse_config(run.weights, pairs, prefix=_LOSS_PREFIX)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     run.validate()
@@ -161,17 +154,9 @@ def load_run_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
 
 
 def _flag_overrides(ns: argparse.Namespace) -> dict[str, str]:
-    over: dict[str, str] = {}
-    for flag, key in (("seed", "seed"), ("iters", "iters"), ("lr", "lr"),
-                      ("mode", "taylor_mode")):
-        val = getattr(ns, flag, None)
-        if val is not None:
-            over[key] = str(val)
-    if getattr(ns, "no_gate", False):
-        over["gated"] = "false"
-    if getattr(ns, "no_norm", False):
-        over["norm"] = "none"
-    return over
+    """The config keys the given flags set: each such flag's dest is its key."""
+    return {key: str(val) for key, val in vars(ns).items()
+            if key in KNOWN_KEYS and val is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +250,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
     print(report.format_table())
     if ns.csv:
         report.to_csv(ns.csv)
-    sweep = tuple(int(v) for v in ns.calibrate.split(","))
-    calib = calibrate_channels(sweep=sweep, template=run.model)
+    calib = calibrate_channels(sweep=ns.calibrate, template=run.model)
     print()
     for line in calib.format_lines():
         print(line)
@@ -331,7 +315,7 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
     rng = make_rng(run.seed)
     model = InpaintingUNet(run.model, rng)
     disc = PatchDiscriminator(rng, base_width=run.disc_width)
-    fx = RandomConvFeatureExtractor(seed=run.fx_seed)
+    fx = RandomConvFeatureExtractor()
     i_g = Tensor(_to_network(img01))
     feats_g = fx.features(i_g)   # constant: the ground truth never changes
     g_params = model.parameters()
@@ -353,7 +337,7 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
             # The generator step needs no discriminator weight gradients.
             for p in d_params:
                 p.requires_grad = False
-            total, terms = total_loss(i_out, i_g, feats_g, fx, disc, run.weights)
+            total, terms = total_loss(i_out, i_g, feats_g, fx, disc)
             for p in d_params:
                 p.requires_grad = True
             tg.backward(total)
@@ -384,12 +368,7 @@ def train_toy(run: RunConfig, img01: np.ndarray, mask: np.ndarray,
 
 
 def cmd_train_toy(ns: argparse.Namespace) -> int:
-    over = _flag_overrides(ns)
-    for flag in ("image", "mask", "checkpoint"):
-        val = getattr(ns, flag, None)
-        if val is not None:
-            over[flag] = val
-    run = load_run_config(ns.config, over)
+    run = load_run_config(ns.config, _flag_overrides(ns))
     if run.image is None or run.mask is None:
         raise ConfigError("train-toy needs --image and --mask (or config keys)")
     img01 = read_image(run.image)
@@ -562,6 +541,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _seed_arg(text: str) -> int:
+    """A ``--seed`` value: the Philox generator takes only ints >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return int(text)
+
+
+def _int_list_arg(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated ints, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="linpaint",
@@ -572,17 +566,16 @@ def build_parser() -> argparse.ArgumentParser:
                "keys are rejected.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each verb registers only the flags it reads.
+    # Each verb registers only the flags it reads. A flag that sets a config
+    # key has the key as its dest, so _flag_overrides finds it.
     def seed_flag(p, default):
-        p.add_argument("--seed", type=int, default=default, help="PRNG seed (Philox)")
+        p.add_argument("--seed", type=_seed_arg, default=default, help="PRNG seed (Philox)")
 
     def model_flags(p):
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--mode", choices=TAYLOR_MODES, default=None,
-                       help="taylor attention mode")
-        p.add_argument("--no-gate", action="store_true",
+        p.add_argument("--no-gate", dest="gated", action="store_const", const="false",
                        help="disable the attention gating mechanism")
-        p.add_argument("--no-norm", action="store_true",
+        p.add_argument("--no-norm", dest="norm", action="store_const", const="none",
                        help="disable pre-sublayer normalization")
 
     p = sub.add_parser("bench", help="time attention modes across resolutions")
@@ -600,13 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags(p)
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--width", type=int, default=256)
-    p.add_argument("--calibrate", default="32,40,48,64",
+    p.add_argument("--calibrate", type=_int_list_arg, default=(32, 40, 48, 64),
                    help="comma list of base widths to sweep")
     p.add_argument("--csv", default=None, help="write the per-layer report CSV here")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("train-toy", help="overfit the model on one image/mask pair")
     model_flags(p)
+    p.add_argument("--mode", dest="taylor_mode", choices=TAYLOR_MODES, default=None,
+                   help="taylor attention mode")
     seed_flag(p, None)
     p.add_argument("--image", default=None, help="PPM (P6) ground-truth image")
     p.add_argument("--mask", default=None, help="PGM (P5) mask, white=valid")

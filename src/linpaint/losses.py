@@ -13,7 +13,6 @@ spectrally normalized via power iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .tensor import (
 from .unet import IMAGE_CHANNELS
 
 __all__ = [
-    "LossWeights",
+    "LOSS_WEIGHTS",
     "RandomConvFeatureExtractor",
     "l1_reconstruction",
     "perceptual_loss",
@@ -52,8 +51,13 @@ __all__ = [
     "total_loss",
 ]
 
-# The random extractor's stage widths, and the factor its feature maps are
-# reported at.
+# The weight of each generator-side term in the total, by the term's name:
+# the published T-former values (arXiv 2305.07239).
+LOSS_WEIGHTS = {"rec": 1.0, "perc": 1.0, "style": 250.0, "adv": 0.1}
+
+# The random extractor's seed, its stage widths, and the factor its feature
+# maps are reported at.
+_FEATURE_SEED = 101
 _FEATURE_WIDTHS = (8, 16, 32)
 _FEATURE_GAIN = 0.1
 
@@ -66,20 +70,6 @@ _INIT_POWER_ITERS = 60
 _SIGMA_FLOOR = 1e-12
 
 
-@dataclass
-class LossWeights:
-    reconstruction: float = 1.0
-    perceptual: float = 1.0
-    style: float = 250.0
-    adversarial: float = 0.1
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"loss weight {f.name} must be finite and >= 0, got {value}")
-
-
 class RandomConvFeatureExtractor:
     """Fixed-seed random strided convolutions; deterministic and frozen.
 
@@ -89,8 +79,8 @@ class RandomConvFeatureExtractor:
     in the range the published style weight (250) was tuned for.
     """
 
-    def __init__(self, seed: int) -> None:
-        rng = make_rng(seed)
+    def __init__(self) -> None:
+        rng = make_rng(_FEATURE_SEED)
         self.layers: list[tuple[Tensor, Tensor]] = []
         cin = IMAGE_CHANNELS
         for cout in _FEATURE_WIDTHS:
@@ -236,14 +226,13 @@ def generator_adversarial_loss(disc: PatchDiscriminator, fake: Tensor) -> Tensor
 
 
 def total_loss(i_out: Tensor, i_g: Tensor, feats_g: list[Tensor], fx,
-               disc: PatchDiscriminator, weights: LossWeights
-               ) -> tuple[Tensor, dict[str, Tensor]]:
-    """Weighted sum of the four generator-side terms, and the terms by name.
+               disc: PatchDiscriminator) -> tuple[Tensor, dict[str, Tensor]]:
+    """The four generator-side terms summed with :data:`LOSS_WEIGHTS`, and the
+    terms by name.
 
     ``feats_g`` is ``fx.features(i_g)``; ``fx.features`` runs once, on
     ``i_out``, and the perceptual and style terms share both feature lists.
     """
-    weights.validate()
     feats_out = fx.features(i_out)
     terms = {
         "rec": l1_reconstruction(i_out, i_g),
@@ -251,8 +240,8 @@ def total_loss(i_out: Tensor, i_g: Tensor, feats_g: list[Tensor], fx,
         "style": style_loss(feats_out, feats_g),
         "adv": generator_adversarial_loss(disc, i_out),
     }
-    total = scale(terms["rec"], weights.reconstruction)
-    total = add(total, scale(terms["perc"], weights.perceptual))
-    total = add(total, scale(terms["style"], weights.style))
-    total = add(total, scale(terms["adv"], weights.adversarial))
+    total: Tensor | None = None
+    for name, term in terms.items():
+        weighted = scale(term, LOSS_WEIGHTS[name])
+        total = weighted if total is None else add(total, weighted)
     return total, terms

@@ -780,7 +780,11 @@ def mean_all(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm_sites(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+# Added to each site's variance before the square root.
+_NORM_EPS = 1e-5
+
+
+def layer_norm_sites(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize across channels at each spatial site, then apply a per-channel affine."""
     _require(x.data.ndim == 3, f"layer_norm_sites needs CxHxW, got {x.shape}")
     c = x.shape[0]
@@ -789,7 +793,7 @@ def layer_norm_sites(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     # Two C x H x W arrays: x-hat, and the output, which holds the squares first.
     xhat = x.data - x.data.mean(axis=0)
     out_data = np.multiply(xhat, xhat, out=np.empty(x.shape))
-    inv = 1.0 / np.sqrt(out_data.mean(axis=0) + eps)
+    inv = 1.0 / np.sqrt(out_data.mean(axis=0) + _NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.data[:, None, None], out=out_data)
     out_data += beta.data[:, None, None]

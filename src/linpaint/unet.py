@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .attention import TAYLOR_MODES, AttentionConfig, ProjectionSet, gated_attention
-from .autograd import Module, Parameter
+from .attention import AttentionConfig, ProjectionSet, gated_attention
+from .autograd import Module, Parameter, _conv_params
 from .tensor import (
     ShapeError,
     Tensor,
@@ -80,7 +80,6 @@ class ModelConfig:
     gated: bool = True
     norm: str = "layer"
     ffn_expansion: float = 2.0
-    attn_eps: float = 1e-6
 
     def validate(self) -> None:
         if self.base_channels < 1:
@@ -89,8 +88,6 @@ class ModelConfig:
             raise ValueError(f"block_counts must be 7 non-negative ints, got {self.block_counts}")
         if len(self.heads_per_level) != 7:
             raise ValueError(f"heads_per_level must have 7 entries, got {self.heads_per_level}")
-        if self.taylor_mode not in TAYLOR_MODES:
-            raise ValueError(f"taylor_mode must be one of {TAYLOR_MODES}")
         if self.norm not in NORM_KINDS:
             raise ValueError(f"norm must be one of {NORM_KINDS}, got {self.norm!r}")
         bad_expansion = f"ffn_expansion must be finite and > 0, got {self.ffn_expansion}"
@@ -100,13 +97,11 @@ class ModelConfig:
             self.ffn_hidden(self.level_channels(3))
         except OverflowError:
             raise ValueError(bad_expansion) from None
-        if not (math.isfinite(self.attn_eps) and self.attn_eps > 0):
-            raise ValueError(f"attn_eps must be finite and > 0, got {self.attn_eps}")
         for idx, heads in enumerate(self.heads_per_level):
-            c = self.level_channels(idx)
-            if heads < 1 or c % heads != 0:
-                raise ValueError(
-                    f"level {idx}: channels {c} not divisible by heads {heads}")
+            try:
+                AttentionConfig(self.level_channels(idx), heads, self.taylor_mode).validate()
+            except ValueError as exc:
+                raise ValueError(f"level {idx}: {exc}") from None
 
     def level_channels(self, idx: int) -> int:
         """Channels at block-stack index 0..6 (enc 1..4 then dec 3..1)."""
@@ -142,19 +137,18 @@ def format_config(config) -> list[str]:
     return lines
 
 
-def parse_config(config, pairs: dict[str, str], prefix: str = ""):
-    """A copy of ``config`` with every field whose key (``prefix`` + name) is in
-    ``pairs`` parsed from its text; the inverse of :func:`format_config`.
+def parse_config(config, pairs: dict[str, str]):
+    """A copy of ``config`` with every field whose name is a key of ``pairs``
+    parsed from its text; the inverse of :func:`format_config`.
 
     The field's value in ``config`` gives the type to parse; a field whose
     value is None takes the text as is. Raises ValueError naming the key.
     """
     changes: dict[str, object] = {}
     for f in fields(config):
-        key = prefix + f.name
-        if key not in pairs:
+        if f.name not in pairs:
             continue
-        current, text = getattr(config, f.name), pairs[key]
+        current, text = getattr(config, f.name), pairs[f.name]
         try:
             if isinstance(current, bool):
                 if text not in ("true", "false"):
@@ -167,19 +161,8 @@ def parse_config(config, pairs: dict[str, str], prefix: str = ""):
             else:
                 changes[f.name] = text
         except ValueError as exc:
-            raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
+            raise ValueError(f"bad value for {f.name}: {text!r} ({exc})") from None
     return replace(config, **changes)
-
-
-def _conv_params(rng: np.random.Generator, cout: int, cin: int, k: int,
-                 name: str, gain: float = 1.0) -> tuple[Parameter, Parameter]:
-    # Variance-preserving init (gain 1): most convolutions here feed residual
-    # sums or further linear maps, not ReLU-family activations, so a sqrt(2)
-    # gain would compound across the depth and saturate the output tanh.
-    std = gain * math.sqrt(1.0 / (cin * k * k))
-    w = Parameter(rng.normal(0.0, std, size=(cout, cin, k, k)), name=f"{name}.w")
-    b = Parameter(np.zeros(cout), name=f"{name}.b")
-    return w, b
 
 
 class ConvLayer(Module):
@@ -348,7 +331,7 @@ class TransformerBlock(Module):
                  name: str) -> None:
         self.attn_cfg = AttentionConfig(
             channels=channels, heads=heads, taylor_mode=cfg.taylor_mode,
-            gated=cfg.gated, eps=cfg.attn_eps)
+            gated=cfg.gated)
         self.attn_cfg.validate()
         self.use_norm = cfg.norm == "layer"
         if self.use_norm:
@@ -458,7 +441,7 @@ class CheckpointError(ValueError):
 # Header keys that older checkpoints carry, with the one value the model now
 # always has; any other value describes a different model.
 _RETIRED_KEYS = {"in_channels": "3", "out_channels": "3", "normalize_qk": "true",
-                 "divide": "true"}
+                 "divide": "true", "attn_eps": "1e-06"}
 
 
 def save_checkpoint(model: InpaintingUNet, path: str) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -13,6 +14,8 @@ from linpaint.cli import (
     KNOWN_KEYS,
     ConfigError,
     RunConfig,
+    _flag_overrides,
+    build_parser,
     build_run_config,
     load_run_config,
     main,
@@ -20,7 +23,6 @@ from linpaint.cli import (
     run_bench,
     train_toy,
 )
-from linpaint.losses import LossWeights
 from linpaint.netpbm import (
     NetpbmError,
     read_gray,
@@ -130,9 +132,15 @@ def test_parse_config_text_roundtrip():
     run.validate()
 
 
+# Settings that are now constants: the model's attn_eps and divide, the loss
+# weights and the feature extractor's seed.
+RETIRED_FLOAT_KEYS = ("attn_eps", "lambda_reconstruction", "lambda_perceptual",
+                      "lambda_style", "lambda_adversarial")
+RETIRED_KEYS = RETIRED_FLOAT_KEYS + ("divide", "fx_seed")
+
+
 def test_unknown_key_rejected():
-    # divide was a model setting; it is now a constant of the model.
-    for line in ("bogus_key=1", "divide=true"):
+    for line in ["bogus_key=1"] + [f"{key}=1" for key in RETIRED_KEYS]:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text(line + "\n")
 
@@ -142,7 +150,7 @@ def test_duplicate_key_rejected():
         parse_config_text("seed=1\nseed=2\n")
 
 
-@pytest.mark.parametrize("key", ["seed", "fx_seed"])
+@pytest.mark.parametrize("key", ["seed"])
 def test_negative_seed_rejected(key):
     with pytest.raises(ConfigError, match=f"^{key} must be >= 0"):
         build_run_config({key: "-1"})
@@ -158,9 +166,19 @@ def test_bad_value_rejected():
 def test_flag_overrides_config_file(tmp_path):
     path = str(tmp_path / "run.cfg")
     open(path, "w").write(TOY_CONFIG + "seed=7\n")
-    run = load_run_config(path, {"seed": "9", "taylor_mode": "none"})
+    # Each flag that sets a setting has its config key as its dest.
+    ns = build_parser().parse_args(
+        ["train-toy", "--config", path, "--mode", "none", "--no-gate", "--no-norm",
+         "--seed", "9", "--image", "i", "--mask", "m", "--iters", "3", "--lr", "0.5",
+         "--csv", "l.csv", "--checkpoint", "k"])
+    overrides = _flag_overrides(ns)
+    assert overrides == {
+        "taylor_mode": "none", "gated": "false", "norm": "none", "seed": "9",
+        "image": "i", "mask": "m", "iters": "3", "lr": "0.5", "checkpoint": "k"}
+    run = load_run_config(ns.config, overrides)
     assert run.seed == 9
     assert run.model.taylor_mode == "none"
+    assert _flag_overrides(build_parser().parse_args(["count"])) == {}
 
 
 def test_invalid_model_config_is_config_error():
@@ -169,20 +187,39 @@ def test_invalid_model_config_is_config_error():
 
 
 def test_config_keys_are_model_loss_and_run_fields():
+    # The loss side has no keys: its weights and extractor seed are constants.
     assert KNOWN_KEYS == {
         "base_channels", "block_counts", "heads_per_level", "taylor_mode",
-        "gated", "norm", "ffn_expansion", "attn_eps",
-        "lambda_reconstruction", "lambda_perceptual", "lambda_style",
-        "lambda_adversarial",
-        "seed", "iters", "lr", "weight_decay", "disc_width", "fx_seed",
+        "gated", "norm", "ffn_expansion",
+        "seed", "iters", "lr", "weight_decay", "disc_width",
         "image", "mask", "checkpoint",
     }
+
+
+# The flags of count and train-toy that set no config key.
+VERB_OWN_FLAGS = {"count": {"config", "csv", "height", "width", "calibrate"},
+                  "train-toy": {"config", "csv"}}
+
+
+def _verbs():
+    """The verbs of build_parser(), each with its options but --help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {verb: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for verb, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_OWN_FLAGS))
+def test_every_settings_flag_dest_is_a_config_key(verb):
+    # A flag that sets a setting does so only through its config key.
+    for action in _verbs()[verb]:
+        assert action.dest in KNOWN_KEYS | VERB_OWN_FLAGS[verb], action.option_strings
 
 
 def test_every_model_field_round_trips_through_config_text_and_checkpoint(tmp_path):
     config = ModelConfig(base_channels=4, block_counts=(1, 0, 2, 0, 1, 0, 1),
                          heads_per_level=(2, 2, 4, 2, 4, 2, 2), taylor_mode="sum",
-                         gated=False, norm="none", ffn_expansion=1.5, attn_eps=1e-5)
+                         gated=False, norm="none", ffn_expansion=1.5)
     assert all(getattr(config, f.name) != f.default for f in fields(ModelConfig))
     text = "\n".join(format_config(config))
     assert build_run_config(parse_config_text(text)).model == config
@@ -199,6 +236,18 @@ def test_readme_config_table_names_every_key():
         keys = re.sub(r"\([^)]*\)", "", row.split("|")[2])   # drop the value notes
         named.update(re.findall(r"`([^`]+)`", keys))
     assert named == KNOWN_KEYS
+
+
+def test_readme_flag_table_matches_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme[readme.index("| verb | flags |"):].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        cells = row.split("|")
+        documented[cells[1].strip(" `")] = set(re.findall(r"`([^`]+)`", cells[2]))
+    registered = {verb: {opt for a in actions for opt in a.option_strings}
+                  for verb, actions in _verbs().items()}
+    assert documented == registered
 
 
 def test_run_config_validation():
@@ -364,13 +413,12 @@ def test_train_toy_loss_rows_match_recorded_values():
 
 
 def _float_keys():
-    """Every float setting's config key."""
+    """Every float setting's config key, and the retired float keys, which a
+    config file can no longer set."""
     keys = []
-    for default, prefix in ((ModelConfig(), ""), (LossWeights(), "lambda_"),
-                            (RunConfig(), "")):
-        keys += [prefix + f.name for f in fields(default)
-                 if isinstance(getattr(default, f.name), float)]
-    return keys
+    for default in (ModelConfig(), RunConfig()):
+        keys += [f.name for f in fields(default) if isinstance(getattr(default, f.name), float)]
+    return keys + list(RETIRED_FLOAT_KEYS)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -381,7 +429,7 @@ def test_non_finite_float_setting_is_validation_error(tmp_path, capsys, key, val
     open(cfg_path, "w").write(TOY_CONFIG + f"{key}={value}\n")
     for argv in (["count"], ["train-toy", "--image", img_path, "--mask", mask_path]):
         assert main(argv + ["--config", cfg_path]) == 1, argv
-        assert key.removeprefix("lambda_") in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
 
 def test_train_toy_rejects_bad_dims(tmp_path):
@@ -452,8 +500,6 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"taylor_mode=\w+", "taylor_mode=r\u00e9sidual".encode(), "ascii"),
     (rb"\nnorm=\w+", b"", "'norm'"),
     (rb"gated=\w+", b"gated=yes", "gated"),
-    (rb"attn_eps=[^\n]+", b"attn_eps=0.0", "attn_eps"),
-    (rb"attn_eps=[^\n]+", b"attn_eps=nan", "attn_eps"),
     (rb"ffn_expansion=[^\n]+", b"ffn_expansion=inf", "ffn_expansion"),
     # More blocks than the data block has parameters.
     (rb"block_counts=[\d,]+", b"block_counts=2000,0,0,0,0,0,0", "2000 blocks"),
@@ -462,10 +508,11 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"\nparam_count=", b"\nnormalize_qk=false\nparam_count=", "normalize_qk"),
     (rb"\nparam_count=", b"\nin_channels=1\nparam_count=", "in_channels"),
     (rb"\nparam_count=", b"\nout_channels=1\nparam_count=", "out_channels"),
+    (rb"\nparam_count=", b"\nattn_eps=1e-05\nparam_count=", "attn_eps"),
 ], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
-        "missing-key", "bad-bool", "zero-eps", "nan-eps", "infinite-expansion",
+        "missing-key", "bad-bool", "infinite-expansion",
         "blocks-beyond-params", "retired-divide", "retired-normalize_qk",
-        "retired-in_channels", "retired-out_channels"])
+        "retired-in_channels", "retired-out_channels", "retired-attn_eps"])
 def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement, named):
     img_path, mask_path = _write_pair(tmp_path, seed=15)
     ckpt_path = str(tmp_path / "model.ckpt")
@@ -481,9 +528,9 @@ def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement,
 
 
 def test_inpaint_reads_checkpoint_with_retired_keys_at_kept_values(tmp_path):
-    # Checkpoints written while in_channels, out_channels, normalize_qk and
-    # divide were model settings carry their lines; at the values the model
-    # now always has they load as the same model.
+    # Checkpoints written while in_channels, out_channels, normalize_qk,
+    # divide and attn_eps were model settings carry their lines; at the values
+    # the model now always has they load as the same model.
     img_path, mask_path = _write_pair(tmp_path, seed=19)
     ckpt_path = str(tmp_path / "model.ckpt")
     save_checkpoint(InpaintingUNet(ModelConfig(base_channels=2, block_counts=(1,) * 7,
@@ -497,7 +544,11 @@ def test_inpaint_reads_checkpoint_with_retired_keys_at_kept_values(tmp_path):
         return open(out_path, "rb").read()
 
     current = inpaint("current.ppm")
-    # Where the older format wrote them.
+    # Where the older formats wrote them: attn_eps last of the model's keys,
+    # exactly as the format before this one did.
+    forge_checkpoint(ckpt_path, rb"\nparam_count=", b"\nattn_eps=1e-06\nparam_count=")
+    assert b"\nffn_expansion=2.0\nattn_eps=1e-06\nparam_count=" in open(ckpt_path, "rb").read()
+    assert inpaint("with_attn_eps.ppm") == current
     forge_checkpoint(ckpt_path, rb"\ntaylor_mode=",
                      b"\nin_channels=3\nout_channels=3\ntaylor_mode=")
     forge_checkpoint(ckpt_path, rb"\nparam_count=",
@@ -550,8 +601,9 @@ def test_main_exit_codes(tmp_path, capsys):
     ["gradcheck", "--config", "f"],
     ["bench", "--config", "f"],
     ["count", "--seed", "1"],
+    ["count", "--mode", "sum"],
 ], ids=["inpaint-seed", "inpaint-config", "gradcheck-config", "bench-config",
-        "count-seed"])
+        "count-seed", "count-mode"])
 def test_unread_flags_are_rejected(tmp_path, capsys, argv):
     if argv[0] == "inpaint":
         argv = argv + ["--checkpoint", "c", "--image", "i", "--mask", "m",
@@ -560,6 +612,21 @@ def test_unread_flags_are_rejected(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+# A flag value the command cannot use is an argument error naming the flag.
+@pytest.mark.parametrize("argv,flag", [
+    (["bench", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["count", "--calibrate", "32,,48"], "--calibrate"),
+], ids=["bench-seed", "gradcheck-seed", "count-calibrate"])
+def test_bad_flag_value_names_the_flag(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error,code", [

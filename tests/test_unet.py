@@ -428,7 +428,6 @@ def test_checkpoint_header_bytes(tmp_path):
                 b"gated=true\n"
                 b"norm=layer\n"
                 b"ffn_expansion=2.0\n"
-                b"attn_eps=1e-06\n"
                 b"param_count=5109219\n"
                 b"end-header\n")
     with open(path, "rb") as fh:
