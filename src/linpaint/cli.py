@@ -548,12 +548,13 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
-def _int_list_arg(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
+def _widths_arg(text: str) -> tuple[int, ...]:
+    """A ``--calibrate`` value: comma-separated base widths, each >= 1."""
+    widths = text.split(",")
+    if not all(w.isdecimal() and int(w) >= 1 for w in widths):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated ints, got {text!r}") from None
+            f"expected comma-separated ints >= 1, got {text!r}")
+    return tuple(int(w) for w in widths)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -593,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags(p)
     p.add_argument("--height", type=int, default=256)
     p.add_argument("--width", type=int, default=256)
-    p.add_argument("--calibrate", type=_int_list_arg, default=(32, 40, 48, 64),
+    p.add_argument("--calibrate", type=_widths_arg, default=(32, 40, 48, 64),
                    help="comma list of base widths to sweep")
     p.add_argument("--csv", default=None, help="write the per-layer report CSV here")
     p.set_defaults(fn=cmd_count)

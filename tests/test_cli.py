@@ -619,7 +619,8 @@ def test_unread_flags_are_rejected(tmp_path, capsys, argv):
     (["bench", "--seed", "-1"], "--seed"),
     (["gradcheck", "--seed", "-1"], "--seed"),
     (["count", "--calibrate", "32,,48"], "--calibrate"),
-], ids=["bench-seed", "gradcheck-seed", "count-calibrate"])
+    (["count", "--calibrate", "0"], "--calibrate"),
+], ids=["bench-seed", "gradcheck-seed", "count-calibrate", "count-calibrate-zero"])
 def test_bad_flag_value_names_the_flag(capsys, argv, flag):
     try:
         code = main(argv)
