@@ -509,10 +509,13 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"\nparam_count=", b"\nin_channels=1\nparam_count=", "in_channels"),
     (rb"\nparam_count=", b"\nout_channels=1\nparam_count=", "out_channels"),
     (rb"\nparam_count=", b"\nattn_eps=1e-05\nparam_count=", "attn_eps"),
+    (rb"\nparam_count=", b"\nattn_eps=0.0\nparam_count=", "attn_eps"),
+    (rb"\nparam_count=", b"\nattn_eps=nan\nparam_count=", "attn_eps"),
 ], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
         "missing-key", "bad-bool", "infinite-expansion",
         "blocks-beyond-params", "retired-divide", "retired-normalize_qk",
-        "retired-in_channels", "retired-out_channels", "retired-attn_eps"])
+        "retired-in_channels", "retired-out_channels", "retired-attn_eps",
+        "zero-eps", "nan-eps"])
 def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement, named):
     img_path, mask_path = _write_pair(tmp_path, seed=15)
     ckpt_path = str(tmp_path / "model.ckpt")
