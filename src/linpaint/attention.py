@@ -16,8 +16,10 @@ over all heads, with no layout copy between the projections and the output.
 
 Each attention layer is one recorded op on the tape: its backward is derived
 by hand and returns the gradients of the input and of all six projection
-parameters at once. It keeps the q/k/v stack, the normalized q and k and the
-output, plus terms of heads x d x d or heads x N.
+parameters at once. q and k are normalized in place inside the q/k/v stack,
+with or without a tape, and the backward works from those unit vectors: the
+op keeps that one stack and the output, plus terms of heads x d x d or
+heads x N.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .tensor import (
     gelu,
     hadamard,
     matmul,
-    recording,
     scale,
     softmax_rows,
     transpose,
@@ -180,24 +181,23 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
     return fused_op(out[0].T, "taylor_linear_attention", (q, k, v), vjp)
 
 
-def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = True,
-                 keep: bool = True
+def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = True
                  ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
     """The linear map on a (3, heads, d, N) q/k/v stack, each head's tokens as
     columns, in plain numpy: every step is one batched op over all heads.
-    q and k are normalized over d unless ``normalize_qk`` is False.
+    q and k are normalized over d in place inside ``qkv`` unless
+    ``normalize_qk`` is False.
 
     Returns the (heads, d, N) output and ``back(g, dqkv)``, which writes the
     gradients of q, k and v for the output gradient ``g`` into ``dqkv``.
-    ``back`` keeps the stack, the normalized q and k, the output and terms
-    of heads x d x d or heads x N; nothing N x N is built either way. With
-    ``keep`` False, q and k are normalized in place inside ``qkv`` and
-    ``back`` must not be called.
+    ``back`` keeps the stack, the output and terms of heads x d x d or
+    heads x N; nothing N x N is built either way.
     """
-    q, k, v = qkv
-    n = q.shape[2]
-    qb, q_norm = unit_slices(q, 1, out=None if keep else q) if normalize_qk else (q, None)
-    kb, k_norm = unit_slices(k, 1, out=None if keep else k) if normalize_qk else (k, None)
+    qb, kb, v = qkv
+    n = qb.shape[2]
+    if normalize_qk:
+        q_saved = unit_slices(qb, 1)
+        k_saved = unit_slices(kb, 1)
 
     m = v @ _swap(kb)                       # heads x d x d, through a view of kb
     out = m @ qb                            # the numerator, heads x d x N
@@ -215,7 +215,7 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = Tr
 
     def back(g: np.ndarray, dqkv: np.ndarray) -> None:
         dq, dk, dv = dqkv
-        heads, d = q.shape[:2]
+        heads, d = qb.shape[:2]
         # The numerator's and the denominator's gradients, stacked so that
         # one product [m^T | s] [g_num; g_den] gives both terms of dq.
         # d out / d denom = -out / denom, and 0 where the guard clamped.
@@ -234,16 +234,15 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = Tr
             dv += g_num.sum(axis=2, keepdims=True)
         dk += qb @ _swap(g_den)
         if normalize_qk:
-            scratch = np.empty(q.shape)
-            unit_slices_back(q, q_norm, dq, dq, scratch)
-            unit_slices_back(k, k_norm, dk, dk, scratch)
+            scratch = np.empty(qb.shape)
+            unit_slices_back(qb, q_saved, dq, dq, scratch)
+            unit_slices_back(kb, k_saved, dk, dk, scratch)
 
     return out, back
 
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                                mode: str = "residual", eps: float = 1e-6,
-                               normalize_qk: bool = True,
                                row_chunk: int = 256) -> np.ndarray:
     """Same map as :func:`taylor_linear_attention`, evaluated the O(N^2 C) way.
 
@@ -259,8 +258,8 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
         return np.where(norms >= 1e-12, a / np.where(norms >= 1e-12, norms, 1.0), 0.0)
 
-    qb = norm_rows(q) if normalize_qk else q
-    kb = norm_rows(k) if normalize_qk else k
+    qb = norm_rows(q)
+    kb = norm_rows(k)
     v_total = v.sum(axis=0)
 
     out = np.empty((n, c))
@@ -299,7 +298,7 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     qkv = w_qkv @ x_mat
     qkv += np.concatenate([p.data for p in inputs[2::2]])[:, None]
     stack = qkv.reshape(3, cfg.heads, cfg.head_dim, n)
-    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps, keep=recording(inputs))
+    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps)
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
         d_qkv = np.empty(stack.shape)

@@ -130,6 +130,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def build_run_config(pairs: dict[str, str]) -> RunConfig:
+    unknown = sorted(set(pairs) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(map(repr, unknown))}")
     run = RunConfig()
     try:
         run = parse_config(run, pairs)

@@ -13,6 +13,7 @@ spectrally normalized via power iteration.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -108,12 +109,8 @@ def l1_reconstruction(i_out: Tensor, i_g: Tensor) -> Tensor:
 
 def perceptual_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:
     """Sum over stages of the per-element mean absolute feature difference."""
-    total: Tensor | None = None
-    for f_out, f_g in zip(feats_out, feats_g):
-        term = mean_all(absolute(sub(f_out, f_g)))
-        total = term if total is None else add(total, term)
-    assert total is not None, "feature extractor produced no stages"
-    return total
+    return reduce(add, (mean_all(absolute(sub(f_out, f_g)))
+                        for f_out, f_g in zip(feats_out, feats_g)))
 
 
 def gram_matrix(feat: Tensor) -> Tensor:
@@ -127,13 +124,9 @@ def gram_matrix(feat: Tensor) -> Tensor:
 
 def style_loss(feats_out: list[Tensor], feats_g: list[Tensor]) -> Tensor:
     """Mean over stages of the entrywise L1 distance between Gram matrices."""
-    terms = []
-    for f_out, f_g in zip(feats_out, feats_g):
-        terms.append(sum_all(absolute(sub(gram_matrix(f_out), gram_matrix(f_g)))))
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / len(terms))
+    terms = [sum_all(absolute(sub(gram_matrix(f_out), gram_matrix(f_g))))
+             for f_out, f_g in zip(feats_out, feats_g)]
+    return scale(reduce(add, terms), 1.0 / len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +233,5 @@ def total_loss(i_out: Tensor, i_g: Tensor, feats_g: list[Tensor], fx,
         "style": style_loss(feats_out, feats_g),
         "adv": generator_adversarial_loss(disc, i_out),
     }
-    total: Tensor | None = None
-    for name, term in terms.items():
-        weighted = scale(term, LOSS_WEIGHTS[name])
-        total = weighted if total is None else add(total, weighted)
+    total = reduce(add, (scale(term, LOSS_WEIGHTS[name]) for name, term in terms.items()))
     return total, terms

@@ -284,30 +284,29 @@ def _inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     return np.expand_dims(np.einsum(f"{ix},{ix}->{kept}", a, b), axis)
 
 
-def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """``a`` with each slice along ``axis`` scaled to unit L2 norm (slices
-    with norm < eps become zeros), written to ``out`` if given (which may be
-    ``a``), and what :func:`unit_slices_back` needs."""
+def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12) -> tuple:
+    """Scale each slice of ``a`` along ``axis`` to unit L2 norm in place
+    (slices with norm < eps become zeros), and return what
+    :func:`unit_slices_back` needs besides the unit slices."""
     norms = np.sqrt(_inner(a, a, axis))
     live = norms >= eps
     dead = None if live.all() else ~live
     safe = np.where(live, norms, 1.0)
-    unit = np.divide(a, safe, out=out)
+    a /= safe
     if dead is not None:
-        np.copyto(unit, 0.0, where=dead)
-    return unit, (axis, safe, dead)
+        np.copyto(a, 0.0, where=dead)
+    return axis, safe, dead
 
 
-def unit_slices_back(a: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray,
+def unit_slices_back(unit: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray,
                      scratch: np.ndarray) -> np.ndarray:
-    """Write the gradient of ``a`` for ``g``, that of ``unit_slices(a)``, to
-    ``out`` (which may be ``g``); ``scratch`` has a's shape."""
+    """Write the gradient of the raw slices for ``g``, the gradient of their
+    ``unit`` slices, to ``out`` (which may be ``g``): (g - u (u . g)) / |a|,
+    and zero on dead slices. ``scratch`` has unit's shape."""
     axis, safe, dead = saved
-    dot = _inner(a, g, axis)
-    np.divide(g, safe, out=out)
-    np.multiply(a, dot / safe**3, out=scratch)
-    out -= scratch
+    np.multiply(unit, _inner(unit, g, axis), out=scratch)
+    np.subtract(g, scratch, out=out)
+    out /= safe
     if dead is not None:
         np.copyto(out, 0.0, where=dead)
     return out

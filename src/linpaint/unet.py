@@ -186,7 +186,7 @@ class ConvLayer(Module):
 class ChannelNorm(Module):
     """Per-site normalization over channels with a learnable channel affine."""
 
-    def __init__(self, rng, channels: int, name: str) -> None:
+    def __init__(self, channels: int, name: str) -> None:
         self.gamma = Parameter(np.ones(channels), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(channels), name=f"{name}.beta")
 
@@ -335,12 +335,12 @@ class TransformerBlock(Module):
         self.attn_cfg.validate()
         self.use_norm = cfg.norm == "layer"
         if self.use_norm:
-            self.norm1 = ChannelNorm(rng, channels, f"{name}.norm1")
+            self.norm1 = ChannelNorm(channels, f"{name}.norm1")
         self.proj = ProjectionSet.init(channels, rng, prefix=f"{name}.attn",
                                        out_gain=FeedForward.RESIDUAL_OUT_GAIN,
                                        gated=cfg.gated)
         if self.use_norm:
-            self.norm2 = ChannelNorm(rng, channels, f"{name}.norm2")
+            self.norm2 = ChannelNorm(channels, f"{name}.norm2")
         self.ffn = FeedForward(rng, channels, cfg.ffn_hidden(channels), f"{name}.ffn")
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -17,19 +17,26 @@ from linpaint.tensor import (
     depthwise_taps_back,
     fused_op,
     unit_slices,
-    unit_slices_back,
 )
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Scale each 1-D slice along ``axis`` to unit L2 norm; slices with norm < eps
-    become all zeros."""
+    become all zeros.
+
+    The forward normalizes a copy of ``a`` with the library's
+    :func:`unit_slices`; the backward is the raw-vector form
+    g/|a| - a (a.g)/|a|^3, independent of the library's unit-vector one.
+    """
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    normed, saved = unit_slices(a.data, axis, eps)
+    normed = a.data.copy()
+    _, safe, dead = unit_slices(normed, axis, eps)
 
     def vjp(g, needs):
-        return (unit_slices_back(a.data, saved, g, np.empty(a.shape), np.empty(a.shape)),)
+        dot = (a.data * g).sum(axis=axis, keepdims=True)
+        grad = g / safe - a.data * (dot / safe**3)
+        return (grad if dead is None else np.where(dead, 0.0, grad),)
 
     return fused_op(normed, "l2_normalize", (a,), vjp)
 

@@ -559,3 +559,26 @@ def test_gated_attention_backward_frees_as_it_replays():
     assert r.grad is None
     assert peak - base <= 1.5 * held
     assert after - base <= 1.25 * grad_bytes
+
+
+def test_taped_multi_head_keeps_one_qkv_stack_and_the_output():
+    # Under a tape the op keeps the q/k/v stack, with q and k normalized in
+    # place, and its output: about 4 C x N maps and no second copy of q and k.
+    # The taped and tape-free outputs are the same bits, and x is untouched.
+    rng = make_rng(45)
+    cfg = AttentionConfig(channels=32, heads=2)
+    proj = ProjectionSet.init(32, rng)
+    x = Parameter(rng.normal(size=(32, 64, 64)))
+    x_before = x.data.copy()
+    plain = multi_head_attention(x, proj, cfg).data
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            taped = multi_head_attention(x, proj, cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 4.5 * x.data.nbytes
+    assert np.array_equal(taped.data, plain)
+    assert np.array_equal(x.data, x_before)

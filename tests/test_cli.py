@@ -145,6 +145,13 @@ def test_unknown_key_rejected():
             parse_config_text(line + "\n")
 
 
+def test_build_run_config_names_every_unknown_key():
+    # Pairs built by a caller, not read from a file, are checked too.
+    with pytest.raises(ConfigError) as info:
+        build_run_config({"fx_seed": "-1", "lambda_style": "nan", "bogus": "x"})
+    assert str(info.value) == "unknown keys 'bogus', 'fx_seed', 'lambda_style'"
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("seed=1\nseed=2\n")
