@@ -8,7 +8,8 @@ the pieces needed to train with it and to validate it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,52 +86,69 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 # Adam's usual moment decay rates (beta1, beta2) and denominator floor (eps).
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Elements per slice of a parameter that AdamW updates at a time: its scratch
+# and its slices of the value, the moments and the gradient stay in cache.
+_ADAM_CHUNK = 8192
+
 
 def adamw_step(params: Sequence[Parameter], lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay Adam update; clears gradients afterwards.
 
     Decay multiplies the value by (1 - lr*weight_decay) before the Adam term,
-    so decay alone never touches the moment estimates. The update runs in two
-    scratch buffers shared by all parameters, in the operation order of
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so past a parameter's first
-    update, whose zeroed moments it allocates, it allocates nothing per
-    parameter.
+    so decay alone never touches the moment estimates. Each parameter is
+    updated in slices of ``_ADAM_CHUNK`` elements of its flat view, in the
+    operation order of ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, through two
+    chunk-sized scratch buffers shared by all parameters. Every operation is
+    elementwise, so the bits are those of whole-array passes. Past a
+    parameter's first update, whose zeroed moments it allocates, it allocates
+    nothing parameter-sized.
 
     A non-finite gradient raises :class:`NonFiniteError` naming its
     parameter before anything is updated.
     """
-    size = max((p.size for p in params), default=0)
+    size = min(max((p.size for p in params), default=0), _ADAM_CHUNK)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     finite = np.empty(size, dtype=bool)
     for p in params:
-        if p.grad is not None and not np.isfinite(
-                p.grad, out=finite[:p.size].reshape(p.shape)).all():
+        if p.grad is not None and not all(
+                np.isfinite(g, out=finite[:g.size]).all() for g in _chunks(p.grad)):
             raise NonFiniteError(f"gradient of {p.name!r} is non-finite")
+    decay = 1.0 - lr * weight_decay
     for p in params:
-        g = p.grad
-        a = scratch_a[:p.size].reshape(p.shape)
-        b = scratch_b[:p.size].reshape(p.shape)
         p.step_count += 1
         if p.adam_m is None:
             p.adam_m, p.adam_v = np.zeros(p.shape), np.zeros(p.shape)
-        if weight_decay != 0.0:
-            p.data *= 1.0 - lr * weight_decay
-        p.adam_m *= _BETA1
-        p.adam_v *= _BETA2
-        if g is not None:
-            np.multiply(g, 1.0 - _BETA1, out=a)
-            p.adam_m += a
-            np.multiply(g, g, out=a)
-            a *= 1.0 - _BETA2
-            p.adam_v += a
-        np.divide(p.adam_m, 1.0 - _BETA1**p.step_count, out=a)     # m_hat
-        np.divide(p.adam_v, 1.0 - _BETA2**p.step_count, out=b)     # v_hat
-        np.sqrt(b, out=b)
-        b += _ADAM_EPS
-        a *= lr
-        a /= b
-        p.data -= a
+        bias1, bias2 = 1.0 - _BETA1**p.step_count, 1.0 - _BETA2**p.step_count
+        grads = repeat(None) if p.grad is None else _chunks(p.grad)
+        for data, m, v, g in zip(_chunks(p.data), _chunks(p.adam_m),
+                                 _chunks(p.adam_v), grads):
+            a, b = scratch_a[:data.size], scratch_b[:data.size]
+            if weight_decay != 0.0:
+                data *= decay
+            m *= _BETA1
+            v *= _BETA2
+            if g is not None:
+                np.multiply(g, 1.0 - _BETA1, out=a)
+                m += a
+                np.multiply(g, g, out=a)
+                a *= 1.0 - _BETA2
+                v += a
+            np.divide(m, bias1, out=a)     # m_hat
+            np.divide(v, bias2, out=b)     # v_hat
+            np.sqrt(b, out=b)
+            b += _ADAM_EPS
+            a *= lr
+            a /= b
+            data -= a
         p.grad = None
+
+
+def _chunks(arr: np.ndarray) -> Iterator[np.ndarray]:
+    """``_ADAM_CHUNK``-element slices of ``arr``'s flat view (a view, since
+    parameter values and moments are C-contiguous)."""
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _ADAM_CHUNK):
+        yield flat[lo:lo + _ADAM_CHUNK]
 
 
 # The central-difference step of every gradient check.

@@ -66,7 +66,7 @@ _FEATURE_GAIN = 0.1
 # forward then runs one more.
 _INIT_POWER_ITERS = 60
 
-# Norms below this make the spectral-norm estimate 0: the weight is used
+# Norms below this make the spectral-norm estimate 0: the layer is run
 # undivided.
 _SIGMA_FLOOR = 1e-12
 
@@ -163,10 +163,13 @@ class PatchDiscriminator(Module):
 
     Four stages of ``base_width`` channels doubling per stage (64 -> 128 ->
     256 -> 512 at the default ``disc_width``) with kernel 4 and leaky-ReLU
-    slope 0.2, then a 1-channel scoring convolution. Every convolution weight
-    is divided by its spectral-norm estimate at call time, after one
-    power-iteration step; the estimate is treated as a constant in the
-    backward pass.
+    slope 0.2, then a 1-channel scoring convolution. Every convolution is
+    spectrally normalized at call time: one power-iteration step estimates
+    the weight's largest singular value σ, and the estimate is treated as a
+    constant in the backward pass. A convolution is linear in its input, so
+    the layer divides its input map by σ instead of its weight: the map is
+    ``conv(x, w / σ)`` up to rounding, and no weight-sized copy is made or
+    kept for backward.
     """
 
     def __init__(self, rng: np.random.Generator, base_width: int) -> None:
@@ -190,8 +193,8 @@ class PatchDiscriminator(Module):
         last = len(self.layers) - 1
         for i, (w, b, u, stride) in enumerate(self.layers):
             sigma = power_iteration_sigma(w.data.reshape(w.shape[0], -1), u)
-            w_used = scale(w, 1.0 / sigma) if sigma > _SIGMA_FLOOR else w
-            x = conv2d(x, w_used, b, stride=stride, padding=1)
+            x_used = scale(x, 1.0 / sigma) if sigma > _SIGMA_FLOOR else x
+            x = conv2d(x_used, w, b, stride=stride, padding=1)
             if i != last:
                 x = leaky_relu(x)
         return x

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from reference_ops import (
@@ -198,10 +200,11 @@ def test_adamw_lr_zero_is_identity_and_zeroes_grads():
 
 
 def test_adamw_in_place_matches_formula():
-    # Three steps with decay on, one parameter left without a gradient: the
-    # buffered update is bit-identical to the textbook expression.
+    # Three steps with decay on, one parameter left without a gradient and
+    # one that spans three chunks with a ragged last one: the chunked update
+    # is bit-identical to the textbook expression.
     rng = make_rng(4)
-    shapes = [(3, 4), (5,), (2, 2, 1, 1)]
+    shapes = [(3, 4), (5,), (2, 2, 1, 1), (3, 8193)]
     params = [Parameter(rng.normal(size=s)) for s in shapes]
     want = [(p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for p in params]
     lr, b1, b2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.05
@@ -227,23 +230,43 @@ def test_adamw_in_place_matches_formula():
 
 
 def test_adamw_non_finite_gradient_names_parameter_and_updates_nothing():
+    # The NaN sits past the first chunk of a multi-chunk parameter, after a
+    # parameter that is checked clean: the check still runs before any update.
     rng = make_rng(5)
     params = [Parameter(rng.normal(size=(3, 3)), name="enc1.block0.attn.wq.w"),
+              Parameter(rng.normal(size=(3, 8193)), name="disc.conv3.w"),
               Parameter(rng.normal(size=(3,)), name="enc1.block0.attn.wq.b")]
     for p in params:
         p.grad = rng.normal(size=p.shape)
     adamw_step(params, lr=0.01)
     for p in params:
         p.grad = rng.normal(size=p.shape)
-    params[1].grad[2] = np.nan
+    params[1].grad[2, 100] = np.nan
     before = [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count)
               for p in params]
-    with pytest.raises(NonFiniteError, match=r"enc1\.block0\.attn\.wq\.b"):
+    with pytest.raises(NonFiniteError, match=r"disc\.conv3\.w"):
         adamw_step(params, lr=0.01, weight_decay=0.1)
     for p, (data, m, v, steps) in zip(params, before):
         assert np.array_equal(p.data, data)
         assert np.array_equal(p.adam_m, m) and np.array_equal(p.adam_v, v)
         assert p.step_count == steps
+
+
+def test_adamw_allocates_only_chunk_scratch_after_first_step():
+    # The 512x256x4x4 kernel of the width-64 discriminator: 16.8 MB per copy.
+    rng = make_rng(6)
+    p = Parameter(rng.normal(size=(512, 256, 4, 4)))
+    p.grad = rng.normal(size=p.shape)
+    adamw_step([p], lr=0.01)
+    p.grad = rng.normal(size=p.shape)
+    tracemalloc.start()
+    try:
+        adamw_step([p], lr=0.01, weight_decay=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.step_count == 2 and p.grad is None
+    assert peak <= 2**20
 
 
 def test_zero_grads():

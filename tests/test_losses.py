@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from linpaint.losses import (
     style_loss,
     total_loss,
 )
-from linpaint.tensor import Tensor, conv2d, leaky_relu, make_rng, scale
+from linpaint.tensor import Tensor, conv2d, hadamard, leaky_relu, make_rng, scale, sum_all
 from linpaint.unet import InpaintingUNet, ModelConfig
 
 
@@ -252,24 +253,72 @@ def test_generator_adversarial_gradient_matches_fd():
     assert err < 1e-4
 
 
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
 def test_discriminator_forward_takes_one_power_iteration_step_per_layer():
     # Each forward advances every layer's u by exactly one step and divides
-    # that layer's weight by the estimate the step returns.
+    # that layer's input by the estimate the step returns. The scores and
+    # the gradients of every w, b and the image match, to rounding, dividing
+    # each weight by the same estimate instead.
     disc = PatchDiscriminator(make_rng(41), base_width=2)
-    im = Tensor(make_rng(42).uniform(-1, 1, size=(3, 32, 32)))
+    rng = make_rng(42)
+    im = Parameter(rng.uniform(-1, 1, size=(3, 32, 32)))
+    last = len(disc.layers) - 1
     for _ in range(3):
         expected_u = [u.copy() for _, _, u, _ in disc.layers]
         sigmas = [power_iteration_sigma(w.data.reshape(w.shape[0], -1), u)
                   for (w, _, _, _), u in zip(disc.layers, expected_u)]
-        out = disc.forward(im)
+        with Tape() as tape:
+            out = disc.forward(im)
+            probe = Tensor(rng.normal(size=out.shape))
+            tape.backward(sum_all(hadamard(out, probe)))
         x = im
         for i, ((w, b, u, stride), u_next, sigma) in enumerate(
                 zip(disc.layers, expected_u, sigmas)):
             assert np.array_equal(u, u_next)
-            x = conv2d(x, scale(w, 1.0 / sigma), b, stride=stride, padding=1)
-            if i != len(disc.layers) - 1:
+            x = conv2d(scale(x, 1.0 / sigma), w, b, stride=stride, padding=1)
+            if i != last:
                 x = leaky_relu(x)
         assert np.array_equal(out.data, x.data)
+
+        ref_im = Parameter(im.data.copy())
+        ref_layers = [(Parameter(w.data.copy()), Parameter(b.data.copy()), stride)
+                      for w, b, _, stride in disc.layers]
+        with Tape() as tape:
+            x = ref_im
+            for i, ((w, b, stride), sigma) in enumerate(zip(ref_layers, sigmas)):
+                x = conv2d(x, scale(w, 1.0 / sigma), b, stride=stride, padding=1)
+                if i != last:
+                    x = leaky_relu(x)
+            tape.backward(sum_all(hadamard(x, probe)))
+        assert _max_rel(out.data, x.data) <= 1e-12
+        for (w, b, _, _), (w_ref, b_ref, _) in zip(disc.layers, ref_layers):
+            assert _max_rel(w.grad, w_ref.grad) <= 1e-12
+            assert _max_rel(b.grad, b_ref.grad) <= 1e-12
+        assert _max_rel(im.grad, ref_im.grad) <= 1e-12
+        zero_grads([im] + disc.parameters())
+
+
+def test_taped_discriminator_forwards_hold_no_weight_copy():
+    # One discriminator loss is two taped forwards. The layers divide their
+    # inputs, not their weights, by sigma, so the tape keeps activation maps
+    # only: less than one copy of the weights.
+    disc = PatchDiscriminator(make_rng(43), base_width=64)
+    rng = make_rng(44)
+    ims = [Tensor(rng.uniform(-1, 1, size=(3, 64, 64))) for _ in range(2)]
+    weight_bytes = sum(p.data.nbytes for p in disc.parameters())
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            scores = [disc.forward(im) for im in ims]
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(s.requires_grad for s in scores)
+    assert held < weight_bytes
 
 
 def test_discriminator_loss_detaches_generator():
