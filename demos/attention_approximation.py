@@ -52,11 +52,10 @@ def main() -> None:
     errs, scales = [], [0.2, 0.1, 0.05, 0.025]
     for s in scales:
         f = math.sqrt(s)
-        soft = vanilla_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
-                                 scaled=False)
+        soft = vanilla_attention(f * qh, f * kh, v)
         lin = taylor_linear_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
                                       mode="sum", normalize_qk=False)
-        err = float(np.abs(soft.data - lin.data).max())
+        err = float(np.abs(soft - lin.data).max())
         errs.append(err)
         print(f"   {s:12.3f}    {err:.3e}")
     slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]

@@ -16,7 +16,7 @@ from .attention import (
     vanilla_attention,
 )
 from .autograd import Parameter, adamw_step, finite_diff_check, zero_grads
-from .cost import calibrate_channels, cost_report, count_macs, count_params
+from .cost import calibrate_channels, cost_report, count_params
 from .losses import (
     PatchDiscriminator,
     RandomConvFeatureExtractor,
@@ -26,7 +26,7 @@ from .losses import (
     style_loss,
     total_loss,
 )
-from .metrics import ImagePair, mask_ratio, mask_ratio_bucket, psnr, ssim
+from .metrics import ImagePair, psnr, ssim
 from .netpbm import read_image, read_mask, write_image, write_mask
 from .tensor import NonFiniteError, ShapeError, Tape, Tensor, make_rng
 from .unet import (

@@ -3,10 +3,12 @@
 The linear form rests on two steps: replace exp(x) by its first-order
 expansion 1 + x (accurate because query/key rows are unit-normalized, keeping
 the inner products near zero), then reorder (Q K^T) V into Q (K^T V) so the
-cost drops from O(N^2 C) to O(N C^2). No N x N array is ever built here
-except by :func:`taylor_attention_quadratic`, the same map evaluated the
-quadratic way: the oracle the linear form is checked against and the
-baseline it is timed against; the model never runs it.
+cost drops from O(N^2 C) to O(N C^2). Only the two oracles, which the model
+never runs, work pairwise: :func:`vanilla_attention`, the exact unscaled
+softmax map the expansion approximates, and :func:`taylor_attention_quadratic`,
+the linear map evaluated the quadratic way (the baseline it is checked and
+timed against). Both are forward-only plain numpy over blocks of
+``_ORACLE_ROWS`` query rows, so their memory grows with N, not N^2.
 
 The model runs the map channel-major: a C x H x W map is a C x N matrix under
 a free reshape, and one product with the stacked [wq; wk; wv] gives q/k/v as
@@ -39,10 +41,6 @@ from .tensor import (
     fused_op,
     gelu,
     hadamard,
-    matmul,
-    scale,
-    softmax_rows,
-    transpose,
     unit_slices,
     unit_slices_back,
 )
@@ -59,6 +57,10 @@ __all__ = [
 ]
 
 TAYLOR_MODES = ("sum", "residual", "none")
+
+# Query rows per block of the two O(N^2) oracles: each holds one block x N
+# weight array at a time.
+_ORACLE_ROWS = 256
 
 
 @dataclass
@@ -126,26 +128,26 @@ class ProjectionSet(Module):
         return cls(wq, bq, wk, bk, wv, bv, wg, bg, wo, bo)
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor) -> tuple[int, int]:
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+def _check_qkv(q, k, v) -> tuple[int, int]:
+    if len(q.shape) != 2 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(
             f"attention needs equal NxC operands, got q={q.shape} k={k.shape} v={v.shape}")
     return q.shape
 
 
-def vanilla_attention(q: Tensor, k: Tensor, v: Tensor,
-                      scaled: bool = True) -> Tensor:
-    """Exact softmax attention: softmax(q k^T / sqrt(C)) v.
-
-    Quadratic in N; this is the reference the linear form is tested against.
-    ``scaled=False`` drops the 1/sqrt(C) factor so the Taylor step can be
-    isolated in approximation studies.
-    """
+def vanilla_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Exact softmax attention softmax(q k^T) v, with no 1/sqrt(C) factor: the
+    map whose exp(q . k) the Taylor step replaces by 1 + q . k, evaluated one
+    block of query rows at a time like :func:`taylor_attention_quadratic`."""
     n, c = _check_qkv(q, k, v)
-    logits = matmul(q, transpose(k))
-    if scaled:
-        logits = scale(logits, 1.0 / math.sqrt(c))
-    return matmul(softmax_rows(logits), v)
+    out = np.empty((n, c))
+    for lo in range(0, n, _ORACLE_ROWS):
+        rows = slice(lo, lo + _ORACLE_ROWS)
+        weights = q[rows] @ k.T             # the quadratic object, block x N
+        weights -= weights.max(axis=1, keepdims=True)
+        np.exp(weights, out=weights)
+        out[rows] = (weights @ v) / weights.sum(axis=1, keepdims=True)
+    return out
 
 
 def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
@@ -242,17 +244,16 @@ def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = Tr
 
 
 def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                               mode: str = "residual", eps: float = 1e-6,
-                               row_chunk: int = 256) -> np.ndarray:
+                               mode: str = "residual", eps: float = 1e-6) -> np.ndarray:
     """Same map as :func:`taylor_linear_attention`, evaluated the O(N^2 C) way.
 
-    Materializes the pairwise weights (in row chunks so large N stays within
-    memory) and is deliberately kept forward-only plain numpy: it is the
-    oracle and the benchmarking counterweight, not part of the model.
+    Materializes the pairwise weights one block of query rows at a time and
+    is deliberately kept forward-only plain numpy: it is the oracle and the
+    benchmarking counterweight, not part of the model.
     """
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
-    n, c = q.shape
+    n, c = _check_qkv(q, k, v)
 
     def norm_rows(a: np.ndarray) -> np.ndarray:
         norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
@@ -263,18 +264,18 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     v_total = v.sum(axis=0)
 
     out = np.empty((n, c))
-    for lo in range(0, n, row_chunk):
-        hi = min(lo + row_chunk, n)
-        weights = qb[lo:hi] @ kb.T          # the quadratic object, chunk x N
+    for lo in range(0, n, _ORACLE_ROWS):
+        rows = slice(lo, lo + _ORACLE_ROWS)
+        weights = qb[rows] @ kb.T           # the quadratic object, block x N
         num = weights @ v
         if mode == "residual":
-            num = num + v[lo:hi]
+            num = num + v[rows]
         elif mode == "sum":
             num = num + v_total
         denom = n + weights.sum(axis=1, keepdims=True)
         clamped = np.abs(denom) < eps
         denom = np.where(clamped, np.where(denom >= 0, eps, -eps), denom)
-        out[lo:hi] = num / denom
+        out[rows] = num / denom
     return out
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "cost_report",
     "count_params",
     "analytic_param_count",
-    "count_macs",
     "calibrate_channels",
 ]
 
@@ -162,10 +161,6 @@ def analytic_param_count(config: ModelConfig) -> int:
 def count_params(model: InpaintingUNet) -> int:
     """Census of the live model: exact element count over trainable parameters."""
     return sum(p.size for p in model.parameters())
-
-
-def count_macs(config: ModelConfig, h: int, w: int) -> int:
-    return cost_report(config, h, w).total_macs
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["ImagePair", "psnr", "ssim", "mask_ratio", "mask_ratio_bucket"]
+__all__ = ["ImagePair", "psnr", "ssim"]
 
 
 @dataclass
@@ -76,21 +76,3 @@ def ssim(pair: ImagePair, window: int = 11, sigma: float = 1.5) -> float:
         den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
         channel_means.append(np.mean(num / den))
     return float(np.mean(channel_means))
-
-
-def mask_ratio(mask: np.ndarray) -> float:
-    """Fraction of missing pixels (mask value 0); mask entries must be 0 or 1."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.ndim != 3 or mask.shape[0] != 1:
-        raise ValueError(f"mask must be 1xHxW, got {mask.shape}")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask entries must be exactly 0 or 1")
-    return float(np.mean(mask == 0.0))
-
-
-def mask_ratio_bucket(ratio: float) -> str:
-    """Decile label like '20-30%' used to group evaluation masks."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0,1], got {ratio}")
-    lo = min(int(ratio * 10) * 10, 90)
-    return f"{lo}-{lo + 10}%"

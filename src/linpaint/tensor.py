@@ -35,7 +35,6 @@ __all__ = [
     "recording",
     "matmul",
     "transpose",
-    "softmax_rows",
     "conv2d",
     "upsample_conv2d",
     "gelu",
@@ -263,17 +262,6 @@ def transpose(a: Tensor) -> Tensor:
     _require(a.data.ndim in (2, 3), f"transpose needs rank 2 or 3, got {a.shape}")
     out = _finish(_swap(a.data).copy(), "transpose")
     _record(out, (a, lambda g: _swap(g).copy()))
-    return out
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; each output row sums to 1."""
-    _require(a.data.ndim == 2, f"softmax_rows needs rank 2, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = _finish(s, "softmax_rows")
-    _record(out, (a, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))))
     return out
 
 
@@ -673,8 +661,8 @@ def tanh(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _finish(s, "sigmoid")
     _record(out, (x, lambda g: g * s * (1.0 - s)))
     return out

@@ -459,10 +459,17 @@ def save_checkpoint(model: InpaintingUNet, path: str) -> None:
 def _read_header(text: bytes, data_bytes: int) -> ModelConfig:
     """The config a checkpoint header declares, once its parameter count
     matches the data block; nothing of the model's size is allocated here.
-    Raises ValueError for any fault.
+    Every line is one key=value pair and no key repeats; keys it does not
+    know are ignored. Raises ValueError for any fault.
     """
-    pairs = {key: val for key, _, val in
-             (line.partition("=") for line in text.decode("ascii").splitlines())}
+    pairs = {}
+    for line in text.decode("ascii").splitlines():
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ValueError(f"line without '=': {line!r}")
+        if key in pairs:
+            raise ValueError(f"repeated key {key!r}")
+        pairs[key] = val
     for key in [f.name for f in fields(ModelConfig)] + ["param_count"]:
         if key not in pairs:
             raise ValueError(f"missing key {key!r}")

@@ -35,13 +35,12 @@ def reference_taylor(q, k, v, mode, eps=1e-6, normalize_qk=True):
     return numer / denom
 
 
-def reference_softmax(q, k, v, scaled=True):
-    """Scalar-loop evaluation of exact softmax attention."""
-    n, c = q.shape
+def reference_softmax(q, k, v):
+    """Scalar-loop evaluation of exact, unscaled softmax attention."""
+    n = q.shape[0]
     out = np.zeros_like(v)
-    div = math.sqrt(c) if scaled else 1.0
     for i in range(n):
-        logits = np.array([float(q[i] @ k[j]) for j in range(n)]) / div
+        logits = np.array([float(q[i] @ k[j]) for j in range(n)])
         w = np.exp(logits - logits.max())
         w /= w.sum()
         for j in range(n):

@@ -68,8 +68,7 @@ def test_criterion_2_taylor_limit_slope():
     errs = []
     for s in scales:
         f = math.sqrt(s)    # pairwise logits then scale exactly by s
-        soft = vanilla_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
-                                 scaled=False).data
+        soft = vanilla_attention(f * qh, f * kh, v)
         lin = taylor_linear_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
                                       mode="sum", normalize_qk=False).data
         errs.append(float(np.max(np.abs(soft - lin))))

@@ -39,33 +39,49 @@ from linpaint.tensor import (
 
 def test_vanilla_single_row_returns_value():
     rng = make_rng(0)
-    q = Tensor(rng.normal(size=(1, 4)))
-    k = Tensor(rng.normal(size=(1, 4)))
-    v = Tensor(rng.normal(size=(1, 4)))
-    assert np.allclose(vanilla_attention(q, k, v).data, v.data, atol=1e-15)
+    q, k, v = (rng.normal(size=(1, 4)) for _ in range(3))
+    assert np.allclose(vanilla_attention(q, k, v), v, atol=1e-15)
 
 
 def test_vanilla_zero_query_gives_column_mean():
     rng = make_rng(1)
-    k = Tensor(rng.normal(size=(5, 3)))
-    v = Tensor(rng.normal(size=(5, 3)))
-    out = vanilla_attention(Tensor(np.zeros((5, 3))), k, v).data
-    assert np.allclose(out, np.tile(v.data.mean(axis=0), (5, 1)), atol=1e-12)
+    k = rng.normal(size=(5, 3))
+    v = rng.normal(size=(5, 3))
+    out = vanilla_attention(np.zeros((5, 3)), k, v)
+    assert np.allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
 
 def test_vanilla_matches_scalar_loop():
     rng = make_rng(2)
-    q = rng.normal(size=(3, 2))
-    k = rng.normal(size=(3, 2))
-    v = rng.normal(size=(3, 2))
-    got = vanilla_attention(Tensor(q), Tensor(k), Tensor(v)).data
+    q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
+    got = vanilla_attention(q, k, v)
     assert np.max(np.abs(got - reference_softmax(q, k, v))) <= 1e-12
+
+
+def test_vanilla_matches_scalar_loop_across_row_blocks():
+    # N=300 spans two row blocks, the second of them ragged.
+    rng = make_rng(9)
+    q, k, v = (rng.normal(size=(300, 4)) for _ in range(3))
+    got = vanilla_attention(q, k, v)
+    assert np.max(np.abs(got - reference_softmax(q, k, v))) <= 1e-12
+
+
+def test_vanilla_memory_is_row_blocks():
+    # One N x N map is 32 MiB here; one 256-row block of it is 4 MiB.
+    rng = make_rng(8)
+    q, k, v = (rng.normal(size=(2048, 8)) for _ in range(3))
+    tracemalloc.start()
+    try:
+        vanilla_attention(q, k, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_vanilla_shape_mismatch():
     with pytest.raises(ShapeError):
-        vanilla_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))),
-                          Tensor(np.ones((3, 2))))
+        vanilla_attention(np.ones((3, 2)), np.ones((4, 2)), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +94,7 @@ def test_taylor_sum_zero_query_equals_vanilla():
     v = rng.normal(size=(6, 4))
     q0 = np.zeros((6, 4))
     lin = taylor_linear_attention(Tensor(q0), Tensor(k), Tensor(v), mode="sum").data
-    van = vanilla_attention(Tensor(q0), Tensor(k), Tensor(v)).data
+    van = vanilla_attention(q0, k, v)
     assert np.allclose(lin, van, atol=1e-12)
     assert np.allclose(lin, np.tile(v.mean(axis=0), (6, 1)), atol=1e-12)
 
@@ -127,14 +143,14 @@ def test_taylor_matches_quadratic_oracle(mode, normalize_qk, clamp):
 
 def test_quadratic_helper_agrees_with_linear_path():
     # The shipped benchmarking reference must compute the same map, including
-    # when evaluated in row chunks.
+    # across row blocks: N=300 ends in a ragged one.
     rng = make_rng(6)
-    q = rng.normal(size=(30, 5))
-    k = rng.normal(size=(30, 5))
-    v = rng.normal(size=(30, 5))
+    q = rng.normal(size=(300, 5))
+    k = rng.normal(size=(300, 5))
+    v = rng.normal(size=(300, 5))
     for mode in ("sum", "residual", "none"):
         lin = taylor_linear_attention(Tensor(q), Tensor(k), Tensor(v), mode=mode).data
-        quad = taylor_attention_quadratic(q, k, v, mode=mode, row_chunk=7)
+        quad = taylor_attention_quadratic(q, k, v, mode=mode)
         assert np.max(np.abs(lin - quad)) <= 1e-10
 
 
@@ -152,8 +168,7 @@ def test_taylor_softmax_limit_second_order():
     errs = []
     for s in scales:
         f = math.sqrt(s)
-        soft = vanilla_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
-                                 scaled=False).data
+        soft = vanilla_attention(f * qh, f * kh, v)
         lin = taylor_linear_attention(Tensor(f * qh), Tensor(f * kh), Tensor(v),
                                       mode="sum", normalize_qk=False).data
         errs.append(np.max(np.abs(soft - lin)))

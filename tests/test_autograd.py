@@ -31,7 +31,6 @@ from linpaint.tensor import (
     reshape,
     scale,
     sigmoid,
-    softmax_rows,
     sub,
     sum_all,
     tanh,
@@ -88,7 +87,7 @@ def test_composite_graph_matches_finite_differences():
     b = Parameter(rng.normal(size=(4, 2)))
 
     def f():
-        y = matmul(softmax_rows(a), b)
+        y = matmul(sigmoid(a), b)
         return mean_all(hadamard(tanh(y), y))
 
     assert finite_diff_check(f, [a, b]) < 1e-4
@@ -312,13 +311,6 @@ def test_grad_transpose():
     a = Parameter(rng.normal(size=(3, 4)))
     r = Tensor(rng.normal(size=(4, 3)))
     _check(lambda: sum_all(hadamard(transpose(a), r)), [a])
-
-
-def test_grad_softmax_rows():
-    rng = make_rng(12)
-    a = Parameter(rng.normal(size=(4, 5)))
-    r = Tensor(rng.normal(size=(4, 5)))
-    _check(lambda: sum_all(hadamard(softmax_rows(a), r)), [a])
 
 
 def test_grad_l2_normalize_rows():

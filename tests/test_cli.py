@@ -325,7 +325,7 @@ def test_gradcheck_ops_scope(capsys):
     # One unit per op that the library runs, and no other.
     units = [line.split(":")[0].removeprefix("op ") for line in out.strip().splitlines()]
     assert units == [
-        "matmul", "transpose", "softmax_rows", "conv2d", "conv2d_1x1", "conv2d_k4s2",
+        "matmul", "transpose", "conv2d", "conv2d_1x1", "conv2d_k4s2",
         "gelu", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
         "matmul_batched", "transpose_batched", "multi_head_attention",
         "upsample_conv2d", "feed_forward"]
@@ -518,11 +518,14 @@ def test_inpaint_corrupted_checkpoint_exit_code(tmp_path, capsys):
     (rb"\nparam_count=", b"\nattn_eps=1e-05\nparam_count=", "attn_eps"),
     (rb"\nparam_count=", b"\nattn_eps=0.0\nparam_count=", "attn_eps"),
     (rb"\nparam_count=", b"\nattn_eps=nan\nparam_count=", "attn_eps"),
+    # A key given twice, even at the same value, and a line that is no pair.
+    (rb"\n(param_count=\d+)", rb"\n\1\n\1", "repeated key 'param_count'"),
+    (rb"\nparam_count=", b"\ncompose_output\nparam_count=", "'compose_output'"),
 ], ids=["width-text", "count-text", "width-zero", "two-block-counts", "non-ascii",
         "missing-key", "bad-bool", "infinite-expansion",
         "blocks-beyond-params", "retired-divide", "retired-normalize_qk",
         "retired-in_channels", "retired-out_channels", "retired-attn_eps",
-        "zero-eps", "nan-eps"])
+        "zero-eps", "nan-eps", "repeated-key", "no-equals"])
 def test_inpaint_forged_header_exit_code(tmp_path, capsys, pattern, replacement, named):
     img_path, mask_path = _write_pair(tmp_path, seed=15)
     ckpt_path = str(tmp_path / "model.ckpt")

@@ -7,7 +7,6 @@ from linpaint.cost import (
     calibrate_channels,
     conv_macs,
     cost_report,
-    count_macs,
     count_params,
     linear_attention_macs,
     quadratic_attention_macs,
@@ -108,13 +107,14 @@ def test_quadratic_dominates_linear():
 
 def test_macs_scale_linearly_with_area():
     config = cfg(base_channels=4)
-    assert count_macs(config, 64, 64) == 4 * count_macs(config, 32, 32)
-    assert count_macs(config, 128, 128) == 16 * count_macs(config, 32, 32)
+    base = cost_report(config, 32, 32).total_macs
+    assert cost_report(config, 64, 64).total_macs == 4 * base
+    assert cost_report(config, 128, 128).total_macs == 16 * base
 
 
 def test_norm_and_activation_cost_nothing():
-    with_norm = count_macs(cfg(norm="layer"), 32, 32)
-    without = count_macs(cfg(norm="none"), 32, 32)
+    with_norm = cost_report(cfg(norm="layer"), 32, 32).total_macs
+    without = cost_report(cfg(norm="none"), 32, 32).total_macs
     assert with_norm == without
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from linpaint.metrics import ImagePair, mask_ratio, mask_ratio_bucket, psnr, ssim
+from linpaint.metrics import ImagePair, psnr, ssim
 from linpaint.tensor import make_rng
 
 
@@ -73,22 +73,3 @@ def test_ssim_rejects_tiny_images():
     with pytest.raises(ValueError):
         ssim(ImagePair(np.zeros((3, 8, 8)), np.zeros((3, 8, 8))), window=11)
 
-
-def test_mask_ratio_basic():
-    assert mask_ratio(np.ones((1, 4, 4))) == 0.0
-    half = np.ones((1, 4, 4))
-    half[0, :2] = 0.0
-    assert mask_ratio(half) == 0.5
-
-
-def test_mask_ratio_rejects_nonbinary():
-    with pytest.raises(ValueError):
-        mask_ratio(np.full((1, 4, 4), 0.5))
-
-
-def test_mask_ratio_bucketing():
-    assert mask_ratio_bucket(0.23) == "20-30%"
-    assert mask_ratio_bucket(0.0) == "0-10%"
-    assert mask_ratio_bucket(1.0) == "90-100%"
-    with pytest.raises(ValueError):
-        mask_ratio_bucket(1.5)

@@ -31,7 +31,6 @@ from linpaint.tensor import (
     matmul,
     reshape,
     scale,
-    softmax_rows,
     sub,
     sum_all,
     transpose,
@@ -144,35 +143,6 @@ def test_transpose_rejects_rank1_and_rank4():
     for shape in [(4,), (2, 2, 2, 2)]:
         with pytest.raises(ShapeError):
             transpose(Tensor(np.ones(shape)))
-
-
-# ---------------------------------------------------------------------------
-# softmax_rows
-
-
-def test_softmax_uniform():
-    out = softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-    assert np.allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
-
-
-def test_softmax_no_overflow():
-    out = softmax_rows(Tensor([[1000.0, 1000.0]]))
-    assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-15)
-
-
-def test_softmax_closed_form():
-    out = softmax_rows(Tensor([[0.0, np.log(3.0)]]))
-    assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one_and_shift_invariant():
-    rng = make_rng(3)
-    a = rng.normal(size=(6, 9)) * 5
-    out = softmax_rows(Tensor(a))
-    assert np.max(np.abs(out.data.sum(axis=1) - 1.0)) <= 1e-12
-    assert np.all(out.data > 0) and np.all(out.data <= 1)
-    shifted = softmax_rows(Tensor(a + 17.5))
-    assert np.allclose(out.data, shifted.data, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +579,6 @@ def test_ops_leave_inputs_unmodified():
     matmul(a, b)
     add(a, b)
     hadamard(a, b)
-    softmax_rows(a)
     l2_normalize(a)
     transpose(a)
     div_broadcast(a, Tensor(np.full((4, 1), 2.0)))
