@@ -11,24 +11,28 @@ timed against). Both are forward-only plain numpy over blocks of
 ``_ORACLE_ROWS`` query rows, so their memory grows with N, not N^2.
 
 The model runs the map channel-major: a C x H x W map is a C x N matrix under
-a free reshape, and one product with the stacked [wq; wk; wv] gives q/k/v as
-one (3, heads, d, N) stack. M = v kb^T (heads x d x d), the numerator
-v + M qb and the denominator N + s^T qb are then each one batched numpy op
-over all heads, with no layout copy between the projections and the output.
+a free reshape, and the core runs as two passes over bands of tokens, since
+linear attention is a recurrence over them. Pass 1 projects each band's k and
+v and adds its terms to M = v kb^T (heads x d x d) and to the key sum s;
+pass 2 projects each band's q and writes the numerator v + M qb over the
+denominator N + s^T qb into the output band. Each step is one batched numpy
+op over all heads, with no layout copy, and no q/k/v stack of all N tokens
+is built.
 
 Each attention layer is one recorded op on the tape: its backward is derived
 by hand and returns the gradients of the input and of all six projection
-parameters at once. q and k are normalized in place inside the q/k/v stack,
-with or without a tape, and the backward works from those unit vectors: the
-op keeps that one stack and the output, plus terms of heads x d x d or
-heads x N.
+parameters at once. q and k are normalized in place in each band, with or
+without a tape, and the backward works from those unit vectors: a taped op
+keeps each band's unit q, k and v and the output, plus terms of
+heads x d x d or heads x N. Without a tape the learned gate is formed in
+place in the layer's own maps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -36,11 +40,15 @@ from .autograd import Module, Parameter, _conv_params
 from .tensor import (
     ShapeError,
     Tensor,
+    _finish,
     _swap,
     conv2d,
     fused_op,
+    gauss_cdf,
     gelu,
     hadamard,
+    recording,
+    row_bands,
     unit_slices,
     unit_slices_back,
 )
@@ -61,6 +69,9 @@ TAYLOR_MODES = ("sum", "residual", "none")
 # Query rows per block of the two O(N^2) oracles: each holds one block x N
 # weight array at a time.
 _ORACLE_ROWS = 256
+
+# Elements per chunk of the tape-free gate (512 KB of float64).
+_GATE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -141,9 +152,10 @@ def vanilla_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray
     block of query rows at a time like :func:`taylor_attention_quadratic`."""
     n, c = _check_qkv(q, k, v)
     out = np.empty((n, c))
+    block = np.empty((min(n, _ORACLE_ROWS), n))     # the quadratic object, a block at a time
     for lo in range(0, n, _ORACLE_ROWS):
         rows = slice(lo, lo + _ORACLE_ROWS)
-        weights = q[rows] @ k.T             # the quadratic object, block x N
+        weights = np.matmul(q[rows], k.T, out=block[:min(n - lo, _ORACLE_ROWS)])
         weights -= weights.max(axis=1, keepdims=True)
         np.exp(weights, out=weights)
         out[rows] = (weights @ v) / weights.sum(axis=1, keepdims=True)
@@ -171,74 +183,140 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
     n, c = _check_qkv(q, k, v)
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
+    inputs = (q, k, v)
 
-    qkv = np.stack([t.data.T for t in (q, k, v)])[:, None]       # 3 x 1 x C x N
-    out, back = _taylor_core(qkv, mode, eps, normalize_qk)
+    def load(lo: int, hi: int, parts: slice, block: np.ndarray) -> None:
+        for i, t in enumerate(inputs[parts]):
+            block[i * c:(i + 1) * c] = t.data[lo:hi].T
+
+    out, back = _taylor_core(load, n, 1, c, mode, eps, recording(inputs), normalize_qk)
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
-        dqkv = np.empty(qkv.shape)
-        back(g.T[None], dqkv)
-        return tuple(np.ascontiguousarray(d.T) for d in dqkv[:, 0])
+        grads = np.empty((3, n, c))
+        for lo, hi, d_band in back(g.T[None]):
+            grads[:, lo:hi] = _swap(d_band[:, 0])
+        return tuple(grads)
 
-    return fused_op(out[0].T, "taylor_linear_attention", (q, k, v), vjp)
+    return fused_op(out[0].T, "taylor_linear_attention", inputs, vjp)
 
 
-def _taylor_core(qkv: np.ndarray, mode: str, eps: float, normalize_qk: bool = True
-                 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], None]]:
-    """The linear map on a (3, heads, d, N) q/k/v stack, each head's tokens as
-    columns, in plain numpy: every step is one batched op over all heads.
-    q and k are normalized over d in place inside ``qkv`` unless
-    ``normalize_qk`` is False.
+def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, heads: int,
+                 d: int, mode: str, eps: float, keep: bool, normalize_qk: bool = True
+                 ) -> tuple[np.ndarray, Callable[[np.ndarray], Iterator] | None]:
+    """The linear map of N tokens over ``heads`` heads of width d, run as
+    two passes over bands of tokens (``row_bands``): every step is one
+    batched numpy op over all heads.
 
-    Returns the (heads, d, N) output and ``back(g, dqkv)``, which writes the
-    gradients of q, k and v for the output gradient ``g`` into ``dqkv``.
-    ``back`` keeps the stack, the output and terms of heads x d x d or
-    heads x N; nothing N x N is built either way.
+    ``load(lo, hi, parts, block)`` writes the rows ``parts`` of the (q, k, v)
+    stack for tokens [lo, hi) to ``block``, a (len(parts) * heads * d,
+    hi - lo) array. Pass 1 loads each band's k and v, normalizes k over d in
+    place and adds the band's terms to M = v kb^T (heads x d x d) and to the
+    key sum s; in mode ``residual`` it also writes v to the output, and in
+    mode ``sum`` adds to v's total. Pass 2 loads each band's q, normalizes it
+    and writes the numerator over the clamped denominator N + s^T qb into
+    the output band. Without ``keep`` the bands are loaded into one reused
+    buffer, so the output is the only heads x d x N array.
+    ``normalize_qk=False`` skips both normalizations.
+
+    Returns the (heads, d, N) output and, when ``keep``, ``back(g)``, which
+    yields (lo, hi, d_band) with the (3, heads, d, hi - lo) gradient of each
+    band of the stack for the output gradient ``g``. It runs over the bands
+    twice too: first the d x d gradient of M and the sums over q, then each
+    band's gradients. With ``keep`` each band is loaded into its own part of
+    one store for all tokens, so the op holds the unit q, k and v, the output
+    and terms of heads x d x d or heads x N; nothing N x N is built either
+    way.
     """
-    qb, kb, v = qkv
-    n = qb.shape[2]
-    if normalize_qk:
-        q_saved = unit_slices(qb, 1)
-        k_saved = unit_slices(kb, 1)
+    bands = row_bands(n, 1)
+    size = 3 * heads * d
+    store = np.empty(size * (n if keep else bands[0][1]))
 
-    m = v @ _swap(kb)                       # heads x d x d, through a view of kb
-    out = m @ qb                            # the numerator, heads x d x N
-    if mode == "residual":
-        out += v
-    elif mode == "sum":
-        out += v.sum(axis=2, keepdims=True)
+    def band_stack(lo: int, hi: int) -> np.ndarray:
+        """The band's contiguous (3, heads, d, hi - lo) q/k/v stack: its own
+        part of the kept store, or the reused buffer."""
+        start = size * lo if keep else 0
+        return store[start:start + size * (hi - lo)].reshape(3, heads, d, hi - lo)
 
-    k_sum = kb.sum(axis=2, keepdims=True)               # heads x d x 1
-    denom = _swap(k_sum) @ qb                           # heads x 1 x N
-    denom += n
-    live = np.abs(denom) >= eps
-    denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
-    out /= denom
+    def load_band(lo: int, hi: int, parts: slice) -> np.ndarray:
+        block = band_stack(lo, hi)[parts]
+        load(lo, hi, parts, block.reshape(-1, hi - lo))
+        return block
 
-    def back(g: np.ndarray, dqkv: np.ndarray) -> None:
-        dq, dk, dv = dqkv
-        heads, d = qb.shape[:2]
-        # The numerator's and the denominator's gradients, stacked so that
-        # one product [m^T | s] [g_num; g_den] gives both terms of dq.
-        # d out / d denom = -out / denom, and 0 where the guard clamped.
-        g_both = np.empty((heads, d + 1, n))
-        g_num = np.divide(g, denom, out=g_both[:, :d])
-        g_den = g_both[:, d:]
-        dot = np.einsum("hdn,hdn->hn", g, out)[:, None]
-        np.copyto(g_den, np.where(live, -dot / denom, 0.0))
-        np.matmul(np.concatenate([_swap(m), k_sum], axis=2), g_both, out=dq)
-        g_m = g_num @ _swap(qb)                         # heads x d x d
-        np.matmul(g_m, kb, out=dv)
-        np.matmul(_swap(g_m), v, out=dk)
+    out = np.empty((heads, d, n))
+    m = np.zeros((heads, d, d))
+    k_sum, v_sum = np.zeros((heads, d, 1)), np.zeros((heads, d, 1))
+    kept_k, kept_q = [], []
+    for lo, hi in bands:
+        kb, v = load_band(lo, hi, slice(1, 3))
+        kept_k.append(unit_slices(kb, 1) if normalize_qk else None)
+        m += v @ _swap(kb)
+        k_sum += kb.sum(axis=2, keepdims=True)
         if mode == "residual":
-            dv += g_num
+            out[..., lo:hi] = v
         elif mode == "sum":
-            dv += g_num.sum(axis=2, keepdims=True)
-        dk += qb @ _swap(g_den)
-        if normalize_qk:
-            scratch = np.empty(qb.shape)
-            unit_slices_back(qb, q_saved, dq, dq, scratch)
-            unit_slices_back(kb, k_saved, dk, dk, scratch)
+            v_sum += v.sum(axis=2, keepdims=True)
+
+    scratch = np.empty((heads, d, bands[0][1])) if mode == "residual" else None
+    for lo, hi in bands:
+        qb = load_band(lo, hi, slice(0, 1))[0]
+        q_saved = unit_slices(qb, 1) if normalize_qk else None
+        band = out[..., lo:hi]
+        if mode == "residual":
+            band += np.matmul(m, qb, out=scratch[..., :hi - lo])
+        else:
+            np.matmul(m, qb, out=band)
+            if mode == "sum":
+                band += v_sum
+        denom = _swap(k_sum) @ qb                       # heads x 1 x band
+        denom += n
+        live = np.abs(denom) >= eps
+        denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
+        band /= denom
+        kept_q.append((q_saved, denom, live))
+    if not keep:
+        return out, None
+
+    def out_grads(g: np.ndarray, lo: int, hi: int, denom: np.ndarray,
+                  live: np.ndarray) -> np.ndarray:
+        """The band's numerator and denominator gradients, stacked so that
+        one product [m^T | s] [g_num; g_den] gives both terms of dq.
+        d out / d denom = -out / denom, and 0 where the guard clamped."""
+        g_band = g[..., lo:hi]
+        g_both = np.empty((heads, d + 1, hi - lo))
+        np.divide(g_band, denom, out=g_both[:, :d])
+        dot = np.einsum("hdn,hdn->hn", g_band, out[..., lo:hi])[:, None]
+        np.copyto(g_both[:, d:], np.where(live, -dot / denom, 0.0))
+        return g_both
+
+    def back(g: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        g_m = np.zeros((heads, d, d))
+        q_g, g_sum = np.zeros((heads, d, 1)), np.zeros((heads, d, 1))
+        for (lo, hi), (_, denom, live) in zip(bands, kept_q):
+            qb = band_stack(lo, hi)[0]
+            g_both = out_grads(g, lo, hi, denom, live)
+            g_m += g_both[:, :d] @ _swap(qb)
+            q_g += qb @ _swap(g_both[:, d:])
+            if mode == "sum":
+                g_sum += g_both[:, :d].sum(axis=2, keepdims=True)
+        m_s = np.concatenate([_swap(m), k_sum], axis=2)
+        for (lo, hi), k_saved, (q_saved, denom, live) in zip(bands, kept_k, kept_q):
+            qb, kb, v = band_stack(lo, hi)
+            g_both = out_grads(g, lo, hi, denom, live)
+            d_band = np.empty((3, heads, d, hi - lo))
+            dq, dk, dv = d_band
+            np.matmul(m_s, g_both, out=dq)
+            np.matmul(g_m, kb, out=dv)
+            np.matmul(_swap(g_m), v, out=dk)
+            if mode == "residual":
+                dv += g_both[:, :d]
+            elif mode == "sum":
+                dv += g_sum
+            dk += q_g
+            if normalize_qk:
+                scratch = np.empty(qb.shape)
+                unit_slices_back(qb, q_saved, dq, dq, scratch)
+                unit_slices_back(kb, k_saved, dk, dk, scratch)
+            yield lo, hi, d_band
 
     return out, back
 
@@ -264,9 +342,10 @@ def taylor_attention_quadratic(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     v_total = v.sum(axis=0)
 
     out = np.empty((n, c))
+    block = np.empty((min(n, _ORACLE_ROWS), n))     # the quadratic object, a block at a time
     for lo in range(0, n, _ORACLE_ROWS):
         rows = slice(lo, lo + _ORACLE_ROWS)
-        weights = qb[rows] @ kb.T           # the quadratic object, block x N
+        weights = np.matmul(qb[rows], kb.T, out=block[:min(n - lo, _ORACLE_ROWS)])
         num = weights @ v
         if mode == "residual":
             num = num + v[rows]
@@ -284,9 +363,11 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     """Project to q/k/v and run linear attention on all heads as one stack;
     head i owns the contiguous channels [i d, (i + 1) d).
 
-    One recorded op: x is multiplied once by the stacked [wq; wk; wv], and the
-    backward returns the gradients of x and of all six projection parameters
-    at once, from one (3C, N) gradient of the stack.
+    One recorded op, whose core (:func:`_taylor_core`) projects each band
+    of tokens when it loads it: a band's k and v are rows of one product
+    with the stacked [wk; wv], its q one product with wq. The backward
+    returns the gradients of x and of all six projection parameters at once,
+    from each band's (3C, band) gradient of the stack.
     """
     cfg.validate()
     if x.data.ndim != 3 or x.shape[0] != cfg.channels:
@@ -295,23 +376,30 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     n = h * w
     inputs = (x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv)
     w_qkv = np.concatenate([p.data for p in inputs[1::2]]).reshape(3 * c, c)
+    b_qkv = np.concatenate([p.data for p in inputs[2::2]])[:, None]
     x_mat = x.data.reshape(c, n)
-    qkv = w_qkv @ x_mat
-    qkv += np.concatenate([p.data for p in inputs[2::2]])[:, None]
-    stack = qkv.reshape(3, cfg.heads, cfg.head_dim, n)
-    out, back = _taylor_core(stack, cfg.taylor_mode, cfg.eps)
+
+    def load(lo: int, hi: int, parts: slice, block: np.ndarray) -> None:
+        rows = slice(parts.start * c, parts.stop * c)
+        np.matmul(w_qkv[rows], x_mat[:, lo:hi], out=block)
+        block += b_qkv[rows]
+
+    out, back = _taylor_core(load, n, cfg.heads, cfg.head_dim, cfg.taylor_mode, cfg.eps,
+                             recording(inputs))
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
-        d_qkv = np.empty(stack.shape)
-        back(g.reshape(out.shape), d_qkv)
-        d_mat = d_qkv.reshape(3 * c, n)
-        grads = [(w_qkv.T @ d_mat).reshape(x.shape) if needs[0] else None]
-        d_w = d_mat @ x_mat.T if any(needs[1::2]) else None
-        d_b = d_mat.sum(axis=1) if any(needs[2::2]) else None
+        dx = np.empty((c, n)) if needs[0] else None
+        d_w, d_b = np.zeros((3 * c, c)), np.zeros(3 * c)
+        for lo, hi, d_band in back(g.reshape(out.shape)):
+            d_mat = d_band.reshape(3 * c, hi - lo)
+            if dx is not None:
+                np.matmul(w_qkv.T, d_mat, out=dx[:, lo:hi])
+            d_w += d_mat @ x_mat[:, lo:hi].T
+            d_b += d_mat.sum(axis=1)
+        grads = [None if dx is None else dx.reshape(x.shape)]
         for i in range(3):
             rows = slice(i * c, (i + 1) * c)
-            grads.append(None if d_w is None else d_w[rows].reshape(c, c, 1, 1))
-            grads.append(None if d_b is None else d_b[rows])
+            grads += [d_w[rows].reshape(c, c, 1, 1), d_b[rows]]
         return grads
 
     return fused_op(out.reshape(x.shape), "multi_head_attention", inputs, vjp)
@@ -324,9 +412,31 @@ def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Ten
     into the attention output lets the layer suppress positions where the
     linearized weights are least trustworthy. With gating off this is plain
     projected attention.
+
+    While a tape records, the gate is the ops ``gelu`` and ``hadamard``.
+    Without one, the attention output and the gate map are this function's
+    own, so GELU is applied to the gate map and the product formed in place,
+    one chunk at a time, with the same operations and so the same bits: no
+    Phi, GELU or product map is built.
     """
     attended = multi_head_attention(x, proj, cfg)
     if cfg.gated:
-        gate = gelu(conv2d(x, proj.w_gate, proj.b_gate))
-        attended = hadamard(attended, gate)
+        gate = conv2d(x, proj.w_gate, proj.b_gate)
+        if recording((attended, gate)):
+            attended = hadamard(attended, gelu(gate))
+        else:
+            _gelu_product(attended.data, gate.data)
+            del gate
+            attended = _finish(attended.data, "hadamard")
     return conv2d(attended, proj.w_out, proj.b_out)
+
+
+def _gelu_product(a: np.ndarray, z: np.ndarray) -> None:
+    """a * GELU(z) in place in ``a``, one chunk at a time, as ``gelu`` and
+    ``hadamard`` compute it (z is overwritten by GELU(z))."""
+    a, z = a.reshape(-1), z.reshape(-1)
+    phi = np.empty(min(_GATE_CHUNK, z.size))
+    for lo in range(0, z.size, _GATE_CHUNK):
+        zc = z[lo:lo + _GATE_CHUNK]
+        zc *= gauss_cdf(zc, out=phi[:zc.size])
+        a[lo:lo + _GATE_CHUNK] *= zc

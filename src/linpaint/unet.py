@@ -4,17 +4,19 @@ Shape law: at level i the feature map has 2^(i-1) * C channels over an
 H/2^(i-1) x W/2^(i-1) grid. A 7x7 convolution lifts the 3-channel masked
 image to C channels, strided 3x3 convolutions step down between encoder
 stages, and the decoder mirrors the path with a 3x3 convolution of the
-nearest-neighbour upsampled map, skip concatenation and a 1x1 fusion
-convolution that halves the channels again. Every block wraps gated linear
-attention and a gated feed-forward unit in residual connections.
+nearest-neighbour upsampled map and a 1x1 fusion convolution of it stacked
+with the skip map, which halves the channels again. Every block wraps gated
+linear attention and a gated feed-forward unit in residual connections.
 
 The feed-forward unit is one recorded op, like attention: its forward pass
-runs over blocks of hidden channels, so no full-width hidden map is ever
-built, and its hand-derived backward keeps only the depthwise outputs.
+runs over bands of whole rows with all hidden channels, so it holds its
+output and scratch the size of one band, and its hand-derived backward keeps
+only the depthwise outputs.
 
 Without a tape no full-resolution map outlives its last use: the up conv runs
-at the low resolution and each normalized map and skip map is freed once
-used. A tape gives the same values and keeps what the backward pass needs.
+at the low resolution, the skip fusion never builds the stacked map, and
+each normalized map and skip map is freed once used. A tape gives the same
+values and keeps what the backward pass needs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat_channels,
+    concat_conv1x1,
     conv2d,
     depthwise_taps,
     depthwise_taps_back,
@@ -39,8 +41,8 @@ from .tensor import (
     gauss_cdf,
     gelu_slope,
     layer_norm_sites,
-    matmul_add,
     recording,
+    row_bands,
     tanh,
     upsample_conv2d,
 )
@@ -62,12 +64,6 @@ NORM_KINDS = ("layer", "none")
 IMAGE_CHANNELS = 3
 
 CHECKPOINT_MAGIC = b"LINPAINT-CKPT-1\n"
-
-# Elements of a feed-forward block's stacked 1x1 map over the padded grid
-# (16 MB of float64): the forward pass works on one block of hidden channels
-# at a time, so its buffers stay near this size however wide the layer is.
-_FFN_BLOCK = 1 << 21
-
 
 @dataclass
 class ModelConfig:
@@ -168,7 +164,8 @@ def parse_config(config, pairs: dict[str, str]):
 class ConvLayer(Module):
     """A convolution with its weights; with ``upsample``, a 3x3 stride-1
     padding-1 conv of x's nearest-neighbour 2x upsampling, run as
-    :func:`upsample_conv2d`."""
+    :func:`upsample_conv2d`. A 1x1 layer called with a ``skip`` map convolves
+    the channel stack [x; skip] as :func:`concat_conv1x1`, without building it."""
 
     def __init__(self, rng, cin: int, cout: int, k: int, stride: int, padding: int,
                  name: str, upsample: bool = False) -> None:
@@ -177,7 +174,9 @@ class ConvLayer(Module):
         self.padding = padding
         self.upsample = upsample
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
+        if skip is not None:
+            return concat_conv1x1(x, skip, self.w, self.b)
         if self.upsample:
             return upsample_conv2d(x, self.w, self.b)
         return conv2d(x, self.w, self.b, self.stride, self.padding)
@@ -198,16 +197,18 @@ class FeedForward(Module):
     """Gated linear unit: two 1x1 conv + 3x3 depthwise branches, one GELU-gated,
     then a 1x1 conv back to the input width.
 
-    One recorded op. The forward pass pads x once and runs over blocks of
-    hidden channels: the stacked [conv_i; conv_g] rows of a block multiply the
-    padded map, so with the bias added and the one-pixel ring zeroed they are
-    the depthwise input, already padded; the depthwise conv and the gate
-    dg * Phi(dg) * bi follow, and each block's product with its conv_out
-    columns is summed into the output. Only the output is checked finite.
-    While a tape records, the depthwise outputs (bi, dg) are kept; backward
-    recomputes each block's stacked 1x1 map from x, one GEMM, for the
-    depthwise weight gradient, and returns the gradients of x and of all ten
-    parameters at once.
+    One recorded op, run over bands of whole rows (``row_bands``), each with
+    all hidden channels. A band copies x's rows [r0 - 1, r1 + 1) into a
+    zero-ringed buffer and multiplies it by the stacked [conv_i; conv_g]
+    rows; with the bias added and the ring zeroed that is the band's
+    depthwise input, already padded. The depthwise conv, the gate
+    dg * Phi(dg) * bi and the conv_out product then write the band's output
+    columns. The band buffers are reused, so the op holds its output and
+    scratch the size of one band. Only the output is checked finite. While a
+    tape records, each band's depthwise outputs (bi, dg) are kept; backward
+    recomputes each band's stacked map from x, adds the gradient of its halo
+    rows into dx, sums the weight gradients over bands, and returns the
+    gradients of x and of all ten parameters at once.
     """
 
     # Residual-branch outputs start near zero so a fresh block is close to the
@@ -233,95 +234,98 @@ class FeedForward(Module):
         if x.data.ndim != 3 or x.shape[0] != c:
             raise ShapeError(f"expected {c}xHxW input, got {x.shape}")
         _, h, w = x.shape
-        n, grid = h * w, (h + 2) * (w + 2)
         inputs = (x, *params)
+        two = 2 * hidden
+        pre_w = np.concatenate([ci_w, cg_w]).reshape(two, c)
+        pre_b = np.concatenate([ci_b, cg_b])[:, None]
+        dw_w, dw_b = np.concatenate([di_w, dg_w]), np.concatenate([di_b, dg_b])
         co_mat = co_w.reshape(c, hidden)
-        # Hidden channels per block: the stacked 1x1 map of a block stays
-        # within _FFN_BLOCK elements (at least one channel), spread evenly.
-        count = -(-hidden // max(1, _FFN_BLOCK // (2 * grid)))
-        per_block = -(-hidden // count)
-        blocks = [(h0, min(hidden, h0 + per_block)) for h0 in range(0, hidden, per_block)]
+        bands = row_bands(h, w + 2)
+        rows = bands[0][1]
 
-        def rows(h0: int, h1: int) -> np.ndarray:
-            return np.concatenate([ci_w[h0:h1], cg_w[h0:h1]]).reshape(2 * (h1 - h0), c)
+        def scratch() -> tuple[np.ndarray, np.ndarray]:
+            """A zero-ringed band of x and room for one band's stacked map."""
+            return np.zeros((c, rows + 2, w + 2)), np.empty(two * (rows + 2) * (w + 2))
 
-        def depthwise_input(xp: np.ndarray, h0: int, h1: int) -> np.ndarray:
-            """The block's stacked 1x1 map over the padded grid with its ring
-            zeroed: the depthwise input, already padded."""
-            pre = rows(h0, h1) @ xp
-            pre += np.concatenate([ci_b[h0:h1], cg_b[h0:h1]])[:, None]
-            pre = pre.reshape(-1, h + 2, w + 2)
-            pre[:, 0] = pre[:, -1] = pre[:, :, 0] = pre[:, :, -1] = 0.0
+        def depthwise_input(r0: int, r1: int, x_band: np.ndarray,
+                            pre_buf: np.ndarray) -> np.ndarray:
+            """The stacked 1x1 map of x's rows [r0 - 1, r1 + 1) with its ring
+            (and any row outside x) zeroed: the band's depthwise input, padded."""
+            lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+            xb = x_band[:, :r1 - r0 + 2]
+            xb[:, lo - r0 + 1:hi - r0 + 1, 1:-1] = x.data[:, lo:hi]
+            pre = pre_buf[:two * xb[0].size].reshape(two, -1)
+            np.matmul(pre_w, xb.reshape(c, -1), out=pre)
+            pre += pre_b
+            pre = pre.reshape(two, -1, w + 2)
+            pre[:, :, 0] = pre[:, :, -1] = 0.0
+            if r0 == 0:
+                pre[:, 0] = 0.0
+            if r1 == h:
+                pre[:, -1] = 0.0
             return pre
 
-        def depthwise_params(h0: int, h1: int) -> tuple[np.ndarray, np.ndarray]:
-            return (np.concatenate([di_w[h0:h1], dg_w[h0:h1]]),
-                    np.concatenate([di_b[h0:h1], dg_b[h0:h1]]))
-
-        xp = _pad_grid(x.data)
         kept: list[np.ndarray] | None = [] if recording(inputs) else None
-        out = np.empty((c, n))
-        gate = np.empty((per_block, n))
-        dw_out = np.empty((2 * per_block, h, w))
-        for i, (h0, h1) in enumerate(blocks):
-            m = h1 - h0
+        x_band, pre_buf = scratch()
+        out = np.empty((c, h * w))
+        dw_buf = np.empty(two * rows * w) if kept is None else None
+        for r0, r1 in bands:
+            m = (r1 - r0) * w
+            dw_out = dw_buf[:two * m] if kept is None else np.empty(two * m)
             if kept is not None:
-                dw_out = np.empty((2 * m, h, w))
                 kept.append(dw_out)
-            depthwise_taps(depthwise_input(xp, h0, h1), *depthwise_params(h0, h1),
-                           dw_out[:2 * m])
-            bi, dg = dw_out[:m].reshape(m, n), dw_out[m:2 * m].reshape(m, n)
-            z = gauss_cdf(dg, out=gate[:m])
+            depthwise_taps(depthwise_input(r0, r1, x_band, pre_buf), dw_w, dw_b,
+                           dw_out.reshape(two, r1 - r0, w))
+            bi, dg = dw_out.reshape(2, hidden, m)
+            # The stacked map is used up: the gate goes in its buffer.
+            z = gauss_cdf(dg, out=pre_buf[:hidden * m].reshape(hidden, m))
             z *= dg
             z *= bi
-            if i:
-                matmul_add(co_mat[:, h0:h1], z, out)
-            else:
-                np.matmul(co_mat[:, h0:h1], z, out=out)
+            np.matmul(co_mat, z, out=out[:, r0 * w:r1 * w])
         out += co_b[:, None]
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
-            g_mat, x_mat = g.reshape(c, n), x.data.reshape(c, n)
-            xp = _pad_grid(x.data)
-            dx = np.zeros((c, n)) if needs[0] else None
-            d_rows, d_pre_b = np.empty((2, hidden, c)), np.empty((2, hidden))
-            d_dw_w, d_dw_b = np.empty((2, hidden, 3, 3)), np.empty((2, hidden))
-            d_co = np.empty((c, hidden))
-            for (h0, h1), dw_out in zip(blocks, kept):
-                m = h1 - h0
-                bi, dg = dw_out[:m].reshape(m, n), dw_out[m:].reshape(m, n)
+            g_mat = g.reshape(c, h * w)
+            bufs = scratch()
+            dx = np.zeros((c, h, w)) if needs[0] else None
+            d_pre_w, d_pre_b = np.zeros((two, c)), np.zeros(two)
+            d_dw_w, d_dw_b = np.zeros((two, 3, 3)), np.zeros(two)
+            d_co = np.zeros((c, hidden))
+            for (r0, r1), dw_out in zip(bands, kept):
+                m = (r1 - r0) * w
+                bi, dg = dw_out.reshape(2, hidden, m)
+                g_band = g_mat[:, r0 * w:r1 * w]
                 phi = gauss_cdf(dg)
                 act = dg * phi
-                np.matmul(g_mat, (bi * act).T, out=d_co[:, h0:h1])
+                d_co += g_band @ (bi * act).T
                 # The gradient of the depthwise output: [d bi; d dg].
-                dz = co_mat[:, h0:h1].T @ g_mat
-                g_dw = np.empty((2 * m, h, w))
-                np.multiply(dz, act, out=g_dw[:m].reshape(m, n))
+                dz = co_mat.T @ g_band
+                g_dw = np.empty((two, r1 - r0, w))
+                gi, gg = g_dw.reshape(2, hidden, m)
+                np.multiply(dz, act, out=gi)
                 dz *= bi
-                np.multiply(dz, gelu_slope(dg, phi), out=g_dw[m:].reshape(m, n))
+                np.multiply(dz, gelu_slope(dg, phi), out=gg)
                 del phi, act, dz
-                d_dw_b[:, h0:h1] = g_dw.reshape(2, m, n).sum(axis=2)
-                pre = depthwise_input(xp, h0, h1)
-                d_pre, d_w = depthwise_taps_back(g_dw, depthwise_params(h0, h1)[0], pre)
-                d_dw_w[:, h0:h1] = d_w.reshape(2, m, 3, 3)
-                # The zeroed ring is a constant: only the interior has a gradient.
-                d_pre = np.ascontiguousarray(d_pre[:, 1:-1, 1:-1]).reshape(2 * m, n)
-                d_pre_b[:, h0:h1] = d_pre.reshape(2, m, n).sum(axis=2)
-                d_rows[:, h0:h1] = (d_pre @ x_mat.T).reshape(2, m, c)
+                d_dw_b += g_dw.reshape(two, m).sum(axis=1)
+                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, depthwise_input(r0, r1, *bufs))
+                d_dw_w += d_w
+                # The zeroed ring is a constant: only x's rows and columns
+                # have a gradient, the halo rows included.
+                lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+                d_pre = np.ascontiguousarray(d_pre[:, lo - r0 + 1:hi - r0 + 1, 1:-1])
+                d_pre = d_pre.reshape(two, -1)
+                d_pre_b += d_pre.sum(axis=1)
+                d_pre_w += d_pre @ x.data[:, lo:hi].reshape(c, -1).T
                 if dx is not None:
-                    dx += rows(h0, h1).T @ d_pre
-            grads = [None if dx is None else dx.reshape(x.shape)]
+                    dx[:, lo:hi] += (pre_w.T @ d_pre).reshape(c, hi - lo, w)
+            d_pre_w, d_pre_b = d_pre_w.reshape(2, hidden, c), d_pre_b.reshape(2, hidden)
+            d_dw_w, d_dw_b = d_dw_w.reshape(2, hidden, 3, 3), d_dw_b.reshape(2, hidden)
+            grads = [dx]
             for i in range(2):
-                grads += [d_rows[i].reshape(hidden, c, 1, 1), d_pre_b[i], d_dw_w[i], d_dw_b[i]]
+                grads += [d_pre_w[i].reshape(hidden, c, 1, 1), d_pre_b[i], d_dw_w[i], d_dw_b[i]]
             return grads + [d_co.reshape(co_w.shape), g_mat.sum(axis=1)]
 
         return fused_op(out.reshape(c, h, w), "ffn", inputs, vjp)
-
-
-def _pad_grid(a: np.ndarray) -> np.ndarray:
-    """A C x H x W map with a one-pixel zero ring, as C x (H+2)(W+2) rows."""
-    c, h, w = a.shape
-    return np.pad(a, ((0, 0), (1, 1), (1, 1))).reshape(c, (h + 2) * (w + 2))
 
 
 class TransformerBlock(Module):
@@ -408,12 +412,10 @@ class InpaintingUNet(Module):
     def decoder_forward(self, encs: list[Tensor]) -> Tensor:
         """The prediction from :meth:`encoder_forward`'s list, which this
         consumes: each map is popped when it is used, so without a tape a skip
-        map is freed once concatenated."""
+        map is freed once fused."""
         x = encs.pop()
         for up, fuse, stage in self.decoder:
-            x = up(x)
-            x = concat_channels(x, encs.pop())
-            x = fuse(x)
+            x = fuse(up(x), encs.pop())
             for block in stage:
                 x = block(x)
         return tanh(self.tail(x))

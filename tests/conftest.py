@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+import linpaint.tensor as T
 from linpaint.autograd import Parameter
 from linpaint.tensor import make_rng
 
@@ -122,3 +123,13 @@ def created_parameters(monkeypatch):
 
     monkeypatch.setattr(Parameter, "__init__", recording_init)
     return created
+
+
+def force_bands(monkeypatch, rows, row_size, per_band):
+    """Cap the banded ops' bands at ``per_band`` rows of ``row_size``
+    elements, checking that ``rows`` rows then split into at least three bands
+    with a shorter last one; returns the bands."""
+    monkeypatch.setattr(T, "_BAND", per_band * row_size)
+    bands = T.row_bands(rows, row_size)
+    assert len(bands) >= 3 and bands[-1][1] - bands[-1][0] < bands[0][1] - bands[0][0]
+    return bands

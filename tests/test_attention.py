@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_softmax, reference_taylor
+from conftest import force_bands, reference_softmax, reference_taylor
 from reference_ops import div_broadcast, guard_denominator, l2_normalize, sum_axis
 
 from linpaint.attention import (
@@ -66,17 +66,28 @@ def test_vanilla_matches_scalar_loop_across_row_blocks():
     assert np.max(np.abs(got - reference_softmax(q, k, v))) <= 1e-12
 
 
-def test_vanilla_memory_is_row_blocks():
-    # One N x N map is 32 MiB here; one 256-row block of it is 4 MiB.
+def _oracle_peak(oracle):
     rng = make_rng(8)
     q, k, v = (rng.normal(size=(2048, 8)) for _ in range(3))
     tracemalloc.start()
     try:
-        vanilla_attention(q, k, v)
+        oracle(q, k, v)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    return peak
+
+
+def test_vanilla_memory_is_row_blocks():
+    # One N x N map is 32 MiB here; one 256-row block of it is 4 MiB, and the
+    # oracle holds one block at a time (two, 8.1 MiB, when each block was a
+    # fresh array).
+    assert _oracle_peak(vanilla_attention) <= 6 * 2**20
+
+
+def test_quadratic_oracle_memory_is_row_blocks():
+    # As for vanilla_attention: one 4 MiB block at a time (8.4 MiB before).
+    assert _oracle_peak(taylor_attention_quadratic) <= 6 * 2**20
 
 
 def test_vanilla_shape_mismatch():
@@ -271,7 +282,7 @@ def test_multi_head_matches_per_head_loop(heads, mode, clamp, normalize_qk):
     if normalize_qk:
         got = multi_head_attention(x, proj, cfg).data.reshape(q.shape)
     else:
-        got, _ = _taylor_core(stack, mode, cfg.eps, normalize_qk=False)
+        got, _ = _stack_core(stack, mode, cfg.eps, keep=False)
     for h in range(heads):
         want = taylor_linear_attention(
             Tensor(q[h].T), Tensor(k[h].T), Tensor(v[h].T), mode=mode,
@@ -313,15 +324,26 @@ def _composed_multi_head(x, proj, cfg, normalize_qk=True):
         q, k, v, cfg.taylor_mode, cfg.eps, normalize_qk))
 
 
+def _stack_core(stack, mode, eps, keep):
+    """The banded core with the kernel-level normalize_qk=False on a whole
+    (3, heads, d, N) q/k/v stack."""
+    _, heads, d, n = stack.shape
+    def load(lo, hi, parts, block):
+        block[...] = stack[parts, ..., lo:hi].reshape(block.shape)
+
+    return _taylor_core(load, n, heads, d, mode, eps, keep, normalize_qk=False)
+
+
 def _unnormalized_core(q, k, v, mode, eps):
-    """The batched core with the kernel-level normalize_qk=False on three
+    """The banded core with the kernel-level normalize_qk=False on three
     (heads, d, N) tensors, as one recorded op."""
     qkv = np.stack([q.data, k.data, v.data])
-    out, back = _taylor_core(qkv, mode, eps, normalize_qk=False)
+    out, back = _stack_core(qkv, mode, eps, keep=True)
 
     def vjp(g, needs):
         dqkv = np.empty(qkv.shape)
-        back(g, dqkv)
+        for lo, hi, d_band in back(g):
+            dqkv[..., lo:hi] = d_band
         return tuple(dqkv)
 
     return fused_op(out, "taylor_core", (q, k, v), vjp)
@@ -382,6 +404,88 @@ def test_multi_head_matches_composed_ops(heads, mode, clamp, normalize_qk):
                 q, k, v, mode, cfg.eps)),
             lambda: _composed_multi_head(x, proj, cfg, normalize_qk=False),
             [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv], r)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("mode", ["sum", "residual", "none"])
+def test_multi_head_matches_composed_ops_across_ragged_bands(monkeypatch, heads, mode):
+    # 30 tokens in bands of 8, 8, 8 and 6: both passes and both backward
+    # passes run over several bands, the last one shorter.
+    cfg, proj, x, r = _attention_case(46 + heads, 8, heads, taylor_mode=mode)
+    force_bands(monkeypatch, 30, 1, 8)
+    _assert_fused_matches_composed(cfg, proj, x, r)
+
+
+@pytest.mark.parametrize("normalize_qk", [True, False])
+def test_taylor_matches_oracle_and_composed_ops_across_ragged_bands(monkeypatch,
+                                                                    normalize_qk):
+    rng = make_rng(48)
+    n, c = 30, 4
+    q, k, v = (Parameter(rng.normal(size=(n, c))) for _ in range(3))
+    r = Tensor(rng.normal(size=(n, c)))
+    force_bands(monkeypatch, n, 1, 8)
+    got = taylor_linear_attention(q, k, v, normalize_qk=normalize_qk).data
+    want = reference_taylor(q.data, k.data, v.data, "residual", normalize_qk=normalize_qk)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+    def composed():
+        def stack(t):
+            return reshape(transpose(t), (1, c, n))
+        out = _composed_taylor(stack(q), stack(k), stack(v), "residual", 1e-6,
+                               normalize_qk=normalize_qk)
+        return transpose(reshape(out, (c, n)))
+
+    _assert_matches_composed(
+        lambda: taylor_linear_attention(q, k, v, normalize_qk=normalize_qk),
+        composed, [q, k, v], r)
+
+
+def test_multi_head_gradient_across_ragged_bands(monkeypatch):
+    cfg, proj, x, r = _attention_case(49, 8, 2)
+    force_bands(monkeypatch, 30, 1, 8)
+    params = [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    err = finite_diff_check(lambda: sum_all(hadamard(multi_head_attention(x, proj, cfg), r)),
+                            params)
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_attention_output_is_the_same_with_and_without_a_tape(monkeypatch, gated):
+    # Across ragged bands, the core and the gate (in place without a tape,
+    # gelu and hadamard with one) give the same bits either way; the core is
+    # one tape step.
+    cfg, proj, x, _ = _attention_case(50, 8, 2, gated=gated)
+    proj.b_gate.data[:] = make_rng(51).normal(size=8)
+    force_bands(monkeypatch, 30, 1, 8)
+    const = Tensor(x.data)
+    plain = [multi_head_attention(const, proj, cfg).data, gated_attention(const, proj, cfg).data]
+    with Tape() as tape:
+        core = multi_head_attention(x, proj, cfg).data
+        assert len(tape) == 1
+        taped = [core, gated_attention(x, proj, cfg).data]
+    for a, b in zip(plain, taped):
+        assert np.array_equal(a, b)
+
+
+def test_tape_free_gate_builds_no_gate_sized_temporaries(monkeypatch):
+    # Without a tape the layer holds at most two C x N maps at once (the
+    # attention output with the gate map, then with the output projection's
+    # result) and chunk and band scratch: 2.57 maps measured, 4.65 when the
+    # gate's Phi, GELU and product were separate maps.
+    rng = make_rng(52)
+    cfg = AttentionConfig(channels=16, heads=2)
+    proj = ProjectionSet.init(16, rng)
+    x = Tensor(rng.normal(size=(16, 128, 128)))
+    force_bands(monkeypatch, 128 * 128, 1, 600)
+    gated_attention(x, proj, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gated_attention(x, proj, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * x.data.nbytes
 
 
 def test_multi_head_dead_query_column_matches_composed_ops():

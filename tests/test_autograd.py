@@ -18,7 +18,7 @@ from linpaint.tensor import (
     Tensor,
     absolute,
     add,
-    concat_channels,
+    concat_conv1x1,
     conv2d,
     gelu,
     hadamard,
@@ -407,8 +407,10 @@ def test_grad_structural():
     rng = make_rng(18)
     x = Parameter(rng.normal(size=(2, 3, 4)))
     y = Parameter(rng.normal(size=(3, 3, 4)))
-    r3 = Tensor(rng.normal(size=(5, 3, 4)))
-    _check(lambda: sum_all(hadamard(concat_channels(x, y), r3)), [x, y])
+    w = Parameter(rng.normal(size=(4, 5, 1, 1)))
+    b = Parameter(rng.normal(size=(4,)))
+    r3 = Tensor(rng.normal(size=(4, 3, 4)))
+    _check(lambda: sum_all(hadamard(concat_conv1x1(x, y, w, b), r3)), [x, y, w, b])
     r4 = Tensor(rng.normal(size=(2, 12)))
     _check(lambda: sum_all(hadamard(reshape(x, (2, 12)), r4)), [x])
     m = Parameter(rng.normal(size=(6, 4)))

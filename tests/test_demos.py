@@ -17,6 +17,7 @@ REPO = Path(__file__).resolve().parents[1]
     ["complexity_benchmark.py", "--quick"],
     ["inpainting_toy_run.py", "--iters", "2"],
     ["gradient_verification.py"],
+    ["forward_memory.py", "--quick"],
 ], ids=lambda argv: argv[0])
 def test_demo_exits_zero(tmp_path, argv):
     # The demos write their outputs into the working directory.

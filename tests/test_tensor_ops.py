@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_bands
 from reference_ops import (
+    concat_channels,
     depthwise_conv2d,
     div_broadcast,
     l2_normalize,
@@ -15,7 +17,7 @@ from reference_ops import (
 )
 
 from linpaint import tensor as T
-from linpaint.autograd import Parameter, zero_grads
+from linpaint.autograd import Parameter, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
     ShapeError,
@@ -23,7 +25,7 @@ from linpaint.tensor import (
     Tensor,
     add,
     absolute,
-    concat_channels,
+    concat_conv1x1,
     conv2d,
     gelu,
     hadamard,
@@ -526,17 +528,77 @@ def test_hadamard_with_ones_and_commutativity():
     assert np.array_equal(hadamard(a, b).data, hadamard(b, a).data)
 
 
-def test_concat_channels_shapes():
-    a = Tensor(np.zeros((2, 4, 4)))
-    b = Tensor(np.ones((3, 4, 4)))
-    out = concat_channels(a, b)
-    assert out.shape == (5, 4, 4)
-    assert np.all(out.data[:2] == 0) and np.all(out.data[2:] == 1)
+@pytest.mark.parametrize("rows,row_size", [(1, 1), (7, 1), (256, 258), (30, 254),
+                                            (65536, 1), (5, 10**6)])
+def test_row_bands_cover_the_rows_evenly(rows, row_size):
+    bands = T.row_bands(rows, row_size)
+    assert bands[0][0] == 0 and bands[-1][1] == rows
+    assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+    sizes = [r1 - r0 for r0, r1 in bands]
+    assert min(sizes) >= 1 and max(sizes) == sizes[0] and sizes[0] - min(sizes) < len(bands)
+    assert sizes[0] * row_size <= T._BAND or sizes[0] == 1
+    # No fewer bands would stay within the cap.
+    assert len(bands) == 1 or -(-rows // (len(bands) - 1)) * row_size > T._BAND
 
 
-def test_concat_channels_spatial_mismatch():
+def _concat_case(seed, ca=2, cb=3, cout=4, shape=(4, 4)):
+    rng = make_rng(seed)
+    a = Parameter(rng.normal(size=(ca, *shape)))
+    b = Parameter(rng.normal(size=(cb, *shape)))
+    w = Parameter(rng.normal(size=(cout, ca + cb, 1, 1)))
+    bias = Parameter(rng.normal(size=(cout,)))
+    return a, b, w, bias
+
+
+def test_concat_conv1x1_shapes():
+    a, b, w, bias = _concat_case(30)
+    out = concat_conv1x1(a, b, w, bias)
+    assert out.shape == (4, 4, 4)
+    want = conv2d(Tensor(np.concatenate([a.data, b.data])), w, bias).data
+    assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_concat_conv1x1_spatial_mismatch():
+    w, bias = Tensor(np.zeros((1, 4, 1, 1))), Tensor(np.zeros(1))
     with pytest.raises(ShapeError):
-        concat_channels(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 4))))
+        concat_conv1x1(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 4))), w, bias)
+    with pytest.raises(ShapeError):
+        concat_conv1x1(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 4, 4))), w, bias)
+
+
+def test_concat_conv1x1_matches_composed_ops_across_ragged_bands(monkeypatch):
+    # 30 columns in bands of 8, 8, 8 and 6, against conv2d of the stack built
+    # by the reference concat_channels: outputs within 1e-12, gradients within
+    # 1e-10; taped and tape-free outputs are the same bits, in one tape step.
+    a, b, w, bias = _concat_case(31, shape=(5, 6))
+    force_bands(monkeypatch, 30, 5, 8)
+    r = Tensor(make_rng(32).normal(size=(4, 5, 6)))
+    params = [a, b, w, bias]
+    results = []
+    for f in (lambda: concat_conv1x1(a, b, w, bias),
+              lambda: conv2d(concat_channels(a, b), w, bias)):
+        with Tape() as tape:
+            out = f()
+            steps = len(tape)
+            tape.backward(sum_all(hadamard(out, r)))
+        results.append((out.data, [p.grad for p in params], steps))
+        zero_grads(params)
+    (got, got_grads, steps), (want, want_grads, _) = results
+    assert steps == 1
+    assert np.array_equal(concat_conv1x1(a, b, w, bias).data, got)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for g, h in zip(got_grads, want_grads):
+        assert g.shape == h.shape
+        assert np.max(np.abs(g - h)) <= 1e-10 * np.max(np.abs(h))
+
+
+def test_concat_conv1x1_gradient_across_ragged_bands(monkeypatch):
+    a, b, w, bias = _concat_case(33, shape=(5, 6))
+    force_bands(monkeypatch, 30, 5, 8)
+    r = Tensor(make_rng(34).normal(size=(4, 5, 6)))
+    err = finite_diff_check(lambda: sum_all(hadamard(concat_conv1x1(a, b, w, bias), r)),
+                            [a, b, w, bias])
+    assert err < 1e-4
 
 
 def test_reshape_is_a_view_in_row_major_order():

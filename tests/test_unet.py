@@ -7,7 +7,7 @@ import pytest
 from conftest import decode_with_up_shapes, forge_checkpoint
 from reference_ops import depthwise_conv2d
 
-import linpaint.unet as U
+import linpaint.tensor as T
 from linpaint.cli import paste_known_pixels
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.tensor import (
@@ -109,21 +109,29 @@ def _ffn_run(f, ffn, x, r):
     return out.data, grads
 
 
-# (channels, expansion, H, W, hidden channels per block or None for the default)
+def _force_band_rows(monkeypatch, ffn, w, rows):
+    """Cap the FFN's bands at ``rows`` rows of a W-wide map."""
+    monkeypatch.setattr(T, "_BAND", rows * (w + 2))
+
+
+# (channels, expansion, H, W, rows per band or None for the default rule)
 FFN_CASES = [
     (3, 0.1, 6, 6, None),      # hidden width 1
     (4, 2.0, 5, 7, None),      # a non-square odd map
     (4, 2.0, 1, 1, None),      # a 1x1 map
-    (4, 1.75, 6, 6, 2),        # hidden 7 in blocks of 2: a ragged last block
+    (4, 1.75, 6, 6, 2),        # hidden 7 over three bands of 2 rows
+    (4, 1.75, 7, 6, 3),        # bands of 3, 3 and 1 rows: a ragged last band
+    (4, 2.0, 5, 7, 1),         # one-row bands: each halo row is a neighbour's row
+    (4, 2.0, 30, 254, None),   # 24 and 6 rows by the default rule
     (256, 2.0, 32, 32, None),  # the level-4 shape of the C=32 model at 256x256
 ]
 
 
-@pytest.mark.parametrize("channels,expansion,h,w,per_block", FFN_CASES)
-def test_fused_ffn_matches_composed_ops(monkeypatch, channels, expansion, h, w, per_block):
-    if per_block is not None:
-        monkeypatch.setattr(U, "_FFN_BLOCK", 2 * per_block * (h + 2) * (w + 2))
+@pytest.mark.parametrize("channels,expansion,h,w,band_rows", FFN_CASES)
+def test_fused_ffn_matches_composed_ops(monkeypatch, channels, expansion, h, w, band_rows):
     ffn, x, r = _ffn_case(channels, expansion, h, w)
+    if band_rows is not None:
+        _force_band_rows(monkeypatch, ffn, w, band_rows)
     out, grads = _ffn_run(ffn, ffn, x, r)
     want_out, want_grads = _ffn_run(lambda t: composed_ffn(ffn, t), ffn, x, r)
     assert np.max(np.abs(out - want_out)) <= 1e-12 * max(1.0, np.max(np.abs(want_out)))
@@ -131,6 +139,17 @@ def test_fused_ffn_matches_composed_ops(monkeypatch, channels, expansion, h, w, 
     for got, want in zip(grads, want_grads):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_ffn_gradient_across_ragged_bands(monkeypatch):
+    rng = make_rng(23)
+    ffn = FeedForward(rng, 3, 5, "ffn")
+    _force_band_rows(monkeypatch, ffn, 5, 3)
+    assert T.row_bands(7, 7) == [(0, 3), (3, 6), (6, 7)]
+    x = Parameter(rng.normal(size=(3, 7, 5)))
+    r = Tensor(rng.normal(size=(3, 7, 5)))
+    err = finite_diff_check(lambda: sum_all(hadamard(ffn(x), r)), [x, *ffn.parameters()])
+    assert err < 1e-4
 
 
 def test_fused_ffn_records_one_tape_step():
@@ -151,12 +170,14 @@ def test_fused_ffn_frozen_parameters_get_no_gradient():
 
 
 def test_fused_ffn_output_is_the_same_with_and_without_a_tape(monkeypatch):
-    # Several blocks: untaped, the depthwise output buffer is reused.
-    monkeypatch.setattr(U, "_FFN_BLOCK", 2 * 2 * 8 * 9)
-    ffn, x, _ = _ffn_case(4, 1.75, 6, 7)
+    # Bands of 3, 3 and 1 rows: untaped, the band buffers are reused; taped,
+    # each band's depthwise output is kept, in one tape step.
+    ffn, x, _ = _ffn_case(4, 1.75, 7, 6)
+    _force_band_rows(monkeypatch, ffn, 6, 3)
     plain = ffn(x).data
-    with Tape():
+    with Tape() as tape:
         taped = ffn(x).data
+    assert len(tape) == 1
     assert np.array_equal(plain, taped)
 
 
@@ -227,9 +248,12 @@ def test_forward_roundtrip_and_determinism():
     assert np.all(np.abs(out1.data) <= 1.0)  # tanh output range
 
 
-def test_forward_is_the_same_with_and_without_a_tape():
-    # Without a tape, attention normalizes q and k in place and the decoder
-    # drops each skip map once it is concatenated; with one, both are kept.
+def test_forward_is_the_same_with_and_without_a_tape(monkeypatch):
+    # Without a tape, attention normalizes q and k in place, reuses its band
+    # buffers and forms the gate in place, and the decoder drops each skip map
+    # once it is fused; with one, what the backward needs is kept. Bands of 64
+    # elements per channel put every level's banded ops over several bands.
+    monkeypatch.setattr(T, "_BAND", 64)
     model = InpaintingUNet(tiny_config(), make_rng(18))
     im = Tensor(make_rng(19).normal(size=(3, 16, 24)) * 0.3)
     plain = model.forward(im).data
@@ -240,9 +264,11 @@ def test_forward_is_the_same_with_and_without_a_tape():
 
 def test_forward_working_set_is_bounded_by_level1_maps():
     # The traced peak of a tape-free full-depth forward, in level-1 maps
-    # (8 x 128 x 128 float64, 1 MB), is 16.0, set by the level-1 feed-forward
-    # unit's hidden block. Building the upsampled map and keeping the skip
-    # and normalized maps past their use gave 18.9.
+    # (8 x 128 x 128 float64, 1 MB), is 9.0: three maps the level-1 block
+    # holds, the feed-forward output and band scratch. Level 1 spans several
+    # bands of each banded op. Before the ops ran in bands it was 16.0, set by
+    # the feed-forward unit's hidden-channel block over the whole map.
+    assert len(T.row_bands(128, 130)) >= 2 and len(T.row_bands(128 * 128, 1)) >= 2
     model = InpaintingUNet(ModelConfig(base_channels=8), make_rng(20))
     im = Tensor(make_rng(21).uniform(-1, 1, size=(3, 128, 128)))
     model.forward(im)
@@ -252,7 +278,7 @@ def test_forward_working_set_is_bounded_by_level1_maps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17.5 * 8 * 128 * 128 * 8
+    assert peak <= 10.0 * 8 * 128 * 128 * 8
 
 
 def test_forward_rejects_indivisible_dims():
