@@ -409,9 +409,8 @@ def cmd_inpaint(ns: argparse.Namespace) -> int:
 
 
 def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
-    from .tensor import (absolute, concat_conv1x1, conv2d, gelu, hadamard, layer_norm_sites,
-                         leaky_relu, matmul, sigmoid, sum_all, tanh, transpose,
-                         upsample_conv2d)
+    from .tensor import (absolute, conv2d, gelu, hadamard, layer_norm_sites, leaky_relu,
+                         matmul, sigmoid, sum_all, tanh, transpose, upsample_conv2d)
     rng = make_rng(seed)
     results = []
 
@@ -479,11 +478,12 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     r_up = Tensor(rng.normal(size=(3, 10, 10)))
     unit("upsample_conv2d",
          lambda: sum_all(hadamard(upsample_conv2d(x, wc, bc), r_up)), [x, wc, bc])
-    # The decoder's skip fusion: x and a 3-channel map through a 1x1 conv.
+    # The decoder's skip fusion: the channel stack of x and a 3-channel map
+    # through a 1x1 conv.
     skip = Parameter(rng.normal(size=(3, 5, 5)))
     w_fuse = Parameter(rng.normal(size=(3, 5, 1, 1)))
-    unit("concat_conv1x1",
-         lambda: sum_all(hadamard(concat_conv1x1(x, skip, w_fuse, bc), r_1)),
+    unit("conv2d_parts",
+         lambda: sum_all(hadamard(conv2d((x, skip), w_fuse, bc), r_1)),
          [x, skip, w_fuse, bc])
     unit("feed_forward", lambda: sum_all(hadamard(ffn(xf), r_xf)), [xf, *ffn.parameters()])
     return results

@@ -83,24 +83,23 @@ def _to_bytes(im: np.ndarray) -> bytes:
     return quantized.transpose(1, 2, 0).tobytes()
 
 
+def _write_pixels(path: str, im: np.ndarray, magic: bytes, channels: int) -> None:
+    im = np.asarray(im)
+    if im.ndim != 3 or im.shape[0] != channels:
+        raise ValueError(f"expected {channels}xHxW image, got shape {im.shape}")
+    with open(path, "wb") as fh:
+        fh.write(magic + f"\n{im.shape[2]} {im.shape[1]}\n255\n".encode("ascii"))
+        fh.write(_to_bytes(im))
+
+
 def write_image(path: str, im: np.ndarray) -> None:
     """Write a 3xHxW float array in [0, 1] as an 8-bit P6 file."""
-    im = np.asarray(im)
-    if im.ndim != 3 or im.shape[0] != 3:
-        raise ValueError(f"expected 3xHxW image, got shape {im.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{im.shape[2]} {im.shape[1]}\n255\n".encode("ascii"))
-        fh.write(_to_bytes(im))
+    _write_pixels(path, im, b"P6", 3)
 
 
 def write_gray(path: str, im: np.ndarray) -> None:
     """Write a 1xHxW float array in [0, 1] as an 8-bit P5 file."""
-    im = np.asarray(im)
-    if im.ndim != 3 or im.shape[0] != 1:
-        raise ValueError(f"expected 1xHxW image, got shape {im.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{im.shape[2]} {im.shape[1]}\n255\n".encode("ascii"))
-        fh.write(_to_bytes(im))
+    _write_pixels(path, im, b"P5", 1)
 
 
 def read_mask(path: str) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "sub",
     "hadamard",
     "scale",
-    "concat_conv1x1",
     "reshape",
     "sum_all",
     "mean_all",
@@ -301,9 +300,9 @@ def unit_slices_back(unit: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndar
 
 
 # Elements per channel of one band of a banded op (48 KB of float64). The
-# fused feed-forward unit, the attention core and concat_conv1x1 run over bands
-# of rows (image rows or tokens), so their scratch is the op's channel count
-# times this, at any resolution. Each channel's row of a band stays long: on
+# fused feed-forward unit and the attention core run over bands of rows (image
+# rows or tokens), so their scratch is the op's channel count times this, at
+# any resolution. Each channel's row of a band stays long: on
 # a 2-vCPU x86-64 machine the depthwise taps ran about twice as slowly per
 # element on rows of 1500 elements as on rows of 6000.
 _BAND = 6144
@@ -334,7 +333,8 @@ def matmul_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 #
 # No convolution builds the k*k-times-larger column matrix of its whole input:
 # dense convs multiply channel blocks of columns no larger than the padded
-# input, the depthwise kernel sums scaled slices of the flattened padded
+# input (a block never straddles two parts of a channel stack, so the stack is
+# never built), the depthwise kernel sums scaled slices of the flattened padded
 # input, and a backward closure keeps only the padded input, rebuilding each
 # block when it needs it.
 
@@ -370,41 +370,55 @@ def _taps(k: int, stride: int, ho: int, wo: int) -> list[tuple[int, int, slice, 
             for ki in range(k) for kj in range(k)]
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 1,
+           padding: int = 0) -> Tensor:
     """2D cross-correlation (no kernel flip) with zero padding and per-channel bias.
 
-    x is C_in x H x W, w is C_out x C_in x k x k, bias is C_out.
+    x is C_in x H x W, or a sequence of maps of one size whose channel stack
+    is the C_in-channel input (the stack is never built); w is
+    C_out x C_in x k x k, bias is C_out.
     """
-    _require(x.data.ndim == 3, f"conv2d input must be CxHxW, got {x.shape}")
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    _require(len(parts) > 0 and all(p.data.ndim == 3 and p.shape[1:] == parts[0].shape[1:]
+                                    for p in parts),
+             f"conv2d input must be CxHxW maps of one size, got {[p.shape for p in parts]}")
     _require(w.data.ndim == 4 and w.shape[2] == w.shape[3],
              f"conv2d kernel must be CoxCixkxk, got {w.shape}")
-    _require(w.shape[1] == x.shape[0],
-             f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
+    _require(w.shape[1] == sum(p.shape[0] for p in parts),
+             f"conv2d channel mismatch: input {[p.shape for p in parts]} vs kernel {w.shape}")
     _require(bias.data.ndim == 1 and bias.shape[0] == w.shape[0],
              f"conv2d bias must have {w.shape[0]} entries, got {bias.shape}")
     if stride < 1 or padding < 0:
         raise ValueError(f"bad stride/padding: {stride}, {padding}")
 
     cout, cin, k, _ = w.shape
-    _, h, wd = x.shape
+    _, h, wd = parts[0].shape
     ho, wo = _conv_out_size(h, wd, k, stride, padding)
     kk, n = k * k, ho * wo
-    xp = _pad_hw(x.data, padding)
-    # Weight columns are ordered (channel, ki, kj), so the columns of input
-    # channels [c0, c1) are the in-place slice w_mat[:, c0*kk:c1*kk].
+    xps = [_pad_hw(p.data, padding) for p in parts]
+    # Weight columns are ordered (channel, ki, kj), so the columns of stacked
+    # input channels [c0, c1) are the in-place slice w_mat[:, c0*kk:c1*kk].
     w_mat = w.data.reshape(cout, cin * kk)
     # A 1x1 stride-1 conv multiplies the input itself and needs no block.
     direct = k == 1 and stride == 1
-    per_block = min(cin, max(1, xp.size // (kk * n)))
-    blocks = [(c0, min(cin, c0 + per_block)) for c0 in range(0, cin, per_block)]
+    per_block = min(max(len(xp) for xp in xps),
+                    max(1, sum(xp.size for xp in xps) // (kk * n)))
+    # (part, c0, c1, weight columns) per block of a part's channels [c0, c1):
+    # no block straddles two parts.
+    blocks, base = [], 0
+    for i, xp in enumerate(xps):
+        for c0 in range(0, len(xp), per_block):
+            c1 = min(len(xp), c0 + per_block)
+            blocks.append((i, c0, c1, slice((base + c0) * kk, (base + c1) * kk)))
+        base += len(xp)
     taps = _taps(k, stride, ho, wo)
 
-    def gather(c0: int, c1: int, buf: np.ndarray | None) -> np.ndarray:
+    def gather(i: int, c0: int, c1: int, buf: np.ndarray | None) -> np.ndarray:
         if direct:
-            return xp[c0:c1].reshape(c1 - c0, n)
+            return xps[i][c0:c1].reshape(c1 - c0, n)
         cols = buf[:c1 - c0]
         for ki, kj, rows, cs in taps:
-            cols[:, ki, kj] = xp[c0:c1, rows, cs]
+            cols[:, ki, kj] = xps[i][c0:c1, rows, cs]
         return cols.reshape((c1 - c0) * kk, n)
 
     def new_buf() -> np.ndarray | None:
@@ -412,36 +426,41 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     buf = new_buf()
     out_mat = np.empty((cout, n))
-    for i, (c0, c1) in enumerate(blocks):
-        w_cols, cols = w_mat[:, c0 * kk:c1 * kk], gather(c0, c1, buf)
-        if i:
-            matmul_add(w_cols, cols, out_mat)
+    for j, (i, c0, c1, wc) in enumerate(blocks):
+        if j:
+            matmul_add(w_mat[:, wc], gather(i, c0, c1, buf), out_mat)
         else:
-            np.matmul(w_cols, cols, out=out_mat)
+            np.matmul(w_mat[:, wc], gather(i, c0, c1, buf), out=out_mat)
     out_mat += bias.data[:, None]
     out = _finish(out_mat.reshape(cout, ho, wo), "conv2d")
 
-    def back_x(g: np.ndarray) -> np.ndarray:
-        g_mat = g.reshape(cout, n)
-        if direct:
-            return _crop_hw((w_mat.T @ g_mat).reshape(xp.shape), padding)
-        dxp = np.zeros(xp.shape)
-        for c0, c1 in blocks:
-            dcols = (w_mat[:, c0 * kk:c1 * kk].T @ g_mat).reshape(c1 - c0, k, k, ho, wo)
-            # Each tap writes to disjoint strided positions, so += is safe.
-            for ki, kj, rows, cs in taps:
-                dxp[c0:c1, rows, cs] += dcols[:, ki, kj]
-        return _crop_hw(dxp, padding)
+    def back_x(part: int) -> Callable[[np.ndarray], np.ndarray]:
+        """The gradient of one part, from its own weight columns."""
+        xp, mine = xps[part], [b[1:] for b in blocks if b[0] == part]
+
+        def vjp(g: np.ndarray) -> np.ndarray:
+            g_mat = g.reshape(cout, n)
+            if direct:  # one block per part
+                wc = mine[0][2]
+                return _crop_hw((w_mat[:, wc].T @ g_mat).reshape(xp.shape), padding)
+            dxp = np.zeros(xp.shape)
+            for c0, c1, wc in mine:
+                dcols = (w_mat[:, wc].T @ g_mat).reshape(c1 - c0, k, k, ho, wo)
+                # Each tap writes to disjoint strided positions, so += is safe.
+                for ki, kj, rows, cs in taps:
+                    dxp[c0:c1, rows, cs] += dcols[:, ki, kj]
+            return _crop_hw(dxp, padding)
+        return vjp
 
     def back_w(g: np.ndarray) -> np.ndarray:
         g_mat = g.reshape(cout, n)
         buf = new_buf()
         dw = np.empty((cout, cin * kk))
-        for c0, c1 in blocks:
-            np.matmul(g_mat, gather(c0, c1, buf).T, out=dw[:, c0 * kk:c1 * kk])
+        for i, c0, c1, wc in blocks:
+            np.matmul(g_mat, gather(i, c0, c1, buf).T, out=dw[:, wc])
         return dw.reshape(w.shape)
 
-    _record(out, (x, back_x), (w, back_w),
+    _record(out, *((p, back_x(i)) for i, p in enumerate(parts)), (w, back_w),
             (bias, lambda g: g.reshape(cout, n).sum(axis=1)))
     return out
 
@@ -749,48 +768,6 @@ def scale(a: Tensor, s: float) -> Tensor:
         raise NonFiniteError(f"scale factor is not finite: {s}")
     out = _finish(a.data * s, "scale")
     _record(out, (a, lambda g: g * s))
-    return out
-
-
-def concat_conv1x1(a: Tensor, b: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """The 1x1 convolution of the channel stack [a; b] of two maps, computed
-    as ``w[:, :Ca] a + w[:, Ca:] b + bias`` without building the stack.
-
-    a is Ca x H x W, b is Cb x H x W, w is C_out x (Ca + Cb) x 1 x 1. The
-    forward copies one band of columns of a and b at a time (``row_bands``)
-    into a reused scratch and writes that band of the output with one product,
-    so it holds the output and band-sized scratch.
-    """
-    _require(a.data.ndim == 3 and b.data.ndim == 3 and a.shape[1:] == b.shape[1:],
-             f"concat_conv1x1 needs CxHxW inputs of one size, got {a.shape} and {b.shape}")
-    ca, cin = a.shape[0], a.shape[0] + b.shape[0]
-    _require(w.data.ndim == 4 and w.shape[1:] == (cin, 1, 1) and bias.shape == w.shape[:1],
-             f"concat_conv1x1 needs a Co x {cin} x 1 x 1 kernel and Co biases, "
-             f"got {w.shape} and {bias.shape}")
-    cout, (h, wd) = w.shape[0], a.shape[1:]
-    n = h * wd
-    w_mat = w.data.reshape(cout, cin)
-    a_mat, b_mat = a.data.reshape(ca, n), b.data.reshape(cin - ca, n)
-    bands = row_bands(n, 1)
-    both = np.empty((cin, bands[0][1]))
-    out_mat = np.empty((cout, n))
-    for lo, hi in bands:
-        part = both[:, :hi - lo]
-        part[:ca], part[ca:] = a_mat[:, lo:hi], b_mat[:, lo:hi]
-        np.matmul(w_mat, part, out=out_mat[:, lo:hi])
-    out_mat += bias.data[:, None]
-    out = _finish(out_mat.reshape(cout, h, wd), "concat_conv1x1")
-
-    def back_w(g: np.ndarray) -> np.ndarray:
-        g_mat = g.reshape(cout, n)
-        dw = np.empty((cout, cin))
-        np.matmul(g_mat, a_mat.T, out=dw[:, :ca])
-        np.matmul(g_mat, b_mat.T, out=dw[:, ca:])
-        return dw.reshape(w.shape)
-
-    _record(out, (a, lambda g: (w_mat[:, :ca].T @ g.reshape(cout, n)).reshape(a.shape)),
-            (b, lambda g: (w_mat[:, ca:].T @ g.reshape(cout, n)).reshape(b.shape)),
-            (w, back_w), (bias, lambda g: g.reshape(cout, n).sum(axis=1)))
     return out
 
 

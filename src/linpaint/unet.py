@@ -14,7 +14,8 @@ output and scratch the size of one band, and its hand-derived backward keeps
 only the depthwise outputs.
 
 Without a tape no full-resolution map outlives its last use: the up conv runs
-at the low resolution, the skip fusion never builds the stacked map, and
+at the low resolution, the skip fusion passes the upsampled map and the skip
+map to one conv as channel parts, so the stacked map is never built, and
 each normalized map and skip map is freed once used. A tape gives the same
 values and keeps what the backward pass needs.
 """
@@ -33,7 +34,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat_conv1x1,
     conv2d,
     depthwise_taps,
     depthwise_taps_back,
@@ -164,8 +164,8 @@ def parse_config(config, pairs: dict[str, str]):
 class ConvLayer(Module):
     """A convolution with its weights; with ``upsample``, a 3x3 stride-1
     padding-1 conv of x's nearest-neighbour 2x upsampling, run as
-    :func:`upsample_conv2d`. A 1x1 layer called with a ``skip`` map convolves
-    the channel stack [x; skip] as :func:`concat_conv1x1`, without building it."""
+    :func:`upsample_conv2d`. ``x`` may be a sequence of maps, whose channel
+    stack :func:`conv2d` convolves without building it."""
 
     def __init__(self, rng, cin: int, cout: int, k: int, stride: int, padding: int,
                  name: str, upsample: bool = False) -> None:
@@ -174,9 +174,7 @@ class ConvLayer(Module):
         self.padding = padding
         self.upsample = upsample
 
-    def __call__(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
-        if skip is not None:
-            return concat_conv1x1(x, skip, self.w, self.b)
+    def __call__(self, x: Tensor | tuple[Tensor, ...]) -> Tensor:
         if self.upsample:
             return upsample_conv2d(x, self.w, self.b)
         return conv2d(x, self.w, self.b, self.stride, self.padding)
@@ -415,7 +413,7 @@ class InpaintingUNet(Module):
         map is freed once fused."""
         x = encs.pop()
         for up, fuse, stage in self.decoder:
-            x = fuse(up(x), encs.pop())
+            x = fuse((up(x), encs.pop()))
             for block in stage:
                 x = block(x)
         return tanh(self.tail(x))

@@ -4,7 +4,7 @@ The fused attention op is held to a composition of generic ops
 (``_composed_multi_head`` in test_attention.py), the fused feed-forward op to
 one built on :func:`depthwise_conv2d` (``composed_ffn`` in test_unet.py),
 ``upsample_conv2d`` to a conv of :func:`nearest_upsample2x`, and
-``concat_conv1x1`` to a conv of :func:`concat_channels`. Each op here is
+``conv2d`` of channel parts to a conv of :func:`concat_channels`. Each op here is
 one :func:`linpaint.tensor.fused_op`, so it records a tape step and checks its
 output finite like a library op.
 """
@@ -108,8 +108,8 @@ def nearest_upsample2x(x: Tensor) -> Tensor:
                     lambda g, needs: (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),))
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two CxHxW maps along the channel axis."""
-    c1 = a.shape[0]
-    return fused_op(np.concatenate([a.data, b.data]), "concat_channels", (a, b),
-                    lambda g, needs: (g[:c1], g[c1:]))
+def concat_channels(*parts: Tensor) -> Tensor:
+    """Stack CxHxW maps along the channel axis."""
+    cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return fused_op(np.concatenate([p.data for p in parts]), "concat_channels", parts,
+                    lambda g, needs: np.split(g, cuts))

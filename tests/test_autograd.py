@@ -18,7 +18,6 @@ from linpaint.tensor import (
     Tensor,
     absolute,
     add,
-    concat_conv1x1,
     conv2d,
     gelu,
     hadamard,
@@ -410,7 +409,7 @@ def test_grad_structural():
     w = Parameter(rng.normal(size=(4, 5, 1, 1)))
     b = Parameter(rng.normal(size=(4,)))
     r3 = Tensor(rng.normal(size=(4, 3, 4)))
-    _check(lambda: sum_all(hadamard(concat_conv1x1(x, y, w, b), r3)), [x, y, w, b])
+    _check(lambda: sum_all(hadamard(conv2d((x, y), w, b), r3)), [x, y, w, b])
     r4 = Tensor(rng.normal(size=(2, 12)))
     _check(lambda: sum_all(hadamard(reshape(x, (2, 12)), r4)), [x])
     m = Parameter(rng.normal(size=(6, 4)))

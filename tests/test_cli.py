@@ -328,7 +328,7 @@ def test_gradcheck_ops_scope(capsys):
         "matmul", "transpose", "conv2d", "conv2d_1x1", "conv2d_k4s2",
         "gelu", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
         "matmul_batched", "transpose_batched", "multi_head_attention",
-        "upsample_conv2d", "concat_conv1x1", "feed_forward"]
+        "upsample_conv2d", "conv2d_parts", "feed_forward"]
 
 
 def test_gradcheck_failure_exit_code(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import force_bands
 from reference_ops import (
     concat_channels,
     depthwise_conv2d,
@@ -25,7 +24,6 @@ from linpaint.tensor import (
     Tensor,
     add,
     absolute,
-    concat_conv1x1,
     conv2d,
     gelu,
     hadamard,
@@ -541,64 +539,116 @@ def test_row_bands_cover_the_rows_evenly(rows, row_size):
     assert len(bands) == 1 or -(-rows // (len(bands) - 1)) * row_size > T._BAND
 
 
-def _concat_case(seed, ca=2, cb=3, cout=4, shape=(4, 4)):
+def _parts_case(seed, widths=(2, 3), cout=4, shape=(4, 4), k=1):
     rng = make_rng(seed)
-    a = Parameter(rng.normal(size=(ca, *shape)))
-    b = Parameter(rng.normal(size=(cb, *shape)))
-    w = Parameter(rng.normal(size=(cout, ca + cb, 1, 1)))
+    parts = [Parameter(rng.normal(size=(c, *shape))) for c in widths]
+    w = Parameter(rng.normal(size=(cout, sum(widths), k, k)))
     bias = Parameter(rng.normal(size=(cout,)))
-    return a, b, w, bias
+    return parts, w, bias
 
 
-def test_concat_conv1x1_shapes():
-    a, b, w, bias = _concat_case(30)
-    out = concat_conv1x1(a, b, w, bias)
+def _taped(f, params, r):
+    """f's output, the gradients of params for the loss sum(f() * r), and the
+    number of steps f recorded."""
+    with Tape() as tape:
+        out = f()
+        steps = len(tape)
+        tape.backward(sum_all(hadamard(out, r)))
+    grads = [p.grad for p in params]
+    zero_grads(params)
+    return out.data, grads, steps
+
+
+def test_conv2d_parts_shapes():
+    (a, b), w, bias = _parts_case(30)
+    out = conv2d((a, b), w, bias)
     assert out.shape == (4, 4, 4)
     want = conv2d(Tensor(np.concatenate([a.data, b.data])), w, bias).data
-    assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want))
+    assert _rel_err(out.data, want) <= 1e-12
 
 
-def test_concat_conv1x1_spatial_mismatch():
+def test_conv2d_parts_shape_mismatch():
     w, bias = Tensor(np.zeros((1, 4, 1, 1))), Tensor(np.zeros(1))
     with pytest.raises(ShapeError):
-        concat_conv1x1(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 4))), w, bias)
+        conv2d((Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 5, 4)))), w, bias)
     with pytest.raises(ShapeError):
-        concat_conv1x1(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 4, 4))), w, bias)
+        conv2d((Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 4, 4)))), w, bias)
+    with pytest.raises(ShapeError):
+        conv2d((Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 4)))), w, bias)
+    with pytest.raises(ShapeError):
+        conv2d((), w, bias)
 
 
-def test_concat_conv1x1_matches_composed_ops_across_ragged_bands(monkeypatch):
-    # 30 columns in bands of 8, 8, 8 and 6, against conv2d of the stack built
-    # by the reference concat_channels: outputs within 1e-12, gradients within
-    # 1e-10; taped and tape-free outputs are the same bits, in one tape step.
-    a, b, w, bias = _concat_case(31, shape=(5, 6))
-    force_bands(monkeypatch, 30, 5, 8)
+def test_conv2d_parts_record_one_step_and_the_same_bits_without_a_tape():
+    # The decoder's skip fusion: a 1x1 conv of two parts, against conv2d of
+    # the stack built by the reference concat_channels. A map given as two
+    # parts receives the sum of both parts' gradients.
+    (a, b), w, bias = _parts_case(31, shape=(5, 6))
     r = Tensor(make_rng(32).normal(size=(4, 5, 6)))
     params = [a, b, w, bias]
-    results = []
-    for f in (lambda: concat_conv1x1(a, b, w, bias),
-              lambda: conv2d(concat_channels(a, b), w, bias)):
-        with Tape() as tape:
-            out = f()
-            steps = len(tape)
-            tape.backward(sum_all(hadamard(out, r)))
-        results.append((out.data, [p.grad for p in params], steps))
-        zero_grads(params)
-    (got, got_grads, steps), (want, want_grads, _) = results
+    got, got_grads, steps = _taped(lambda: conv2d((a, b), w, bias), params, r)
+    want, want_grads, _ = _taped(lambda: conv2d(concat_channels(a, b), w, bias), params, r)
     assert steps == 1
-    assert np.array_equal(concat_conv1x1(a, b, w, bias).data, got)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(conv2d((a, b), w, bias).data, got)
+    assert _rel_err(got, want) <= 1e-12
     for g, h in zip(got_grads, want_grads):
         assert g.shape == h.shape
-        assert np.max(np.abs(g - h)) <= 1e-10 * np.max(np.abs(h))
+        assert _rel_err(g, h) <= 1e-10
+    w2 = Parameter(w.data[:, :4])
+    twice, (da, _), _ = _taped(lambda: conv2d((a, a), w2, bias), [a, w2], r)
+    once, (want_da, _), _ = _taped(lambda: conv2d(concat_channels(a, a), w2, bias), [a, w2], r)
+    assert _rel_err(twice, once) <= 1e-12
+    assert _rel_err(da, want_da) <= 1e-10
 
 
-def test_concat_conv1x1_gradient_across_ragged_bands(monkeypatch):
-    a, b, w, bias = _concat_case(33, shape=(5, 6))
-    force_bands(monkeypatch, 30, 5, 8)
-    r = Tensor(make_rng(34).normal(size=(4, 5, 6)))
-    err = finite_diff_check(lambda: sum_all(hadamard(concat_conv1x1(a, b, w, bias), r)),
-                            [a, b, w, bias])
-    assert err < 1e-4
+def test_conv2d_parts_gradient():
+    # The 1x1 fusion, and a strided 3x3 conv whose wide part spans two blocks.
+    for k, stride, padding, widths in ((1, 1, 0, (2, 3)), (3, 2, 1, (1, 9, 2))):
+        parts, w, bias = _parts_case(33, widths, shape=(5, 6), k=k)
+        out = conv2d(parts, w, bias, stride, padding)
+        r = Tensor(make_rng(34).normal(size=out.shape))
+        err = finite_diff_check(
+            lambda: sum_all(hadamard(conv2d(parts, w, bias, stride, padding), r)),
+            [*parts, w, bias])
+        assert err < 1e-4
+
+
+@pytest.mark.parametrize("widths", [(37, 5), (3, 37, 2)])
+@pytest.mark.parametrize("k,stride,padding", CONV_GEOMETRIES)
+def test_conv2d_parts_match_conv_of_the_stack(k, stride, padding, widths):
+    # Uneven parts; wherever the geometry blocks channels at all (k > 1), the
+    # 37-channel part spans several blocks. Outputs within 1e-12 and each
+    # part's gradient within 1e-10 of conv2d of the built stack.
+    parts, w, bias = _parts_case(60 + 10 * k + stride + padding, widths, shape=(11, 8), k=k)
+    stack = sum(c * (11 + 2 * padding) * (8 + 2 * padding) for c in widths)
+    if k > 1:
+        ho, wo = (11 + 2 * padding - k) // stride + 1, (8 + 2 * padding - k) // stride + 1
+        assert stack // (k * k * ho * wo) < 37
+    out = conv2d(parts, w, bias, stride, padding)
+    r = Tensor(make_rng(61).normal(size=out.shape))
+    params = [*parts, w, bias]
+    got, got_grads, _ = _taped(lambda: conv2d(parts, w, bias, stride, padding), params, r)
+    want, want_grads, _ = _taped(
+        lambda: conv2d(concat_channels(*parts), w, bias, stride, padding), params, r)
+    assert _rel_err(got, want) <= 1e-12
+    for g, h in zip(got_grads, want_grads):
+        assert _rel_err(g, h) <= 1e-10
+
+
+def test_tape_free_conv2d_parts_build_no_stack():
+    # The decoder's level-1 fusion at 128^2: without a tape, a 1x1 conv of two
+    # 32-channel parts holds its output and matmul_add's 1 MB scratch, not the
+    # 64-channel stack (1.79 output sizes when a separate op copied bands of it).
+    (a, b), w, bias = _parts_case(35, (32, 32), cout=32, shape=(128, 128))
+    conv2d((a, b), w, bias)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv2d((a, b), w, bias)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * out.data.nbytes
 
 
 def test_reshape_is_a_view_in_row_major_order():
