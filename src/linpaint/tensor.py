@@ -302,9 +302,9 @@ def unit_slices_back(unit: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndar
 # Elements per channel of one band of a banded op (48 KB of float64). The
 # fused feed-forward unit and the attention core run over bands of rows (image
 # rows or tokens), so their scratch is the op's channel count times this, at
-# any resolution. Each channel's row of a band stays long: on
-# a 2-vCPU x86-64 machine the depthwise taps ran about twice as slowly per
-# element on rows of 1500 elements as on rows of 6000.
+# any resolution. Each channel's row of a band stays long: on a 2-vCPU x86-64
+# machine the depthwise taps ran about twice as slowly per element on rows of
+# 1500 elements as on rows of 6000.
 _BAND = 6144
 
 
@@ -399,7 +399,7 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
     # Weight columns are ordered (channel, ki, kj), so the columns of stacked
     # input channels [c0, c1) are the in-place slice w_mat[:, c0*kk:c1*kk].
     w_mat = w.data.reshape(cout, cin * kk)
-    # A 1x1 stride-1 conv multiplies the input itself and needs no block.
+    # A 1x1 stride-1 conv multiplies each part itself, in one block per part.
     direct = k == 1 and stride == 1
     per_block = min(max(len(xp) for xp in xps),
                     max(1, sum(xp.size for xp in xps) // (kk * n)))
@@ -440,9 +440,8 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
 
         def vjp(g: np.ndarray) -> np.ndarray:
             g_mat = g.reshape(cout, n)
-            if direct:  # one block per part
-                wc = mine[0][2]
-                return _crop_hw((w_mat[:, wc].T @ g_mat).reshape(xp.shape), padding)
+            if direct:
+                return _crop_hw((w_mat[:, mine[0][2]].T @ g_mat).reshape(xp.shape), padding)
             dxp = np.zeros(xp.shape)
             for c0, c1, wc in mine:
                 dcols = (w_mat[:, wc].T @ g_mat).reshape(c1 - c0, k, k, ho, wo)

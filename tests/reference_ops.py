@@ -3,9 +3,9 @@
 The fused attention op is held to a composition of generic ops
 (``_composed_multi_head`` in test_attention.py), the fused feed-forward op to
 one built on :func:`depthwise_conv2d` (``composed_ffn`` in test_unet.py),
-``upsample_conv2d`` to a conv of :func:`nearest_upsample2x`, and
-``conv2d`` of channel parts to a conv of :func:`concat_channels`. Each op here is
-one :func:`linpaint.tensor.fused_op`, so it records a tape step and checks its
+``upsample_conv2d`` to a conv of :func:`nearest_upsample2x`, and ``conv2d``
+of channel parts to a conv of :func:`concat_channels`. Each op here is one
+:func:`linpaint.tensor.fused_op`, so it records a tape step and checks its
 output finite like a library op.
 """
 
