@@ -22,10 +22,12 @@ is built.
 Each attention layer is one recorded op on the tape: its backward is derived
 by hand and returns the gradients of the input and of all six projection
 parameters at once. q and k are normalized in place in each band, with or
-without a tape, and the backward works from those unit vectors: a taped op
-keeps each band's unit q, k and v and the output, plus terms of
-heads x d x d or heads x N. Without a tape the learned gate is formed in
-place in the layer's own maps.
+without a tape. A taped op keeps only its output and terms of heads x d x d
+or heads x N, among them the norms it divided q and k by: its backward
+projects each band's q, k and v again and rescales them by those norms, so
+it works from the forward's unit vectors, bit for bit. The learned gate
+a * GELU(z) is one op too (:func:`gelu_gate`); without a tape it is formed
+in place in the layer's own maps.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ from .autograd import Module, Parameter, _conv_params
 from .tensor import (
     ShapeError,
     Tensor,
-    _finish,
+    _same_shape,
     _swap,
     conv2d,
     fused_op,
     gauss_cdf,
-    gelu,
-    hadamard,
+    gelu_slope,
     recording,
+    rescale_slices,
     row_bands,
     unit_slices,
     unit_slices_back,
@@ -62,6 +64,7 @@ __all__ = [
     "taylor_attention_quadratic",
     "multi_head_attention",
     "gated_attention",
+    "gelu_gate",
 ]
 
 TAYLOR_MODES = ("sum", "residual", "none")
@@ -70,7 +73,7 @@ TAYLOR_MODES = ("sum", "residual", "none")
 # weight array at a time.
 _ORACLE_ROWS = 256
 
-# Elements per chunk of the tape-free gate (512 KB of float64).
+# Elements per chunk of the gate (512 KB of float64).
 _GATE_CHUNK = 1 << 16
 
 
@@ -209,45 +212,53 @@ def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, he
 
     ``load(lo, hi, parts, block)`` writes the rows ``parts`` of the (q, k, v)
     stack for tokens [lo, hi) to ``block``, a (len(parts) * heads * d,
-    hi - lo) array. Pass 1 loads each band's k and v, normalizes k over d in
-    place and adds the band's terms to M = v kb^T (heads x d x d) and to the
-    key sum s; in mode ``residual`` it also writes v to the output, and in
-    mode ``sum`` adds to v's total. Pass 2 loads each band's q, normalizes it
-    and writes the numerator over the clamped denominator N + s^T qb into
-    the output band. Without ``keep`` the bands are loaded into one reused
-    buffer, so the output is the only heads x d x N array.
-    ``normalize_qk=False`` skips both normalizations.
+    hi - lo) array, and must write the same bits each time it is called.
+    Pass 1 loads each band's k and v, normalizes k over d in place and adds
+    the band's terms to M = v kb^T (heads x d x d) and to the key sum s; in
+    mode ``residual`` it also writes v to the output, and in mode ``sum``
+    adds to v's total. Pass 2 loads each band's q, normalizes it and writes
+    the numerator over the clamped denominator N + s^T qb into the output
+    band. The bands are loaded into one reused buffer, so the output is the
+    only heads x d x N array. ``normalize_qk=False`` skips both
+    normalizations.
 
     Returns the (heads, d, N) output and, when ``keep``, ``back(g)``, which
     yields (lo, hi, d_band) with the (3, heads, d, hi - lo) gradient of each
-    band of the stack for the output gradient ``g``. It runs over the bands
-    twice too: first the d x d gradient of M and the sums over q, then each
-    band's gradients. With ``keep`` each band is loaded into its own part of
-    one store for all tokens, so the op holds the unit q, k and v, the output
-    and terms of heads x d x d or heads x N; nothing N x N is built either
-    way.
+    band of the stack for the output gradient ``g`` (a view of a reused
+    buffer, valid until the next band is asked for). It runs over the bands
+    twice too, loading each band again and rescaling it by the norms the
+    forward saved, so it works from the forward's unit vectors, bit for bit:
+    pass 1 loads q for the d x d gradient of M and the sums over q, pass 2
+    loads q, k and v for each band's gradients. So a kept op holds its
+    output, M, s and terms of heads x N (the saved norms, the clamped
+    denominators and where the clamp let the gradient through).
     """
     bands = row_bands(n, 1)
     size = 3 * heads * d
-    store = np.empty(size * (n if keep else bands[0][1]))
 
-    def band_stack(lo: int, hi: int) -> np.ndarray:
-        """The band's contiguous (3, heads, d, hi - lo) q/k/v stack: its own
-        part of the kept store, or the reused buffer."""
-        start = size * lo if keep else 0
-        return store[start:start + size * (hi - lo)].reshape(3, heads, d, hi - lo)
+    def band_stack(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The band's contiguous (3, heads, d, hi - lo) q/k/v stack in ``buf``."""
+        return buf[:size * (hi - lo)].reshape(3, heads, d, hi - lo)
 
-    def load_band(lo: int, hi: int, parts: slice) -> np.ndarray:
-        block = band_stack(lo, hi)[parts]
+    def load_band(lo: int, hi: int, parts: slice, buf: np.ndarray,
+                  saved: tuple = ()) -> np.ndarray:
+        """The rows ``parts`` of the band's stack, loaded into ``buf``; part i
+        is rescaled by ``saved[i]``, the result of its forward
+        ``unit_slices`` call, where that is not None."""
+        block = band_stack(buf, lo, hi)[parts]
         load(lo, hi, parts, block.reshape(-1, hi - lo))
+        for part, norms in zip(block, saved):
+            if norms is not None:
+                rescale_slices(part, norms)
         return block
 
+    buf = np.empty(size * bands[0][1])
     out = np.empty((heads, d, n))
     m = np.zeros((heads, d, d))
     k_sum, v_sum = np.zeros((heads, d, 1)), np.zeros((heads, d, 1))
     kept_k, kept_q = [], []
     for lo, hi in bands:
-        kb, v = load_band(lo, hi, slice(1, 3))
+        kb, v = load_band(lo, hi, slice(1, 3), buf)
         kept_k.append(unit_slices(kb, 1) if normalize_qk else None)
         m += v @ _swap(kb)
         k_sum += kb.sum(axis=2, keepdims=True)
@@ -258,7 +269,7 @@ def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, he
 
     scratch = np.empty((heads, d, bands[0][1])) if mode == "residual" else None
     for lo, hi in bands:
-        qb = load_band(lo, hi, slice(0, 1))[0]
+        qb = load_band(lo, hi, slice(0, 1), buf)[0]
         q_saved = unit_slices(qb, 1) if normalize_qk else None
         band = out[..., lo:hi]
         if mode == "residual":
@@ -276,47 +287,63 @@ def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, he
     if not keep:
         return out, None
 
-    def out_grads(g: np.ndarray, lo: int, hi: int, denom: np.ndarray,
-                  live: np.ndarray) -> np.ndarray:
+    def out_grads(g: np.ndarray, lo: int, hi: int, denom: np.ndarray, g_den: np.ndarray,
+                  buf: np.ndarray) -> np.ndarray:
         """The band's numerator and denominator gradients, stacked so that
-        one product [m^T | s] [g_num; g_den] gives both terms of dq.
-        d out / d denom = -out / denom, and 0 where the guard clamped."""
-        g_band = g[..., lo:hi]
-        g_both = np.empty((heads, d + 1, hi - lo))
-        np.divide(g_band, denom, out=g_both[:, :d])
-        dot = np.einsum("hdn,hdn->hn", g_band, out[..., lo:hi])[:, None]
-        np.copyto(g_both[:, d:], np.where(live, -dot / denom, 0.0))
+        one product [m^T | s] [g_num; g_den] gives both terms of dq. They
+        are written in ``buf`` after the band's q, where its k and v go."""
+        start = heads * d * (hi - lo)
+        g_both = buf[start:start + heads * (d + 1) * (hi - lo)].reshape(heads, d + 1, hi - lo)
+        np.divide(g[..., lo:hi], denom, out=g_both[:, :d])
+        g_both[:, d:] = g_den
         return g_both
 
+    def normalize_back(unit: np.ndarray, saved: tuple | None, g: np.ndarray) -> None:
+        """Overwrite ``unit`` with the gradient of the raw vectors for ``g``,
+        the gradient of the unit ones (``g`` itself without normalization)."""
+        if saved is None:
+            unit[...] = g
+        else:
+            unit_slices_back(unit, saved, g)
+
     def back(g: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        buf = np.empty(size * bands[0][1])
         g_m = np.zeros((heads, d, d))
         q_g, g_sum = np.zeros((heads, d, 1)), np.zeros((heads, d, 1))
-        for (lo, hi), (_, denom, live) in zip(bands, kept_q):
-            qb = band_stack(lo, hi)[0]
-            g_both = out_grads(g, lo, hi, denom, live)
+        # Each band's heads x 1 x band denominator gradient, for pass 2:
+        # d out / d denom = -out / denom, and 0 where the guard clamped.
+        g_dens = []
+        for (lo, hi), (q_saved, denom, live) in zip(bands, kept_q):
+            qb = load_band(lo, hi, slice(0, 1), buf, (q_saved,))[0]
+            dot = np.einsum("hdn,hdn->hn", g[..., lo:hi], out[..., lo:hi])[:, None]
+            g_dens.append(np.where(live, -dot / denom, 0.0))
+            g_both = out_grads(g, lo, hi, denom, g_dens[-1], buf)
             g_m += g_both[:, :d] @ _swap(qb)
             q_g += qb @ _swap(g_both[:, d:])
             if mode == "sum":
                 g_sum += g_both[:, :d].sum(axis=2, keepdims=True)
         m_s = np.concatenate([_swap(m), k_sum], axis=2)
-        for (lo, hi), k_saved, (q_saved, denom, live) in zip(bands, kept_k, kept_q):
-            qb, kb, v = band_stack(lo, hi)
-            g_both = out_grads(g, lo, hi, denom, live)
-            d_band = np.empty((3, heads, d, hi - lo))
-            dq, dk, dv = d_band
-            np.matmul(m_s, g_both, out=dq)
-            np.matmul(g_m, kb, out=dv)
-            np.matmul(_swap(g_m), v, out=dk)
+        # Each gradient is written over the vector it is the gradient of, so
+        # the band's stack in buf becomes its gradient; one band of scratch
+        # holds dq, then dk, before its normalization's backward.
+        scratch = np.empty(heads * d * bands[0][1])
+        for (lo, hi), k_saved, (q_saved, denom, _), g_den in zip(bands, kept_k, kept_q,
+                                                                  g_dens):
+            qb = load_band(lo, hi, slice(0, 1), buf, (q_saved,))[0]
+            t = scratch[:qb.size].reshape(qb.shape)
+            np.matmul(m_s, out_grads(g, lo, hi, denom, g_den, buf), out=t)
+            normalize_back(qb, q_saved, t)
+            # The forward's grouping: [wk; wv] for k and v, wq alone for q.
+            kb, v = load_band(lo, hi, slice(1, 3), buf, (k_saved,))
+            np.matmul(_swap(g_m), v, out=t)
+            t += q_g
+            np.matmul(g_m, kb, out=v)
+            normalize_back(kb, k_saved, t)
             if mode == "residual":
-                dv += g_both[:, :d]
+                v += np.divide(g[..., lo:hi], denom, out=t)
             elif mode == "sum":
-                dv += g_sum
-            dk += q_g
-            if normalize_qk:
-                scratch = np.empty(qb.shape)
-                unit_slices_back(qb, q_saved, dq, dq, scratch)
-                unit_slices_back(kb, k_saved, dk, dk, scratch)
-            yield lo, hi, d_band
+                v += g_sum
+            yield lo, hi, band_stack(buf, lo, hi)
 
     return out, back
 
@@ -413,30 +440,54 @@ def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Ten
     linearized weights are least trustworthy. With gating off this is plain
     projected attention.
 
-    While a tape records, the gate is the ops ``gelu`` and ``hadamard``.
-    Without one, the attention output and the gate map are this function's
-    own, so GELU is applied to the gate map and the product formed in place,
-    one chunk at a time, with the same operations and so the same bits: no
-    Phi, GELU or product map is built.
+    The attention output and the gate map are this function's own, so the
+    gate is one :func:`gelu_gate` op that, without a tape, writes the
+    product over the attention output. While a tape records, the layer's
+    ops keep the attention output, the gate map, its Phi and the gated map
+    (the output projection's input), and the core's terms of heads x N.
     """
     attended = multi_head_attention(x, proj, cfg)
     if cfg.gated:
-        gate = conv2d(x, proj.w_gate, proj.b_gate)
-        if recording((attended, gate)):
-            attended = hadamard(attended, gelu(gate))
-        else:
-            _gelu_product(attended.data, gate.data)
-            del gate
-            attended = _finish(attended.data, "hadamard")
+        attended = gelu_gate(attended, conv2d(x, proj.w_gate, proj.b_gate), overwrite=True)
     return conv2d(attended, proj.w_out, proj.b_out)
 
 
-def _gelu_product(a: np.ndarray, z: np.ndarray) -> None:
-    """a * GELU(z) in place in ``a``, one chunk at a time, as ``gelu`` and
-    ``hadamard`` compute it (z is overwritten by GELU(z))."""
-    a, z = a.reshape(-1), z.reshape(-1)
-    phi = np.empty(min(_GATE_CHUNK, z.size))
-    for lo in range(0, z.size, _GATE_CHUNK):
-        zc = z[lo:lo + _GATE_CHUNK]
-        zc *= gauss_cdf(zc, out=phi[:zc.size])
-        a[lo:lo + _GATE_CHUNK] *= zc
+def gelu_gate(a: Tensor, z: Tensor, overwrite: bool = False) -> Tensor:
+    """a * GELU(z) as one op, with the exact GELU(z) = z * Phi(z).
+
+    The work runs in chunks of ``_GATE_CHUNK`` elements, so no GELU map is
+    built: the op allocates its output and, while a tape records, Phi(z),
+    which it keeps with a and z. Its backward returns both gradients from
+    one pass over the chunks, g * GELU(z) for a and g * a * GELU'(z) for z,
+    with the operations of separate GELU and product ops and so their bits.
+    With ``overwrite`` and no tape the product is written over a's array,
+    which the caller must own.
+    """
+    _same_shape(a, z, "gelu_gate")
+    keep = recording((a, z))
+    av, zv = a.data.reshape(-1), z.data.reshape(-1)
+    chunk = max(1, min(_GATE_CHUNK, zv.size))
+    out = av if overwrite and not keep else np.empty(zv.size)
+    phi = np.empty(zv.size if keep else chunk)
+    act = np.empty(chunk)
+    for lo in range(0, zv.size, chunk):
+        zc = zv[lo:lo + chunk]
+        pc = gauss_cdf(zc, out=phi[lo:lo + chunk] if keep else phi[:zc.size])
+        np.multiply(av[lo:lo + chunk], np.multiply(zc, pc, out=act[:zc.size]),
+                    out=out[lo:lo + chunk])
+
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
+        gv = g.reshape(-1)
+        da, dz = (np.empty(zv.size) if need else None for need in needs)
+        scratch = np.empty(chunk) if dz is not None else None
+        for lo in range(0, zv.size, chunk):
+            part = slice(lo, lo + chunk)
+            zc, pc, gc = zv[part], phi[part], gv[part]
+            if da is not None:
+                np.multiply(gc, np.multiply(zc, pc, out=da[part]), out=da[part])
+            if dz is not None:
+                np.multiply(np.multiply(gc, av[part], out=scratch[:zc.size]),
+                            gelu_slope(zc, pc, out=dz[part]), out=dz[part])
+        return [None if gr is None else gr.reshape(a.shape) for gr in (da, dz)]
+
+    return fused_op(out.reshape(a.shape), "gelu_gate", (a, z), vjp)

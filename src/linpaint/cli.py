@@ -32,6 +32,7 @@ from .attention import (
     TAYLOR_MODES,
     AttentionConfig,
     ProjectionSet,
+    gelu_gate,
     multi_head_attention,
     taylor_attention_quadratic,
     taylor_linear_attention,
@@ -409,8 +410,8 @@ def cmd_inpaint(ns: argparse.Namespace) -> int:
 
 
 def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
-    from .tensor import (absolute, conv2d, gelu, hadamard, layer_norm_sites, leaky_relu,
-                         matmul, sigmoid, sum_all, tanh, transpose, upsample_conv2d)
+    from .tensor import (absolute, conv2d, hadamard, layer_norm_sites, leaky_relu, matmul,
+                         sigmoid, sum_all, tanh, transpose, upsample_conv2d)
     rng = make_rng(seed)
     results = []
 
@@ -438,7 +439,9 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
 
     p = Parameter(rng.normal(size=(10,)))
     r_p = Tensor(rng.normal(size=(10,)))
-    unit("gelu", lambda: sum_all(hadamard(gelu(p), r_p)), [p])
+    # The gated map from a stream of its own, so the other units' inputs are unchanged.
+    p_a = Parameter(make_rng(seed + 1).normal(size=(10,)))
+    unit("gelu_gate", lambda: sum_all(hadamard(gelu_gate(p_a, p), r_p)), [p_a, p])
     unit("tanh", lambda: sum_all(hadamard(tanh(p), r_p)), [p])
     unit("sigmoid", lambda: sum_all(hadamard(sigmoid(p), r_p)), [p])
     unit("leaky_relu", lambda: sum_all(hadamard(leaky_relu(p), r_p)), [p])

@@ -37,7 +37,6 @@ __all__ = [
     "transpose",
     "conv2d",
     "upsample_conv2d",
-    "gelu",
     "tanh",
     "sigmoid",
     "leaky_relu",
@@ -277,26 +276,31 @@ def unit_slices(a: np.ndarray, axis: int, eps: float = 1e-12) -> tuple:
     :func:`unit_slices_back` needs besides the unit slices."""
     norms = np.sqrt(_inner(a, a, axis))
     live = norms >= eps
-    dead = None if live.all() else ~live
-    safe = np.where(live, norms, 1.0)
+    saved = axis, np.where(live, norms, 1.0), None if live.all() else ~live
+    rescale_slices(a, saved)
+    return saved
+
+
+def rescale_slices(a: np.ndarray, saved: tuple) -> None:
+    """Scale ``a``'s slices in place as the :func:`unit_slices` call that
+    returned ``saved`` scaled its input: the same input gives the same bits."""
+    _, safe, dead = saved
     a /= safe
     if dead is not None:
         np.copyto(a, 0.0, where=dead)
-    return axis, safe, dead
 
 
-def unit_slices_back(unit: np.ndarray, saved: tuple, g: np.ndarray, out: np.ndarray,
-                     scratch: np.ndarray) -> np.ndarray:
-    """Write the gradient of the raw slices for ``g``, the gradient of their
-    ``unit`` slices, to ``out`` (which may be ``g``): (g - u (u . g)) / |a|,
-    and zero on dead slices. ``scratch`` has unit's shape."""
+def unit_slices_back(unit: np.ndarray, saved: tuple, g: np.ndarray) -> np.ndarray:
+    """Overwrite ``unit``, the unit slices, with the gradient of the raw
+    slices for ``g``, the gradient of the unit ones: (g - u (u . g)) / |a|,
+    and zero on dead slices."""
     axis, safe, dead = saved
-    np.multiply(unit, _inner(unit, g, axis), out=scratch)
-    np.subtract(g, scratch, out=out)
-    out /= safe
+    unit *= _inner(unit, g, axis)
+    np.subtract(g, unit, out=unit)
+    unit /= safe
     if dead is not None:
-        np.copyto(out, 0.0, where=dead)
-    return out
+        np.copyto(unit, 0.0, where=dead)
+    return unit
 
 
 # Elements per channel of one band of a banded op (48 KB of float64). The
@@ -675,17 +679,16 @@ def gauss_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return res
 
 
-def gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dx of x * Phi(x), given ``cdf`` = Phi(x)."""
-    return cdf + x * np.exp(-0.5 * x**2) * _INV_SQRT2PI
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF Phi."""
-    phi = gauss_cdf(x.data)
-    out = _finish(x.data * phi, "gelu")
-    _record(out, (x, lambda g: g * gelu_slope(x.data, phi)))
-    return out
+def gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx of x * Phi(x), given ``cdf`` = Phi(x): cdf + x e^(-x^2 / 2) / sqrt(2 pi),
+    written to ``out`` if given (one array, no temporaries)."""
+    s = np.square(x, out=out)
+    s *= -0.5
+    np.exp(s, out=s)
+    s *= x
+    s *= _INV_SQRT2PI
+    s += cdf
+    return s
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -6,11 +6,14 @@ import pytest
 from conftest import force_bands, reference_softmax, reference_taylor
 from reference_ops import div_broadcast, guard_denominator, l2_normalize, sum_axis
 
+import linpaint.attention as A
+from linpaint import tensor as T
 from linpaint.attention import (
     AttentionConfig,
     ProjectionSet,
     _taylor_core,
     gated_attention,
+    gelu_gate,
     multi_head_attention,
     taylor_attention_quadratic,
     taylor_linear_attention,
@@ -451,9 +454,8 @@ def test_multi_head_gradient_across_ragged_bands(monkeypatch):
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_attention_output_is_the_same_with_and_without_a_tape(monkeypatch, gated):
-    # Across ragged bands, the core and the gate (in place without a tape,
-    # gelu and hadamard with one) give the same bits either way; the core is
-    # one tape step.
+    # Across ragged bands, the core and the gate (in place without a tape)
+    # give the same bits either way; the core is one tape step.
     cfg, proj, x, _ = _attention_case(50, 8, 2, gated=gated)
     proj.b_gate.data[:] = make_rng(51).normal(size=8)
     force_bands(monkeypatch, 30, 1, 8)
@@ -497,6 +499,44 @@ def test_multi_head_dead_query_column_matches_composed_ops():
     q = proj.wq.data.reshape(8, 8) @ x.data.reshape(8, 30)
     assert np.count_nonzero(np.all(q == 0.0, axis=0)) == 1
     _assert_fused_matches_composed(cfg, proj, x, r)
+
+
+@pytest.mark.parametrize("mode", ["sum", "residual", "none"])
+def test_multi_head_dead_columns_in_a_later_ragged_band(monkeypatch, mode):
+    # Two sites of the last, shorter band have a tiny input and zero q and k
+    # biases, so both heads' query and key columns there are dead but not
+    # zero. The backward projects each band again and must zero those
+    # columns from the saved masks. In mode "none" a dead column cannot
+    # reach the output, so the gradients must not depend on its values.
+    cfg, proj, x, r = _attention_case(54, 8, 2, taylor_mode=mode)
+    bands = force_bands(monkeypatch, 30, 1, 8)
+    sites = [bands[-1][0] + 1, bands[-1][1] - 1]
+    proj.bq.data[:] = proj.bk.data[:] = 0.0
+    tiny = 1e-14 * make_rng(55).normal(size=(8, 2))
+    x.data.reshape(8, 30)[:, sites] = tiny
+    q, k, _ = _qkv(x, proj, cfg)
+    for a in (q, k):
+        dead = np.sqrt((a * a).sum(axis=1)) < 1e-12
+        assert np.array_equal(np.flatnonzero(dead.any(axis=0)), sites) and dead[:, sites].all()
+        assert np.all(a[..., sites] != 0.0)
+    _assert_fused_matches_composed(cfg, proj, x, r)
+
+    params = [x, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    plain = multi_head_attention(Tensor(x.data), proj, cfg).data
+    grads = []
+    for values in (tiny, 0.0):
+        x.data.reshape(8, 30)[:, sites] = values
+        with Tape() as tape:
+            out = multi_head_attention(x, proj, cfg)
+            tape.backward(sum_all(hadamard(out, r)))
+        if values is tiny:
+            assert np.array_equal(out.data, plain)
+        grads.append([p.grad for p in params])
+        for p in params:
+            p.grad = None
+    if mode == "none":
+        for p, got, want in zip(params, *grads):
+            assert np.array_equal(got, want), p.name
 
 
 def test_taylor_clamped_denominator_matches_composed_ops():
@@ -680,10 +720,12 @@ def test_gated_attention_backward_frees_as_it_replays():
     assert after - base <= 1.25 * grad_bytes
 
 
-def test_taped_multi_head_keeps_one_qkv_stack_and_the_output():
-    # Under a tape the op keeps the q/k/v stack, with q and k normalized in
-    # place, and its output: about 4 C x N maps and no second copy of q and k.
-    # The taped and tape-free outputs are the same bits, and x is untouched.
+def test_taped_multi_head_keeps_its_output_and_heads_by_n_terms():
+    # Under a tape the op keeps its output and, per token and head, the
+    # norms of q and k, the clamped denominator and where it was not
+    # clamped: within four heads x N float arrays, with the stacked
+    # projection weights. It keeps no q, k or v, and x is untouched. The
+    # taped and tape-free outputs are the same bits.
     rng = make_rng(45)
     cfg = AttentionConfig(channels=32, heads=2)
     proj = ProjectionSet.init(32, rng)
@@ -698,6 +740,65 @@ def test_taped_multi_head_keeps_one_qkv_stack_and_the_output():
             held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= 4.5 * x.data.nbytes
+    c, n = 32, 64 * 64
+    assert held <= x.data.nbytes + 8 * (4 * cfg.heads * n + 3 * c * (c + 1))
     assert np.array_equal(taped.data, plain)
     assert np.array_equal(x.data, x_before)
+
+
+def test_taped_gated_attention_peak_across_bands(monkeypatch):
+    # A taped forward and backward over five bands peaks at 8.4 C x N maps
+    # above its inputs (12.4 when the core kept every band's unit q, k and v
+    # and the gate kept its GELU map): the backward projects each band's q,
+    # k and v again, into band-sized buffers.
+    rng = make_rng(53)
+    cfg = AttentionConfig(channels=16, heads=2)
+    proj = ProjectionSet.init(16, rng)
+    x = Parameter(rng.normal(size=(16, 64, 64)))
+    r = Tensor(rng.normal(size=(16, 64, 64)))
+    force_bands(monkeypatch, 64 * 64, 1, 1000)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(sum_all(hadamard(gated_attention(x, proj, cfg), r)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0 * x.data.nbytes
+
+
+@pytest.mark.parametrize("size", [5, 23])
+def test_gelu_gate_is_the_gelu_and_product_ops_bit_for_bit(monkeypatch, size):
+    # In chunks of 8 (23 elements end with a shorter one), a * GELU(z) and
+    # both gradients are the bits of separate GELU and product ops:
+    # y = z Phi(z), out = a y; da = g y, dz = (g a) GELU'(z).
+    monkeypatch.setattr(A, "_GATE_CHUNK", 8)
+    rng = make_rng(56)
+    a, z = (Parameter(rng.normal(size=size) * 3.0) for _ in range(2))
+    r = Tensor(rng.normal(size=size))
+    phi = T.gauss_cdf(z.data)
+    y = z.data * phi
+    slope = phi + z.data * np.exp(-0.5 * z.data**2) * (1.0 / math.sqrt(2.0 * math.pi))
+    with Tape() as tape:
+        out = gelu_gate(a, z, overwrite=True)
+        tape.backward(sum_all(hadamard(out, r)))
+    assert np.array_equal(out.data, a.data * y)
+    assert np.array_equal(a.grad, r.data * y)
+    assert np.array_equal(z.grad, (r.data * a.data) * slope)
+
+
+def test_gelu_gate_overwrites_only_when_asked_and_untaped():
+    rng = make_rng(57)
+    a, z = (Tensor(rng.normal(size=(3, 4, 5))) for _ in range(2))
+    a_before, z_before = a.data.copy(), z.data.copy()
+    fresh = gelu_gate(a, z).data
+    assert np.array_equal(a.data, a_before)
+    with Tape():
+        taped = gelu_gate(Parameter(a.data), z, overwrite=True).data
+    assert np.array_equal(a.data, a_before) and np.array_equal(taped, fresh)
+    in_place = gelu_gate(a, z, overwrite=True).data
+    assert np.shares_memory(in_place, a.data) and np.array_equal(in_place, fresh)
+    assert np.array_equal(z.data, z_before)
+    with pytest.raises(ShapeError):
+        gelu_gate(a, Tensor(np.zeros((3, 4, 4))))

@@ -11,6 +11,7 @@ from reference_ops import (
     sum_axis,
 )
 
+from linpaint.attention import gelu_gate
 from linpaint.autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
@@ -19,7 +20,6 @@ from linpaint.tensor import (
     absolute,
     add,
     conv2d,
-    gelu,
     hadamard,
     layer_norm_sites,
     leaky_relu,
@@ -389,7 +389,8 @@ def test_grad_pointwise():
     rng = make_rng(17)
     x = Parameter(rng.normal(size=(12,)))
     r = Tensor(rng.normal(size=(12,)))
-    _check(lambda: sum_all(hadamard(gelu(x), r)), [x])
+    a = Parameter(rng.normal(size=(12,)))
+    _check(lambda: sum_all(hadamard(gelu_gate(a, x), r)), [a, x])
     _check(lambda: sum_all(hadamard(tanh(x), r)), [x])
     _check(lambda: sum_all(hadamard(sigmoid(x), r)), [x])
     _check(lambda: sum_all(hadamard(leaky_relu(x), r)), [x])

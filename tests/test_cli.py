@@ -326,7 +326,7 @@ def test_gradcheck_ops_scope(capsys):
     units = [line.split(":")[0].removeprefix("op ") for line in out.strip().splitlines()]
     assert units == [
         "matmul", "transpose", "conv2d", "conv2d_1x1", "conv2d_k4s2",
-        "gelu", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
+        "gelu_gate", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
         "matmul_batched", "transpose_batched", "multi_head_attention",
         "upsample_conv2d", "conv2d_parts", "feed_forward"]
 

@@ -16,6 +16,7 @@ from reference_ops import (
 )
 
 from linpaint import tensor as T
+from linpaint.attention import gelu_gate
 from linpaint.autograd import Parameter, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
@@ -25,7 +26,6 @@ from linpaint.tensor import (
     add,
     absolute,
     conv2d,
-    gelu,
     hadamard,
     make_rng,
     matmul,
@@ -459,7 +459,8 @@ def test_upsample_conv2d_rejects_other_kernels():
 
 
 def test_gelu_values():
-    out = gelu(Tensor([0.0, 10.0, 1.0]))
+    # GELU(z) is the gate's value at a = 1.
+    out = gelu_gate(Tensor(np.ones(3)), Tensor([0.0, 10.0, 1.0]))
     assert out.data[0] == 0.0
     assert abs(out.data[1] - 10.0) <= 1e-6
     assert abs(out.data[2] - 0.8413447460685429) <= 1e-9

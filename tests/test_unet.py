@@ -9,13 +9,13 @@ from reference_ops import depthwise_conv2d
 
 import linpaint.tensor as T
 from linpaint.cli import paste_known_pixels
+from linpaint.attention import gelu_gate
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
     conv2d,
-    gelu,
     hadamard,
     make_rng,
     sum_all,
@@ -82,9 +82,9 @@ def composed_ffn(ffn, x):
     """The feed-forward unit as separate recorded ops: the fused op's reference."""
     branch_i = depthwise_conv2d(conv2d(x, ffn.conv_i_w, ffn.conv_i_b),
                                 ffn.dw_i_w, ffn.dw_i_b, padding=1)
-    branch_g = gelu(depthwise_conv2d(conv2d(x, ffn.conv_g_w, ffn.conv_g_b),
-                                     ffn.dw_g_w, ffn.dw_g_b, padding=1))
-    return conv2d(hadamard(branch_i, branch_g), ffn.conv_out_w, ffn.conv_out_b)
+    branch_g = depthwise_conv2d(conv2d(x, ffn.conv_g_w, ffn.conv_g_b),
+                                ffn.dw_g_w, ffn.dw_g_b, padding=1)
+    return conv2d(gelu_gate(branch_i, branch_g), ffn.conv_out_w, ffn.conv_out_b)
 
 
 def _ffn_case(channels, expansion, h, w, seed=0):
