@@ -1,5 +1,6 @@
-"""Memory and time of the tape-free forward pass, from 64x64 to 512x512, and
-of one taped attention layer at the four encoder shapes of the 256x256 model.
+"""Memory and time of the tape-free forward pass, from 64x64 to 512x512, of
+one taped attention layer at the four encoder shapes of the 256x256 model,
+and of the phases of one training step at the 64x64 benchmark config.
 
 Every row is measured in 3 fresh child processes and reports the median
 and the range [min, max] of their resident-set peaks (``ru_maxrss``) and
@@ -15,12 +16,23 @@ each row gives their median.
   and backward of sum(y * r) three times, then once more under
   ``tracemalloc``: the bytes held after the forward and the peak over the
   forward and backward, both above what existed before the forward.
+* Train-step rows: ``cli.train_toy`` at the config of perfbench's
+  ``train64`` (64x64, C=16, one block per level, discriminator width 64,
+  lr 1e-3; a seed-1 uniform image with a seed-2 30% scattered mask) runs
+  ``TRAIN_ITERS`` iterations; the process's ``ru_maxrss`` is read after
+  that run. A second run goes under ``tracemalloc``, from before the model
+  is built: after the discriminator's backward, its AdamW step, the
+  generator's backward and its AdamW step of iteration 2 (0-based, the
+  CSV's ``iter`` column), it records the current bytes and the peak since
+  the previous of these points (the first covers iteration 2's taped
+  generator and discriminator forwards).
 
 The rows go to BENCH_forward_memory.json in the working directory, stamped
 with nproc, the BLAS, numpy and the git revision.
 
 Run: python demos/forward_memory.py [--quick]
-     (--quick: 64x64 and 128x128, and the two smallest attention shapes)
+     (--quick: 64x64 and 128x128, the two smallest attention shapes and the
+     train-step rows)
 """
 
 import json
@@ -37,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from linpaint.attention import AttentionConfig, ProjectionSet, gated_attention
+from linpaint import cli
 from linpaint.autograd import Parameter
 from linpaint.cost import cost_report
 from linpaint.tensor import Tape, Tensor, hadamard, make_rng, sum_all
@@ -47,6 +60,9 @@ QUICK_SIZES = (64, 128)
 # (channels, side, heads) of encoder levels 1-4 of the C=32 model at 256x256.
 ATTENTION_SHAPES = ((32, 256, 1), (64, 128, 2), (128, 64, 4), (256, 32, 8))
 QUICK_ATTENTION_SHAPES = ATTENTION_SHAPES[2:]
+# Iterations of the train-step run; the phases of the last one are recorded.
+TRAIN_ITERS = 3
+TRAIN_PHASES = ("d_backward", "d_adamw", "g_backward", "g_adamw")
 PROCESSES = 3
 OUT = "BENCH_forward_memory.json"
 
@@ -106,6 +122,45 @@ def measure_attention(channels: int, side: int, heads: int) -> dict:
             "held_after_forward_mib": held / 2**20, "tracemalloc_peak_mib": peak / 2**20}
 
 
+def measure_train() -> dict:
+    """One process's figures for the train-step rows."""
+    run = cli.RunConfig(model=ModelConfig(base_channels=16, block_counts=(1,) * 7,
+                                          heads_per_level=(1, 2, 4, 8, 4, 2, 1)),
+                        seed=0, iters=TRAIN_ITERS, lr=1e-3, disc_width=64)
+    image = make_rng(1).uniform(0.0, 1.0, size=(3, 64, 64))
+    mask = np.ones(64 * 64)
+    mask[make_rng(2).choice(mask.size, size=round(0.3 * mask.size), replace=False)] = 0.0
+    mask = mask.reshape(1, 64, 64)
+    start = time.perf_counter()
+    cli.train_toy(run, image, mask, None, None)
+    figures = {"train_toy_s": time.perf_counter() - start, "ru_maxrss_mib": _rss_mib()}
+
+    # The calls train_toy makes, in order, each iteration: the discriminator's
+    # backward and AdamW step, then the generator's.
+    marks = []
+
+    def marked(fn):
+        def call(*args, **kwargs):
+            fn(*args, **kwargs)
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return call
+
+    backward, adamw = Tape.backward, cli.adamw_step
+    Tape.backward, cli.adamw_step = marked(backward), marked(adamw)
+    tracemalloc.start()
+    try:
+        cli.train_toy(run, image, mask, None, None)
+    finally:
+        tracemalloc.stop()
+        Tape.backward, cli.adamw_step = backward, adamw
+    last = marks[len(TRAIN_PHASES) * (TRAIN_ITERS - 1):]
+    for phase, (current, peak) in zip(TRAIN_PHASES, last, strict=True):
+        figures[f"{phase}_current_mib"] = current / 2**20
+        figures[f"{phase}_peak_mib"] = peak / 2**20
+    return figures
+
+
 def summarize(samples: list[dict], spread: tuple[str, ...]) -> dict:
     """The median of every figure over the processes, and the range of those
     named in ``spread``."""
@@ -146,6 +201,9 @@ def stamp() -> dict:
 
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
+        if sys.argv[2:] == ["train"]:
+            print(json.dumps(measure_train()))
+            return
         shape = [int(a) for a in sys.argv[2:]]
         figures = measure_forward(*shape) if len(shape) == 1 else measure_attention(*shape)
         print(json.dumps(figures))
@@ -174,11 +232,26 @@ def main() -> None:
               f"{r['ru_maxrss_mib_range']}, held after forward "
               f"{r['held_after_forward_mib']:.1f} MiB, tracemalloc peak "
               f"{r['tracemalloc_peak_mib']:.1f} MiB")
+    train = summarize(in_children("train"), ("train_toy_s", "ru_maxrss_mib"))
+    train_rows = [{"after": phase, "tracemalloc_current_mib": train[f"{phase}_current_mib"],
+                   "tracemalloc_peak_mib": train[f"{phase}_peak_mib"]} for phase in TRAIN_PHASES]
+    print(f"train step ({TRAIN_ITERS} iterations): ru_maxrss {train['ru_maxrss_mib']:.1f} MiB "
+          f"{train['ru_maxrss_mib_range']}, train_toy {train['train_toy_s']:.2f} s; "
+          + ", ".join(f"after {r['after']} {r['tracemalloc_current_mib']:.1f} MiB "
+                      f"(peak {r['tracemalloc_peak_mib']:.1f})" for r in train_rows))
     result = {"what": "rows: tape-free forward of the seed-0 C=32 model (ModelConfig()) on a "
                       "seed-1 uniform image; taped_attention_rows: one gated_attention layer "
-                      "(residual mode), taped forward and backward of sum(y * r); each row "
+                      "(residual mode), taped forward and backward of sum(y * r); "
+                      f"train_step: {TRAIN_ITERS} train_toy iterations at the train64 config, "
+                      "tracemalloc after each phase of iteration 2; each row "
                       f"is the median (and range) of {PROCESSES} fresh processes",
-              "stamp": stamp(), "rows": rows, "taped_attention_rows": attention_rows}
+              "stamp": stamp(), "rows": rows, "taped_attention_rows": attention_rows,
+              "train_step": {"iters": TRAIN_ITERS, "processes": train["processes"],
+                             "ru_maxrss_mib": train["ru_maxrss_mib"],
+                             "ru_maxrss_mib_range": train["ru_maxrss_mib_range"],
+                             "train_toy_s": train["train_toy_s"],
+                             "train_toy_s_range": train["train_toy_s_range"],
+                             "rows": train_rows}}
     with open(OUT, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

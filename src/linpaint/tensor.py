@@ -21,6 +21,7 @@ relatively for x >= -8.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -116,6 +117,8 @@ class Tensor:
 
 
 _TAPE_STACK: list["Tape"] = []
+# The tapes whose backward is running, innermost last.
+_REPLAYING: list["Tape"] = []
 
 
 class Tape:
@@ -130,11 +133,23 @@ class Tape:
     a step clears its output's gradient as it propagates it, so intermediates,
     the arrays their steps captured and their gradients are freed as the
     reverse pass goes; only leaves that require a gradient keep ``grad``.
+
+    While it replays, the tape owns the gradient arrays that nothing else
+    references, and adds a further contribution into an owned ``grad`` in
+    place. It owns each sum ``grad + g`` it builds, and takes over a step's
+    result when the result is writeable, shares no memory with the step's
+    incoming gradient and shares none with another live result of the step.
+    That rests on the contract of every backward function: each gradient it
+    returns is either a new array that nothing else references, or the
+    incoming gradient or a view of it. The tape holds its owned arrays by
+    weak reference only, and ownership ends when :meth:`backward` returns,
+    so a gradient that outlives one backward is never written by another.
     """
 
     def __init__(self) -> None:
         self._steps: list[Callable[[], None]] = []
         self._replayed = False
+        self._owned: dict[int, weakref.ref] = {}
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -148,6 +163,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._steps)
 
+    def _owns(self, a: np.ndarray) -> bool:
+        ref = self._owned.get(id(a))
+        return ref is not None and ref() is a
+
+    def _own(self, a: np.ndarray) -> None:
+        if isinstance(a, np.ndarray):
+            self._owned[id(a)] = weakref.ref(a)
+
+    def _disown(self, a: np.ndarray) -> None:
+        self._owned.pop(id(a), None)
+
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss)=1 and replay recorded steps in reverse, freeing
         each one once it has run. Raises RuntimeError on a replayed tape."""
@@ -158,16 +184,42 @@ class Tape:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._replayed = True
         loss.grad = np.ones_like(loss.data)
-        while self._steps:
-            self._steps.pop()()
+        _REPLAYING.append(self)
+        try:
+            while self._steps:
+                self._steps.pop()()
+        finally:
+            _REPLAYING.pop()
+            self._owned.clear()
 
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+def _owned_grad(t: Tensor) -> np.ndarray | None:
+    """``t.grad`` if the tape replaying now owns it and it is C-contiguous: a
+    backward function may then add ``t``'s gradient into it itself, and
+    return None for ``t``."""
+    g = t.grad
+    if g is None or not _REPLAYING or not g.flags.c_contiguous:
+        return None
+    return g if _REPLAYING[-1]._owns(g) else None
+
+
+def _accumulate(tape: Tape, t: Tensor, g: np.ndarray, fresh: bool) -> None:
+    """Add ``g`` to ``t.grad``: in place if ``tape`` owns ``t.grad``, else as
+    a new array that it owns. ``fresh``: nothing else references ``g``, so
+    the tape takes it over when it becomes ``t.grad``."""
+    if t.grad is None:
+        t.grad = g
+        if fresh:
+            tape._own(g)
+    elif tape._owns(t.grad):
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        tape._own(t.grad)
 
 
 # vjp(g, needs) -> one gradient per input, None where needs[i] is False.
@@ -184,7 +236,12 @@ def recording(inputs: Sequence[Tensor]) -> bool:
 def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
     """Record one step for all of ``inputs``. ``needs`` is fixed now: which
     inputs require a gradient. The gradients are accumulated as ``vjp`` yields
-    them, so a lazy ``vjp`` frees each one before it computes the next."""
+    them, so a lazy ``vjp`` frees each one before it computes the next.
+
+    ``vjp`` follows the contract in :class:`Tape`: each gradient is a new
+    array that nothing else references, or ``g`` or a view of ``g``. It may
+    yield None for an input whose gradient it added into that input's owned
+    ``grad`` itself (:func:`_owned_grad`)."""
     if not recording(inputs):
         return
     needs = tuple(t.requires_grad for t in inputs)
@@ -196,9 +253,23 @@ def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
         if g is None:
             return
         out.grad = None
+        # Results may be g or views of it, so nothing owns g any more.
+        tape._disown(g)
+        results: list[weakref.ref] = []
         for src, need, grad in zip(inputs, needs, vjp(g, needs)):
-            if need:
-                _accumulate(src, grad)
+            if not need or grad is None:
+                continue
+            # A numpy scalar is immutable, so nothing can alias it.
+            fresh = isinstance(grad, np.ndarray)
+            if fresh:
+                fresh = grad.flags.writeable and not np.may_share_memory(grad, g)
+                for ref in results:
+                    other = ref()
+                    if other is not None and np.may_share_memory(grad, other):
+                        fresh = False
+                        tape._disown(other)
+                results.append(weakref.ref(grad))
+            _accumulate(tape, src, grad, fresh)
 
     tape._steps.append(step)
 
@@ -216,7 +287,9 @@ def fused_op(data: np.ndarray, op: str, inputs: Sequence[Tensor], vjp: JointVJP)
     ``data`` is checked finite and wrapped; while a tape is active, one step is
     recorded for all of ``inputs``, whose ``vjp(g, needs)`` returns every
     input's gradient at once (None where ``needs`` says it is not wanted), so
-    work shared between the gradients is done once.
+    work shared between the gradients is done once. Each gradient is either a
+    new array that nothing else references, or ``g`` or a view of ``g``: the
+    tape may take a new array over and add into it in place.
     """
     out = _finish(data, op)
     _record_joint(out, inputs, vjp)
@@ -455,13 +528,24 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
             return _crop_hw(dxp, padding)
         return vjp
 
-    def back_w(g: np.ndarray) -> np.ndarray:
+    def back_w(g: np.ndarray) -> np.ndarray | None:
+        """The weight gradient, or None once it is added into the owned
+        ``w.grad`` a block at a time through one block-sized scratch."""
         g_mat = g.reshape(cout, n)
         buf = new_buf()
-        dw = np.empty((cout, cin * kk))
+        into = _owned_grad(w)
+        if into is None:
+            dw = np.empty((cout, cin * kk))
+        else:
+            dw, part = into.reshape(cout, cin * kk), np.empty((cout, per_block * kk))
         for i, c0, c1, wc in blocks:
-            np.matmul(g_mat, gather(i, c0, c1, buf).T, out=dw[:, wc])
-        return dw.reshape(w.shape)
+            cols = gather(i, c0, c1, buf).T
+            if into is None:
+                np.matmul(g_mat, cols, out=dw[:, wc])
+            else:
+                block = np.matmul(g_mat, cols, out=part[:, :wc.stop - wc.start])
+                dw[:, wc] += block
+        return dw.reshape(w.shape) if into is None else None
 
     _record(out, *((p, back_x(i)) for i, p in enumerate(parts)), (w, back_w),
             (bias, lambda g: g.reshape(cout, n).sum(axis=1)))

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from reference_ops import (
     sum_axis,
 )
 
-from linpaint.attention import gelu_gate
+from linpaint import tensor
+from linpaint.attention import gelu_gate, taylor_linear_attention
 from linpaint.autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
@@ -20,6 +22,7 @@ from linpaint.tensor import (
     absolute,
     add,
     conv2d,
+    fused_op,
     hadamard,
     layer_norm_sites,
     leaky_relu,
@@ -158,6 +161,215 @@ def test_tape_is_single_use():
             tape.backward(loss)
     assert np.array_equal(w.grad, [2.0, 4.0])
 
+
+# ---------------------------------------------------------------------------
+# Gradients the tape owns
+#
+# The tape adds a further contribution into a gradient it owns in place. Each
+# case runs its graph twice: as the library does, and on a tape that owns
+# nothing, so every further contribution builds ``t.grad + g`` as a new array.
+# The gradients must be the same bits, no forward value may be written, and
+# the owning run must have added in place at least ``in_place`` times.
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _owning_and_plain(monkeypatch, build, leaves, in_place=1):
+    """``build()`` records a scalar loss and returns it with the tensors it
+    made; returns the leaves' gradients of the owning and the plain run."""
+    runs = []
+    for owning in (True, False):
+        added = []
+        with monkeypatch.context() as m:
+            real_accumulate, real_owned_grad = tensor._accumulate, tensor._owned_grad
+
+            def accumulate(tape, t, g, fresh):
+                added.append(t.grad is not None and tape._owns(t.grad))
+                real_accumulate(tape, t, g, fresh)
+
+            def owned_grad(t):
+                into = real_owned_grad(t)
+                added.append(into is not None)
+                return into
+
+            m.setattr(tensor, "_accumulate", accumulate)
+            m.setattr(tensor, "_owned_grad", owned_grad)
+            if not owning:
+                m.setattr(Tape, "_owns", lambda self, a: False)
+            with Tape() as tape:
+                loss, made = build()
+                forward = [(t, t.data.copy()) for t in (*leaves, *made)]
+                tape.backward(loss)
+        assert all(_same_bits(t.data, before) for t, before in forward)
+        assert sum(added) >= in_place if owning else not any(added)
+        runs.append([t.grad.copy() for t in leaves])
+        for t in leaves:
+            t.grad = None
+    for got, want in zip(*runs):
+        assert _same_bits(got, want)
+    return runs[0]
+
+
+def _dot(a, r):
+    return sum_all(hadamard(a, Tensor(r)))
+
+
+def test_owned_gradient_add_gives_one_g_to_two_inputs(monkeypatch):
+    # y has two consumers, so its gradient is a sum the tape owns; add passes
+    # that array on to a and b unchanged. Their further contributions
+    # (recorded first, so replayed last) must not be added into it.
+    rng = make_rng(70)
+    a, b = Parameter(rng.normal(size=(3, 4))), Parameter(rng.normal(size=(3, 4)))
+    r = rng.normal(size=(4, 3, 4))
+
+    def build():
+        first = add(_dot(a, r[0]), _dot(b, r[1]))
+        y = add(a, b)
+        return add(first, add(_dot(y, r[2]), _dot(y, r[3]))), [y]
+
+    ga, gb = _owning_and_plain(monkeypatch, build, [a, b])
+    assert _same_bits(ga, (r[2] + r[3]) + r[0]) and _same_bits(gb, (r[2] + r[3]) + r[1])
+
+
+def test_owned_gradient_reshape_views(monkeypatch):
+    # Both reshapes return views of the one gradient that add passes on, so
+    # a's and b's gradients share memory until their other uses add to them.
+    rng = make_rng(71)
+    a, b = Parameter(rng.normal(size=(2, 6))), Parameter(rng.normal(size=(3, 4)))
+    r = rng.normal(size=(4, 12))
+
+    def build():
+        first = add(_dot(a, r[0].reshape(2, 6)), _dot(b, r[1].reshape(3, 4)))
+        y = add(reshape(a, (12,)), reshape(b, (12,)))
+        return add(first, add(_dot(y, r[2]), _dot(y, r[3]))), [y]
+
+    _owning_and_plain(monkeypatch, build, [a, b])
+
+
+def test_owned_gradient_with_many_consumers(monkeypatch):
+    rng = make_rng(72)
+    x = Parameter(rng.normal(size=(4, 5)))
+    r = rng.normal(size=(4, 4, 5))
+
+    def build():
+        t = tanh(x)
+        terms = [_dot(t, r[0]), _dot(scale(x, 3.0), r[1]), _dot(hadamard(x, x), r[2]),
+                 _dot(x, r[3])]
+        return add(add(terms[0], terms[1]), add(terms[2], terms[3])), [t]
+
+    _owning_and_plain(monkeypatch, build, [x], in_place=3)
+
+
+def test_owned_gradient_never_writes_a_gradient_from_an_earlier_backward(monkeypatch):
+    # Gradients left by one backward (no zero_grads) are not the next tape's:
+    # it sums into new arrays, which it then owns.
+    rng = make_rng(73)
+    x = Tensor(rng.normal(size=(2, 5, 5)))
+    w, b = Parameter(rng.normal(size=(3, 2, 3, 3))), Parameter(np.zeros(3))
+    r = rng.normal(size=(2, 3, 5, 5))
+    with Tape() as tape:
+        tape.backward(_dot(conv2d(x, w, b, 1, 1), r[0]))
+    earlier = {"w": w.grad, "b": b.grad}
+    kept = {name: g.copy() for name, g in earlier.items()}
+
+    def build():
+        w.grad, b.grad = earlier["w"], earlier["b"]
+        y1, y2 = conv2d(x, w, b, 1, 1), conv2d(x, w, b, 1, 1)
+        return add(_dot(y1, r[0]), _dot(y2, r[1])), [y1, y2]
+
+    _owning_and_plain(monkeypatch, build, [w, b], in_place=2)
+    assert all(_same_bits(earlier[name], kept[name]) for name in kept)
+
+
+def test_owned_gradient_one_new_array_for_two_inputs(monkeypatch):
+    # A step that returns one new array for both inputs: neither owns it.
+    rng = make_rng(77)
+    a, b = Parameter(rng.normal(size=(3, 4))), Parameter(rng.normal(size=(3, 4)))
+    r = rng.normal(size=(3, 3, 4))
+
+    def build():
+        first = add(_dot(a, r[0]), _dot(b, r[1]))
+        y = fused_op(a.data + b.data, "add_doubled", (a, b), lambda g, needs: [2.0 * g] * 2)
+        return add(first, _dot(y, r[2])), [y]
+
+    _owning_and_plain(monkeypatch, build, [a, b], in_place=0)
+
+
+def test_owned_gradient_is_never_a_read_only_broadcast(monkeypatch):
+    rng = make_rng(74)
+    a = Parameter(rng.normal(size=(3, 4)))
+    r = rng.normal(size=(2, 3, 4))
+
+    def build():
+        first = add(_dot(tanh(a), r[0]), _dot(a, r[1]))
+        # Recorded last, so its read-only gradient reaches a first.
+        total = fused_op(np.asarray(a.data.sum()), "sum_broadcast", (a,),
+                         lambda g, needs: (np.broadcast_to(float(g), a.shape),))
+        return add(first, total), []
+
+    _owning_and_plain(monkeypatch, build, [a])
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_owned_gradient_of_taylor_attention_views(monkeypatch, shared):
+    # The op returns the three gradients as views of one (3, N, C) array.
+    rng = make_rng(75)
+    q, k, v = (Parameter(rng.normal(size=(9, 4))) for _ in range(3))
+    r = rng.normal(size=(4, 9, 4))
+    leaves = [q] if shared else [q, k, v]
+
+    def build():
+        first = add(_dot(q, r[0]), add(_dot(k, r[1]), _dot(v, r[2])))
+        y = taylor_linear_attention(q, q, q) if shared else taylor_linear_attention(q, k, v)
+        return add(first, _dot(y, r[3])), [y]
+
+    _owning_and_plain(monkeypatch, build, leaves, in_place=3)
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (4, 2, 1)])
+def test_owned_gradient_of_a_conv_weight_used_twice(monkeypatch, k, stride, padding):
+    # 37 input channels run in several channel blocks; the second use's
+    # weight gradient is added into the first's a block at a time.
+    rng = make_rng(76)
+    x1, x2 = (Parameter(rng.normal(size=(37, 6, 6))) for _ in range(2))
+    w = Parameter(rng.normal(size=(5, 37, k, k)))
+    b = Parameter(rng.normal(size=(5,)))
+    ho = (6 + 2 * padding - k) // stride + 1
+    r = rng.normal(size=(2, 5, ho, ho))
+
+    def build():
+        y1 = conv2d(x1, w, b, stride, padding)
+        y2 = conv2d(x2, w, b, stride, padding)
+        return add(_dot(y1, r[0]), _dot(y2, r[1])), [y1, y2]
+
+    _owning_and_plain(monkeypatch, build, [x1, x2, w, b], in_place=2)
+
+
+
+def test_tape_keeps_no_owned_gradient_alive():
+    # y's gradient is a sum the tape owns; once y's step has used it, the
+    # step recorded before it finds that array freed.
+    rng = make_rng(78)
+    x = Parameter(rng.normal(size=(3, 4)))
+    r = rng.normal(size=(2, 3, 4))
+    used = []
+
+    def y_vjp(g, needs):
+        used.append(weakref.ref(g))
+        return (2.0 * g,)
+
+    def c_vjp(g, needs):
+        assert used[0]() is None
+        return (g.copy(),)
+
+    with Tape() as tape:
+        c = fused_op(x.data.copy(), "copy", (x,), c_vjp)
+        y = fused_op(2.0 * c.data, "double", (c,), y_vjp)
+        tape.backward(add(_dot(y, r[0]), _dot(y, r[1])))
+    assert len(used) == 1 and _same_bits(x.grad, 2.0 * (r[1] + r[0]))
 
 # ---------------------------------------------------------------------------
 # AdamW
