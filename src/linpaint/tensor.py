@@ -534,17 +534,14 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
         g_mat = g.reshape(cout, n)
         buf = new_buf()
         into = _owned_grad(w)
-        if into is None:
-            dw = np.empty((cout, cin * kk))
-        else:
-            dw, part = into.reshape(cout, cin * kk), np.empty((cout, per_block * kk))
+        dw = np.empty((cout, cin * kk)) if into is None else into.reshape(cout, cin * kk)
+        part = None if into is None else np.empty((cout, per_block * kk))
         for i, c0, c1, wc in blocks:
             cols = gather(i, c0, c1, buf).T
             if into is None:
                 np.matmul(g_mat, cols, out=dw[:, wc])
             else:
-                block = np.matmul(g_mat, cols, out=part[:, :wc.stop - wc.start])
-                dw[:, wc] += block
+                dw[:, wc] += np.matmul(g_mat, cols, out=part[:, :wc.stop - wc.start])
         return dw.reshape(w.shape) if into is None else None
 
     _record(out, *((p, back_x(i)) for i, p in enumerate(parts)), (w, back_w),
