@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from linpaint.attention import AttentionConfig, ProjectionSet, gated_attention
 from linpaint import cli
+from linpaint.attention import AttentionConfig, ProjectionSet, gated_attention
 from linpaint.autograd import Parameter
 from linpaint.cost import cost_report
 from linpaint.tensor import Tape, Tensor, hadamard, make_rng, sum_all
