@@ -26,13 +26,22 @@ each row gives their median.
   CSV's ``iter`` column), it records the current bytes and the peak since
   the previous of these points (the first covers iteration 2's taped
   generator and discriminator forwards).
+* Paper-resolution step rows: one ``cli.train_toy`` iteration of the seed-0
+  full-depth C=32 model (``ModelConfig()``, the default discriminator and
+  learning rate; a seed-1 uniform image with a seed-2 30% scattered mask)
+  at 128x128 and 256x256, each in one child process whose address space
+  (``RLIMIT_AS``, set before Python starts) is capped at the row's limit:
+  whether the iteration completed, its seconds and the child's
+  ``ru_maxrss``. A child that runs out of address space reports the
+  ``MemoryError``. This is the budget check of training at the paper's
+  resolution.
 
 The rows go to BENCH_forward_memory.json in the working directory, stamped
 with nproc, the BLAS, numpy and the git revision.
 
 Run: python demos/forward_memory.py [--quick]
-     (--quick: 64x64 and 128x128, the two smallest attention shapes and the
-     train-step rows)
+     (--quick: 64x64 and 128x128, the two smallest attention shapes, the
+     train-step rows and the 128x128 paper-resolution step)
 """
 
 import json
@@ -64,6 +73,9 @@ QUICK_ATTENTION_SHAPES = ATTENTION_SHAPES[2:]
 TRAIN_ITERS = 3
 TRAIN_PHASES = ("d_backward", "d_adamw", "g_backward", "g_adamw")
 PROCESSES = 3
+# (side, RLIMIT_AS in MiB) of the paper-resolution step rows.
+STEP_LIMITS = ((128, 2048), (256, 2048), (256, 1536))
+QUICK_STEP_LIMITS = STEP_LIMITS[:1]
 OUT = "BENCH_forward_memory.json"
 
 
@@ -161,6 +173,45 @@ def measure_train() -> dict:
     return figures
 
 
+def _scattered_mask(side: int) -> np.ndarray:
+    """A seed-2 1 x side x side mask with 30% of its pixels missing."""
+    mask = np.ones(side * side)
+    mask[make_rng(2).choice(mask.size, size=round(0.3 * mask.size), replace=False)] = 0.0
+    return mask.reshape(1, side, side)
+
+
+def measure_paper_step(side: int) -> dict:
+    """One process's figures for one C=32 train_toy iteration."""
+    run = cli.RunConfig(model=ModelConfig(), seed=0, iters=1)
+    image = make_rng(1).uniform(0.0, 1.0, size=(3, side, side))
+    start = time.perf_counter()
+    try:
+        cli.train_toy(run, image, _scattered_mask(side), None, None)
+        error = None
+    except MemoryError as exc:
+        error = f"MemoryError: {exc}"
+    return {"completed": error is None, "seconds": time.perf_counter() - start,
+            "ru_maxrss_mib": _rss_mib(), "error": error}
+
+
+def paper_step_in_child(side: int, limit_mib: int) -> dict:
+    """``measure_paper_step`` in a fresh child whose address space is capped
+    at ``limit_mib`` MiB from before Python starts."""
+    limit = limit_mib * 2**20
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child = subprocess.run([sys.executable, __file__, "--child", "step", str(side)],
+                           capture_output=True, text=True, preexec_fn=cap)
+    row = {"side": side, "rlimit_as_mib": limit_mib}
+    lines = child.stdout.splitlines()
+    if child.returncode == 0 and lines:
+        return {**row, **json.loads(lines[-1])}
+    return {**row, "completed": False, "seconds": None, "ru_maxrss_mib": None,
+            "error": f"exit {child.returncode}: {child.stderr.strip()[-300:]}"}
+
+
 def summarize(samples: list[dict], spread: tuple[str, ...]) -> dict:
     """The median of every figure over the processes, and the range of those
     named in ``spread``."""
@@ -204,6 +255,9 @@ def main() -> None:
         if sys.argv[2:] == ["train"]:
             print(json.dumps(measure_train()))
             return
+        if sys.argv[2:3] == ["step"]:
+            print(json.dumps(measure_paper_step(int(sys.argv[3]))))
+            return
         shape = [int(a) for a in sys.argv[2:]]
         figures = measure_forward(*shape) if len(shape) == 1 else measure_attention(*shape)
         print(json.dumps(figures))
@@ -239,19 +293,29 @@ def main() -> None:
           f"{train['ru_maxrss_mib_range']}, train_toy {train['train_toy_s']:.2f} s; "
           + ", ".join(f"after {r['after']} {r['tracemalloc_current_mib']:.1f} MiB "
                       f"(peak {r['tracemalloc_peak_mib']:.1f})" for r in train_rows))
+    step_rows = []
+    for side, limit_mib in QUICK_STEP_LIMITS if quick else STEP_LIMITS:
+        r = paper_step_in_child(side, limit_mib)
+        step_rows.append(r)
+        print(f"C=32 train step at {side}x{side} under RLIMIT_AS {limit_mib} MiB: "
+              + (f"completed in {r['seconds']:.1f} s, ru_maxrss {r['ru_maxrss_mib']:.1f} MiB"
+                 if r["completed"] else f"failed ({r['error']})"))
     result = {"what": "rows: tape-free forward of the seed-0 C=32 model (ModelConfig()) on a "
                       "seed-1 uniform image; taped_attention_rows: one gated_attention layer "
                       "(residual mode), taped forward and backward of sum(y * r); "
                       f"train_step: {TRAIN_ITERS} train_toy iterations at the train64 config, "
-                      "tracemalloc after each phase of iteration 2; each row "
-                      f"is the median (and range) of {PROCESSES} fresh processes",
+                      "tracemalloc after each phase of iteration 2; each of these rows "
+                      f"is the median (and range) of {PROCESSES} fresh processes; "
+                      "paper_resolution_step: one C=32 train_toy iteration in one child "
+                      "process under an RLIMIT_AS cap per row",
               "stamp": stamp(), "rows": rows, "taped_attention_rows": attention_rows,
               "train_step": {"iters": TRAIN_ITERS, "processes": train["processes"],
                              "ru_maxrss_mib": train["ru_maxrss_mib"],
                              "ru_maxrss_mib_range": train["ru_maxrss_mib_range"],
                              "train_toy_s": train["train_toy_s"],
                              "train_toy_s_range": train["train_toy_s_range"],
-                             "rows": train_rows}}
+                             "rows": train_rows},
+              "paper_resolution_step": step_rows}
     with open(OUT, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")

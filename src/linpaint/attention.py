@@ -187,10 +187,11 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
     if mode not in TAYLOR_MODES:
         raise ValueError(f"mode must be one of {TAYLOR_MODES}, got {mode!r}")
     inputs = (q, k, v)
+    arrays = tuple(t.data for t in inputs)
 
     def load(lo: int, hi: int, parts: slice, block: np.ndarray) -> None:
-        for i, t in enumerate(inputs[parts]):
-            block[i * c:(i + 1) * c] = t.data[lo:hi].T
+        for i, a in enumerate(arrays[parts]):
+            block[i * c:(i + 1) * c] = a[lo:hi].T
 
     out, back = _taylor_core(load, n, 1, c, mode, eps, recording(inputs), normalize_qk)
 
@@ -423,7 +424,7 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
                 np.matmul(w_qkv.T, d_mat, out=dx[:, lo:hi])
             d_w += d_mat @ x_mat[:, lo:hi].T
             d_b += d_mat.sum(axis=1)
-        grads = [None if dx is None else dx.reshape(x.shape)]
+        grads = [None if dx is None else dx.reshape(c, h, w)]
         for i in range(3):
             rows = slice(i * c, (i + 1) * c)
             grads += [d_w[rows].reshape(c, c, 1, 1), d_b[rows]]
@@ -465,7 +466,7 @@ def gelu_gate(a: Tensor, z: Tensor, overwrite: bool = False) -> Tensor:
     """
     _same_shape(a, z, "gelu_gate")
     keep = recording((a, z))
-    av, zv = a.data.reshape(-1), z.data.reshape(-1)
+    shape, av, zv = a.shape, a.data.reshape(-1), z.data.reshape(-1)
     chunk = max(1, min(_GATE_CHUNK, zv.size))
     out = av if overwrite and not keep else np.empty(zv.size)
     phi = np.empty(zv.size if keep else chunk)
@@ -488,6 +489,6 @@ def gelu_gate(a: Tensor, z: Tensor, overwrite: bool = False) -> Tensor:
             if dz is not None:
                 np.multiply(np.multiply(gc, av[part], out=scratch[:zc.size]),
                             gelu_slope(zc, pc, out=dz[part]), out=dz[part])
-        return [None if gr is None else gr.reshape(a.shape) for gr in (da, dz)]
+        return [None if gr is None else gr.reshape(shape) for gr in (da, dz)]
 
     return fused_op(out.reshape(a.shape), "gelu_gate", (a, z), vjp)

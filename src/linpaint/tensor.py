@@ -69,6 +69,17 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+class _GradSlot:
+    """Where a tensor's gradient lives. A recorded step holds the slots of its
+    output and inputs, never the tensors, so a tensor's array is freed once
+    neither its caller nor a backward closure that reads it holds it."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self) -> None:
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """A dense n-dimensional float64 array, row-major, with a gradient slot.
 
@@ -79,7 +90,7 @@ class Tensor:
     Gradients reach only tensors that require one.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "_slot", "requires_grad")
 
     def __init__(self, data) -> None:
         arr = np.asarray(data, dtype=np.float64)
@@ -88,8 +99,16 @@ class Tensor:
         if any(d == 0 for d in arr.shape):
             raise ShapeError(f"tensor dims must be >= 1, got shape {arr.shape}")
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self._slot = _GradSlot()
         self.requires_grad = False
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._slot.grad = g
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,10 +148,13 @@ class Tape:
     of its consumers before propagating to its inputs. Gradients accumulate
     additively across multiple uses of the same tensor.
 
-    A tape is used once. :meth:`backward` drops each step as it runs it, and
-    a step clears its output's gradient as it propagates it, so intermediates,
-    the arrays their steps captured and their gradients are freed as the
-    reverse pass goes; only leaves that require a gradient keep ``grad``.
+    A step holds its output's and inputs' gradient slots and the arrays its
+    backward reads, never a tensor, so an intermediate whose array no
+    backward reads is freed as soon as the caller drops it. A tape is used
+    once. :meth:`backward` drops each step as it runs it, and a step clears
+    its output's gradient as it propagates it, so the arrays the steps
+    captured and the gradients are freed as the reverse pass goes; only
+    leaves that require a gradient keep ``grad``.
 
     While it replays, the tape owns the gradient arrays that nothing else
     references, and adds a further contribution into an owned ``grad`` in
@@ -197,29 +219,29 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _owned_grad(t: Tensor) -> np.ndarray | None:
-    """``t.grad`` if the tape replaying now owns it and it is C-contiguous: a
-    backward function may then add ``t``'s gradient into it itself, and
-    return None for ``t``."""
-    g = t.grad
+def _owned_grad(slot: _GradSlot) -> np.ndarray | None:
+    """``slot.grad`` if the tape replaying now owns it and it is C-contiguous:
+    a backward function may then add the slot's tensor's gradient into it
+    itself, and return None for that tensor."""
+    g = slot.grad
     if g is None or not _REPLAYING or not g.flags.c_contiguous:
         return None
     return g if _REPLAYING[-1]._owns(g) else None
 
 
-def _accumulate(tape: Tape, t: Tensor, g: np.ndarray, fresh: bool) -> None:
-    """Add ``g`` to ``t.grad``: in place if ``tape`` owns ``t.grad``, else as
-    a new array that it owns. ``fresh``: nothing else references ``g``, so
-    the tape takes it over when it becomes ``t.grad``."""
-    if t.grad is None:
-        t.grad = g
+def _accumulate(tape: Tape, slot: _GradSlot, g: np.ndarray, fresh: bool) -> None:
+    """Add ``g`` to ``slot.grad``: in place if ``tape`` owns ``slot.grad``,
+    else as a new array that it owns. ``fresh``: nothing else references
+    ``g``, so the tape takes it over when it becomes ``slot.grad``."""
+    if slot.grad is None:
+        slot.grad = g
         if fresh:
             tape._own(g)
-    elif tape._owns(t.grad):
-        t.grad += g
+    elif tape._owns(slot.grad):
+        slot.grad += g
     else:
-        t.grad = t.grad + g
-        tape._own(t.grad)
+        slot.grad = slot.grad + g
+        tape._own(slot.grad)
 
 
 # vjp(g, needs) -> one gradient per input, None where needs[i] is False.
@@ -236,7 +258,9 @@ def recording(inputs: Sequence[Tensor]) -> bool:
 def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
     """Record one step for all of ``inputs``. ``needs`` is fixed now: which
     inputs require a gradient. The gradients are accumulated as ``vjp`` yields
-    them, so a lazy ``vjp`` frees each one before it computes the next.
+    them, so a lazy ``vjp`` frees each one before it computes the next. The
+    step holds the gradient slots of ``out`` and ``inputs``, not the tensors,
+    so ``vjp`` must capture every array it reads.
 
     ``vjp`` follows the contract in :class:`Tape`: each gradient is a new
     array that nothing else references, or ``g`` or a view of ``g``. It may
@@ -247,16 +271,17 @@ def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
     needs = tuple(t.requires_grad for t in inputs)
     out.requires_grad = True
     tape = _active_tape()
+    out_slot, slots = out._slot, tuple(t._slot for t in inputs)
 
     def step() -> None:
-        g = out.grad
+        g = out_slot.grad
         if g is None:
             return
-        out.grad = None
+        out_slot.grad = None
         # Results may be g or views of it, so nothing owns g any more.
         tape._disown(g)
         results: list[weakref.ref] = []
-        for src, need, grad in zip(inputs, needs, vjp(g, needs)):
+        for slot, need, grad in zip(slots, needs, vjp(g, needs)):
             if not need or grad is None:
                 continue
             # A numpy scalar is immutable, so nothing can alias it.
@@ -269,16 +294,17 @@ def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
                         fresh = False
                         tape._disown(other)
                 results.append(weakref.ref(grad))
-            _accumulate(tape, src, grad, fresh)
+            _accumulate(tape, slot, grad, fresh)
 
     tape._steps.append(step)
 
 
 def _record(out: Tensor, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> None:
-    """One step with a VJP per input: each runs only if its input needs it."""
+    """One step with a VJP per input: the step keeps the VJPs of the inputs
+    that need a gradient, and neither input tensors nor the others."""
+    fns = [fn if src.requires_grad else None for src, fn in vjps]
     _record_joint(out, [src for src, _ in vjps],
-                  lambda g, needs: (fn(g) if need else None
-                                    for (_, fn), need in zip(vjps, needs)))
+                  lambda g, needs: (None if fn is None else fn(g) for fn in fns))
 
 
 def fused_op(data: np.ndarray, op: str, inputs: Sequence[Tensor], vjp: JointVJP) -> Tensor:
@@ -323,8 +349,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
              f"matmul needs two rank-2 or two rank-3 operands, got {a.shape} and {b.shape}")
     _require(a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-2],
              f"matmul inner dims differ: {a.shape} vs {b.shape}")
-    out = _finish(a.data @ b.data, "matmul")
-    _record(out, (a, lambda g: g @ _swap(b.data)), (b, lambda g: _swap(a.data) @ g))
+    ad, bd = a.data, b.data
+    out = _finish(ad @ bd, "matmul")
+    _record(out, (a, lambda g: g @ _swap(bd)), (b, lambda g: _swap(ad) @ g))
     return out
 
 
@@ -528,12 +555,14 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
             return _crop_hw(dxp, padding)
         return vjp
 
+    w_slot, w_shape = w._slot, w.shape
+
     def back_w(g: np.ndarray) -> np.ndarray | None:
         """The weight gradient, or None once it is added into the owned
         ``w.grad`` a block at a time through one block-sized scratch."""
         g_mat = g.reshape(cout, n)
         buf = new_buf()
-        into = _owned_grad(w)
+        into = _owned_grad(w_slot)
         dw = np.empty((cout, cin * kk)) if into is None else into.reshape(cout, cin * kk)
         part = None if into is None else np.empty((cout, per_block * kk))
         for i, c0, c1, wc in blocks:
@@ -542,7 +571,7 @@ def conv2d(x: Tensor | Sequence[Tensor], w: Tensor, bias: Tensor, stride: int = 
                 np.matmul(g_mat, cols, out=dw[:, wc])
             else:
                 dw[:, wc] += np.matmul(g_mat, cols, out=part[:, :wc.stop - wc.start])
-        return dw.reshape(w.shape) if into is None else None
+        return dw.reshape(w_shape) if into is None else None
 
     _record(out, *((p, back_x(i)) for i, p in enumerate(parts)), (w, back_w),
             (bias, lambda g: g.reshape(cout, n).sum(axis=1)))
@@ -666,9 +695,10 @@ def upsample_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         np.add(y.data[p, a:a + h, b:b + wd], bias.data[:, None, None],
                out=out_data[:, a::2, b::2])
     out = _finish(out_data, "upsample_conv2d")
+    y_shape = y.shape
 
     def back_y(g: np.ndarray) -> np.ndarray:
-        dy = np.zeros(y.shape)
+        dy = np.zeros(y_shape)
         for a, b, p in phases:
             dy[p, a:a + h, b:b + wd] = g[:, a::2, b::2]
         return dy
@@ -795,22 +825,26 @@ _LOG_FLOOR = 1e-12
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    factor = np.where(x.data >= 0, 1.0, _LEAKY_SLOPE)
-    out = _finish(x.data * factor, "leaky_relu")
-    _record(out, (x, lambda g: g * factor))
+    # A bool mask, not a float factor map: x * 1.0 is x, so np.where gives
+    # the product's bits.
+    live = x.data >= 0
+    out = _finish(np.where(live, x.data, x.data * _LEAKY_SLOPE), "leaky_relu")
+    _record(out, (x, lambda g: np.where(live, g, g * _LEAKY_SLOPE)))
     return out
 
 
 def log_clamped(x: Tensor) -> Tensor:
     """log(max(x, _LOG_FLOOR)); gradient is zero on the clamped region."""
-    live = x.data > _LOG_FLOOR
-    out = _finish(np.log(np.maximum(x.data, _LOG_FLOOR)), "log_clamped")
-    _record(out, (x, lambda g: np.where(live, g / np.maximum(x.data, _LOG_FLOOR), 0.0)))
+    xd = x.data
+    live = xd > _LOG_FLOOR
+    out = _finish(np.log(np.maximum(xd, _LOG_FLOOR)), "log_clamped")
+    _record(out, (x, lambda g: np.where(live, g / np.maximum(xd, _LOG_FLOOR), 0.0)))
     return out
 
 
 def absolute(x: Tensor) -> Tensor:
-    sign = np.sign(x.data)
+    # -1, 0 and 1 are exact in int8, and g * sign gives the float sign's bits.
+    sign = np.sign(x.data, out=np.empty(x.shape, np.int8), casting="unsafe")
     out = _finish(np.abs(x.data), "absolute")
     _record(out, (x, lambda g: g * sign))
     return out
@@ -840,8 +874,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "hadamard")
-    out = _finish(a.data * b.data, "hadamard")
-    _record(out, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    ad, bd = a.data, b.data
+    out = _finish(ad * bd, "hadamard")
+    _record(out, (a, lambda g: g * bd), (b, lambda g: g * ad))
     return out
 
 
@@ -858,20 +893,26 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     """The same values, row-major, in a shape of equal size: a view, not a copy."""
     _require(math.prod(shape) == a.size, f"cannot reshape {a.shape} to {shape}")
     out = _finish(a.data.reshape(shape), "reshape")
-    _record(out, (a, lambda g: g.reshape(a.shape)))
+    a_shape = a.shape
+    _record(out, (a, lambda g: g.reshape(a_shape)))
     return out
 
 
+# The gradients of sum_all and mean_all are read-only broadcast views of a
+# scalar, which the tape never owns.
+
+
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
     out = _finish(np.asarray(a.data.sum()), "sum_all")
-    _record(out, (a, lambda g: np.full(a.shape, float(g))))
+    _record(out, (a, lambda g: np.broadcast_to(g, shape)))
     return out
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    shape, n = a.shape, a.size
     out = _finish(np.asarray(a.data.mean()), "mean_all")
-    _record(out, (a, lambda g: np.full(a.shape, float(g) / n)))
+    _record(out, (a, lambda g: np.broadcast_to(g / n, shape)))
     return out
 
 
@@ -894,8 +935,10 @@ def layer_norm_sites(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out_data += beta.data[:, None, None]
     out = _finish(out_data, "layer_norm_sites")
 
+    gd = gamma.data
+
     def back_x(g: np.ndarray) -> np.ndarray:
-        gx = g * gamma.data[:, None, None]
+        gx = g * gd[:, None, None]
         return inv * (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0))
 
     _record(out, (x, back_x),

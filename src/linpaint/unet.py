@@ -23,6 +23,8 @@ values and keeps what the backward pass needs.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -64,6 +66,9 @@ NORM_KINDS = ("layer", "none")
 IMAGE_CHANNELS = 3
 
 CHECKPOINT_MAGIC = b"LINPAINT-CKPT-1\n"
+# The magic and header are found within this many leading bytes (a header is
+# about 200), so a file that is not a checkpoint costs only this much to refuse.
+_HEADER_LIMIT = 4096
 
 @dataclass
 class ModelConfig:
@@ -232,7 +237,7 @@ class FeedForward(Module):
         if x.data.ndim != 3 or x.shape[0] != c:
             raise ShapeError(f"expected {c}xHxW input, got {x.shape}")
         _, h, w = x.shape
-        inputs = (x, *params)
+        inputs, xd = (x, *params), x.data
         two = 2 * hidden
         pre_w = np.concatenate([ci_w, cg_w]).reshape(two, c)
         pre_b = np.concatenate([ci_b, cg_b])[:, None]
@@ -251,7 +256,7 @@ class FeedForward(Module):
             (and any row outside x) zeroed: the band's depthwise input, padded."""
             lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
             xb = x_band[:, :r1 - r0 + 2]
-            xb[:, lo - r0 + 1:hi - r0 + 1, 1:-1] = x.data[:, lo:hi]
+            xb[:, lo - r0 + 1:hi - r0 + 1, 1:-1] = xd[:, lo:hi]
             pre = pre_buf[:two * xb[0].size].reshape(two, -1)
             np.matmul(pre_w, xb.reshape(c, -1), out=pre)
             pre += pre_b
@@ -313,7 +318,7 @@ class FeedForward(Module):
                 d_pre = np.ascontiguousarray(d_pre[:, lo - r0 + 1:hi - r0 + 1, 1:-1])
                 d_pre = d_pre.reshape(two, -1)
                 d_pre_b += d_pre.sum(axis=1)
-                d_pre_w += d_pre @ x.data[:, lo:hi].reshape(c, -1).T
+                d_pre_w += d_pre @ xd[:, lo:hi].reshape(c, -1).T
                 if dx is not None:
                     dx[:, lo:hi] += (pre_w.T @ d_pre).reshape(c, hi - lo, w)
             d_pre_w, d_pre_b = d_pre_w.reshape(2, hidden, c), d_pre_b.reshape(2, hidden)
@@ -503,29 +508,38 @@ class _NoDraws:
 
 
 def load_checkpoint(path: str) -> InpaintingUNet:
+    """The model a checkpoint holds. The magic and header are checked from a
+    bounded prefix before anything of the model's size is allocated; each
+    parameter's array is then read straight from the data block, and the
+    CRC of the whole file is checked last."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 4:
-        raise CheckpointError(f"checkpoint too short: {len(raw)} bytes")
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad checkpoint magic")
-    view = memoryview(raw)
-    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != int.from_bytes(raw[-4:], "little"):
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(CHECKPOINT_MAGIC) + 4:
+            raise CheckpointError(f"checkpoint too short: {size} bytes")
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad checkpoint magic")
+        head = CHECKPOINT_MAGIC + fh.read(min(_HEADER_LIMIT, size - 4) - len(CHECKPOINT_MAGIC))
+        end = head.find(b"end-header\n", len(CHECKPOINT_MAGIC))
+        if end < 0:
+            raise CheckpointError(f"checkpoint header not terminated "
+                                  f"within {_HEADER_LIMIT} bytes")
+        start = end + len(b"end-header\n")
+        try:
+            config = _read_header(head[len(CHECKPOINT_MAGIC):end], size - 4 - start)
+        except ValueError as exc:
+            raise CheckpointError(f"bad checkpoint header: {exc}") from None
+
+        model = InpaintingUNet(config, _NoDraws())
+        crc = zlib.crc32(head[:start])
+        fh.seek(start)
+        for p in model.parameters():
+            raw = memoryview(p.data).cast("B")
+            if fh.readinto(raw) != len(raw):
+                raise CheckpointError("checkpoint truncated while reading")
+            crc = zlib.crc32(raw, crc)
+            if sys.byteorder != "little":
+                p.data.byteswap(inplace=True)
+        stored = fh.read(4)
+    if crc & 0xFFFFFFFF != int.from_bytes(stored, "little"):
         raise CheckpointError("checkpoint checksum mismatch")
-
-    end = raw.find(b"end-header\n", len(CHECKPOINT_MAGIC), len(raw) - 4)
-    if end < 0:
-        raise CheckpointError("checkpoint header not terminated")
-    data = view[end + len(b"end-header\n"):-4]
-    try:
-        config = _read_header(raw[len(CHECKPOINT_MAGIC):end], len(data))
-    except ValueError as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from None
-
-    model = InpaintingUNet(config, _NoDraws())
-    offset = 0
-    for p in model.parameters():
-        n = p.size * 8
-        p.data[...] = np.frombuffer(data[offset:offset + n], dtype="<f8").reshape(p.shape)
-        offset += n
     return model

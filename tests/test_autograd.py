@@ -371,6 +371,71 @@ def test_tape_keeps_no_owned_gradient_alive():
         tape.backward(add(_dot(y, r[0]), _dot(y, r[1])))
     assert len(used) == 1 and _same_bits(x.grad, 2.0 * (r[1] + r[0]))
 
+
+# ---------------------------------------------------------------------------
+# What a step holds: gradient slots and the arrays its backward reads
+
+
+def test_an_output_no_backward_reads_is_freed_during_the_forward():
+    # add's output is read by no backward (scale's keeps only its factor),
+    # and a step holds gradient slots, not tensors: once the caller drops
+    # it, its array is freed. The taped forward then holds one map, the
+    # result (two when each step held its output and input tensors).
+    rng = make_rng(90)
+    x = Tensor(rng.normal(size=(512, 512)))
+    p = Parameter(rng.normal(size=(512, 512)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            s = add(x, p)
+            freed = weakref.ref(s.data)
+            y = scale(s, 2.0)
+            del s
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(sum_all(y))
+    finally:
+        tracemalloc.stop()
+    assert freed() is None
+    assert held <= 1.25 * x.data.nbytes
+    assert np.array_equal(p.grad, np.full(p.shape, 2.0))
+
+
+def _mixed_graph(leaves, keep):
+    """A scalar loss over most ops; every intermediate goes to ``keep`` if it
+    is a list, else the caller holds none of them."""
+    x, w, b, gamma, beta, wu, bu, m, q = leaves
+
+    def k(t):
+        if keep is not None:
+            keep.append(t)
+        return t
+
+    h = k(leaky_relu(k(conv2d(x, w, b, 1, 1))))
+    h = k(upsample_conv2d(k(layer_norm_sites(h, gamma, beta)), wu, bu))
+    h = k(gelu_gate(h, k(tanh(h))))
+    flat = k(reshape(h, (4, 64)))
+    att = k(taylor_linear_attention(k(transpose(flat)), q, q))
+    prod = k(matmul(k(transpose(att)), k(sigmoid(m))))
+    term = k(mean_all(k(log_clamped(k(sigmoid(prod))))))
+    return sub(k(sum_all(k(absolute(k(hadamard(prod, prod)))))), k(scale(term, 3.0)))
+
+
+def test_gradients_reach_every_leaf_when_the_caller_drops_every_intermediate():
+    # The steps hold the slots of their outputs and inputs, so dropping
+    # every intermediate Tensor before backward changes no gradient bit.
+    rng = make_rng(91)
+    leaves = [Parameter(rng.normal(size=shape) * 0.5) for shape in
+              [(3, 4, 4), (4, 3, 3, 3), (4,), (4,), (4,), (4, 4, 3, 3), (4,), (64, 5), (64, 4)]]
+    grads = []
+    for keep in ([], None):
+        with Tape() as tape:
+            tape.backward(_mixed_graph(leaves, keep))
+        grads.append([p.grad for p in leaves])
+        zero_grads(leaves)
+    assert all(g is not None for g in grads[1])
+    assert all(_same_bits(a, b) for a, b in zip(*grads))
+
 # ---------------------------------------------------------------------------
 # AdamW
 

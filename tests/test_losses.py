@@ -304,7 +304,8 @@ def test_discriminator_forward_takes_one_power_iteration_step_per_layer():
 def test_taped_discriminator_forwards_hold_no_weight_copy():
     # One discriminator loss is two taped forwards. The layers divide their
     # inputs, not their weights, by sigma, so the tape keeps activation maps
-    # only: less than one copy of the weights.
+    # only, and only those a backward reads: 0.14 copies of the weights
+    # (0.49 when each step held its output and input tensors).
     disc = PatchDiscriminator(make_rng(43), base_width=64)
     rng = make_rng(44)
     ims = [Tensor(rng.uniform(-1, 1, size=(3, 64, 64))) for _ in range(2)]
@@ -318,15 +319,16 @@ def test_taped_discriminator_forwards_hold_no_weight_copy():
     finally:
         tracemalloc.stop()
     assert all(s.requires_grad for s in scores)
-    assert held < weight_bytes
+    assert held < 0.25 * weight_bytes
 
 
 
 def test_discriminator_backward_sums_weight_gradients_in_place():
     # Each weight gets two gradient contributions, one per forward. The tape
     # owns the first and adds the second into it a channel block at a time,
-    # so the backward peaks below 1.75 copies of the weights (2.76 when the
-    # two were summed into a third array).
+    # so the backward peaks at 1.39 copies of the weights (1.56 when each
+    # step held its output and input tensors, 2.76 when the two were summed
+    # into a third array).
     disc = PatchDiscriminator(make_rng(80), base_width=64)
     rng = make_rng(81)
     real, fake = (Tensor(rng.uniform(-1, 1, size=(3, 64, 64))) for _ in range(2))
@@ -340,7 +342,7 @@ def test_discriminator_backward_sums_weight_gradients_in_place():
     finally:
         tracemalloc.stop()
     assert all(p.grad is not None for p in disc.parameters())
-    assert peak - base <= 1.75 * weight_bytes
+    assert peak - base <= 1.5 * weight_bytes
 
 def test_discriminator_loss_detaches_generator():
     rng = make_rng(24)

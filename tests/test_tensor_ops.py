@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,10 @@ from linpaint.tensor import (
     absolute,
     conv2d,
     hadamard,
+    leaky_relu,
     make_rng,
     matmul,
+    mean_all,
     reshape,
     scale,
     sub,
@@ -446,6 +449,24 @@ def test_upsample_conv2d_matches_conv_of_upsampled_map(cin, cout):
     assert _rel_err(got, want) <= 1e-12
 
 
+def test_taped_upsample_conv2d_keeps_no_phase_map():
+    # The backward of the interleave needs only the shape of the 4 C_out
+    # phase map, so a taped up conv holds its output and the padded input
+    # (9.3 input maps when the step kept the phase map too).
+    rng = make_rng(450)
+    x = Parameter(rng.normal(size=(8, 64, 64)))
+    w, b = Parameter(rng.normal(size=(8, 8, 3, 3))), Parameter(rng.normal(size=8))
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            out = upsample_conv2d(x, w, b)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + 1.25 * x.data.nbytes
+
+
 def test_upsample_conv2d_rejects_other_kernels():
     x = Tensor(np.zeros((2, 3, 3)))
     with pytest.raises(ShapeError):
@@ -698,6 +719,63 @@ def test_ops_leave_inputs_unmodified():
     absolute(a)
     assert np.array_equal(a.data, a_before)
     assert np.array_equal(b.data, b_before)
+
+
+@pytest.mark.parametrize("op,forward,factor", [
+    (leaky_relu, lambda v, f: v * f, lambda v: np.where(v >= 0, 1.0, T._LEAKY_SLOPE)),
+    (absolute, lambda v, f: np.abs(v), np.sign),
+])
+def test_masked_ops_give_the_float_factor_bits(op, forward, factor):
+    # leaky_relu keeps a bool mask and absolute an int8 sign; the forward
+    # and the gradient are the bits of the forms with a float factor map.
+    rng = make_rng(14)
+    v = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+    v[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+    x = Parameter(v)
+    r = rng.normal(size=v.shape)
+    with Tape() as tape:
+        out = op(x)
+        tape.backward(sum_all(hadamard(out, Tensor(r))))
+    f = factor(v)
+    assert np.array_equal(out.data, forward(v, f))
+    assert np.array_equal(np.signbit(out.data), np.signbit(forward(v, f)))
+    assert np.array_equal(x.grad, r * f) and np.array_equal(np.signbit(x.grad),
+                                                            np.signbit(r * f))
+
+
+@pytest.mark.parametrize("op", [sum_all, mean_all])
+def test_reductions_keep_only_the_shape(op):
+    # The input of a sum or mean is read by no backward: it is freed once
+    # the caller drops it, and its gradient is a read-only broadcast of the
+    # scalar with the bits of a filled array.
+    rng = make_rng(15)
+    x = Parameter(rng.normal(size=(6, 5)))
+    with Tape() as tape:
+        t = scale(x, 1.0)
+        freed = weakref.ref(t.data)
+        loss = op(t)
+        del t
+        assert freed() is None
+        tape.backward(loss)
+    zero_grads([x])
+    with Tape() as tape:
+        tape.backward(op(x))
+    want = np.full(x.shape, 1.0 if op is sum_all else 1.0 / x.size)
+    assert np.array_equal(x.grad, want) and not x.grad.flags.writeable
+
+
+def test_reshape_keeps_only_the_shape():
+    # A reshape's output is a view of its input; the backward reshapes the
+    # gradient back from the shape alone, so neither array is kept.
+    x = Parameter(make_rng(16).normal(size=(4, 6)))
+    with Tape() as tape:
+        t = scale(x, 1.0)
+        freed = weakref.ref(t.data)
+        loss = sum_all(scale(reshape(t, (3, 8)), 2.0))
+        del t
+        assert freed() is None
+        tape.backward(loss)
+    assert np.array_equal(x.grad, np.full(x.shape, 2.0))
 
 
 def test_nonfinite_output_raises():

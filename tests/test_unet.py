@@ -462,11 +462,12 @@ def test_checkpoint_header_bytes(tmp_path):
 
 def test_forged_width_rejected_before_allocating(tmp_path):
     # A C=64 header on a C=2 model's data: the model it describes would take
-    # about 160 MB, the file is under 100 KB.
+    # about 160 MB, the file is 87 KB. Only the header prefix is read before
+    # the header is refused (35 KB peak; 114 KB when the whole file was read).
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(InpaintingUNet(tiny_config(base_channels=2), make_rng(26)), path)
     forge_checkpoint(path, rb"base_channels=\d+", b"base_channels=64")
-    size = os.path.getsize(path)
+    assert os.path.getsize(path) > 64 * 1024
     tracemalloc.start()
     try:
         with pytest.raises(CheckpointError, match="parameters"):
@@ -474,4 +475,29 @@ def test_forged_width_rejected_before_allocating(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * size
+    assert peak < 64 * 1024
+
+
+def test_bad_magic_refused_without_reading_the_file(tmp_path):
+    # --checkpoint pointed at a 4 MiB file that is not a checkpoint: the
+    # magic is checked before anything of the file's size is read.
+    path = str(tmp_path / "big.bin")
+    open(path, "wb").write(b"NOT-A-CHECKPOINT" * (1 << 18))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
+
+
+def test_checkpoint_header_must_end_within_the_prefix(tmp_path):
+    # Unknown keys are ignored, but the header must end within the bounded
+    # prefix that is read before the data block.
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(InpaintingUNet(tiny_config(base_channels=2), make_rng(27)), path)
+    forge_checkpoint(path, rb"norm=layer", b"norm=layer\nnote=" + b"x" * 5000)
+    with pytest.raises(CheckpointError, match="not terminated"):
+        load_checkpoint(path)
