@@ -74,7 +74,7 @@ TRAIN_ITERS = 3
 TRAIN_PHASES = ("d_backward", "d_adamw", "g_backward", "g_adamw")
 PROCESSES = 3
 # (side, RLIMIT_AS in MiB) of the paper-resolution step rows.
-STEP_LIMITS = ((128, 2048), (256, 2048), (256, 1536))
+STEP_LIMITS = ((128, 2048), (256, 2048), (256, 1536), (256, 1280))
 QUICK_STEP_LIMITS = STEP_LIMITS[:1]
 OUT = "BENCH_forward_memory.json"
 

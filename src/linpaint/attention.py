@@ -193,7 +193,7 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
         for i, a in enumerate(arrays[parts]):
             block[i * c:(i + 1) * c] = a[lo:hi].T
 
-    out, back = _taylor_core(load, n, 1, c, mode, eps, recording(inputs), normalize_qk)
+    out, back = _taylor_core(load, n, 1, c, mode, eps, normalize_qk)
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
         grads = np.empty((3, n, c))
@@ -205,8 +205,8 @@ def taylor_linear_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, heads: int,
-                 d: int, mode: str, eps: float, keep: bool, normalize_qk: bool = True
-                 ) -> tuple[np.ndarray, Callable[[np.ndarray], Iterator] | None]:
+                 d: int, mode: str, eps: float, normalize_qk: bool = True
+                 ) -> tuple[np.ndarray, Callable[[np.ndarray], Iterator]]:
     """The linear map of N tokens over ``heads`` heads of width d, run as
     two passes over bands of tokens (``row_bands``): every step is one
     batched numpy op over all heads.
@@ -223,14 +223,14 @@ def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, he
     only heads x d x N array. ``normalize_qk=False`` skips both
     normalizations.
 
-    Returns the (heads, d, N) output and, when ``keep``, ``back(g)``, which
-    yields (lo, hi, d_band) with the (3, heads, d, hi - lo) gradient of each
-    band of the stack for the output gradient ``g`` (a view of a reused
-    buffer, valid until the next band is asked for). It runs over the bands
+    Returns the (heads, d, N) output and ``back(g)``, which yields
+    (lo, hi, d_band) with the (3, heads, d, hi - lo) gradient of each band
+    of the stack for the output gradient ``g`` (a view of a reused buffer,
+    valid until the next band is asked for). It runs over the bands
     twice too, loading each band again and rescaling it by the norms the
     forward saved, so it works from the forward's unit vectors, bit for bit:
     pass 1 loads q for the d x d gradient of M and the sums over q, pass 2
-    loads q, k and v for each band's gradients. So a kept op holds its
+    loads q, k and v for each band's gradients. So a recorded op holds its
     output, M, s and terms of heads x N (the saved norms, the clamped
     denominators and where the clamp let the gradient through).
     """
@@ -285,8 +285,6 @@ def _taylor_core(load: Callable[[int, int, slice, np.ndarray], None], n: int, he
         denom = np.where(live, denom, np.where(denom >= 0, eps, -eps))
         band /= denom
         kept_q.append((q_saved, denom, live))
-    if not keep:
-        return out, None
 
     def out_grads(g: np.ndarray, lo: int, hi: int, denom: np.ndarray, g_den: np.ndarray,
                   buf: np.ndarray) -> np.ndarray:
@@ -412,8 +410,7 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
         np.matmul(w_qkv[rows], x_mat[:, lo:hi], out=block)
         block += b_qkv[rows]
 
-    out, back = _taylor_core(load, n, cfg.heads, cfg.head_dim, cfg.taylor_mode, cfg.eps,
-                             recording(inputs))
+    out, back = _taylor_core(load, n, cfg.heads, cfg.head_dim, cfg.taylor_mode, cfg.eps)
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
         dx = np.empty((c, n)) if needs[0] else None
@@ -444,8 +441,8 @@ def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Ten
     The attention output and the gate map are this function's own, so the
     gate is one :func:`gelu_gate` op that, without a tape, writes the
     product over the attention output. While a tape records, the layer's
-    ops keep the attention output, the gate map, its Phi and the gated map
-    (the output projection's input), and the core's terms of heads x N.
+    ops keep the attention output, the gate map and the gated map (the
+    output projection's input), and the core's terms of heads x N.
     """
     attended = multi_head_attention(x, proj, cfg)
     if cfg.gated:
@@ -457,38 +454,39 @@ def gelu_gate(a: Tensor, z: Tensor, overwrite: bool = False) -> Tensor:
     """a * GELU(z) as one op, with the exact GELU(z) = z * Phi(z).
 
     The work runs in chunks of ``_GATE_CHUNK`` elements, so no GELU map is
-    built: the op allocates its output and, while a tape records, Phi(z),
-    which it keeps with a and z. Its backward returns both gradients from
-    one pass over the chunks, g * GELU(z) for a and g * a * GELU'(z) for z,
-    with the operations of separate GELU and product ops and so their bits.
+    built: the op allocates its output and one chunk of Phi(z), and keeps
+    only a and z. Its backward recomputes Phi a chunk at a time and returns
+    both gradients from one pass over the chunks, g * GELU(z) for a and
+    g * a * GELU'(z) for z, with the bits of separate GELU and product ops.
     With ``overwrite`` and no tape the product is written over a's array,
     which the caller must own.
     """
     _same_shape(a, z, "gelu_gate")
-    keep = recording((a, z))
     shape, av, zv = a.shape, a.data.reshape(-1), z.data.reshape(-1)
     chunk = max(1, min(_GATE_CHUNK, zv.size))
-    out = av if overwrite and not keep else np.empty(zv.size)
-    phi = np.empty(zv.size if keep else chunk)
-    act = np.empty(chunk)
+    out = av if overwrite and not recording((a, z)) else np.empty(zv.size)
+    phi, act = np.empty(chunk), np.empty(chunk)
     for lo in range(0, zv.size, chunk):
         zc = zv[lo:lo + chunk]
-        pc = gauss_cdf(zc, out=phi[lo:lo + chunk] if keep else phi[:zc.size])
+        pc = gauss_cdf(zc, out=phi[:zc.size])
         np.multiply(av[lo:lo + chunk], np.multiply(zc, pc, out=act[:zc.size]),
                     out=out[lo:lo + chunk])
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
         gv = g.reshape(-1)
         da, dz = (np.empty(zv.size) if need else None for need in needs)
-        scratch = np.empty(chunk) if dz is not None else None
+        phi = np.empty(chunk)
         for lo in range(0, zv.size, chunk):
             part = slice(lo, lo + chunk)
-            zc, pc, gc = zv[part], phi[part], gv[part]
+            zc, gc = zv[part], gv[part]
+            pc = gauss_cdf(zc, out=phi[:zc.size])
             if da is not None:
                 np.multiply(gc, np.multiply(zc, pc, out=da[part]), out=da[part])
             if dz is not None:
-                np.multiply(np.multiply(gc, av[part], out=scratch[:zc.size]),
-                            gelu_slope(zc, pc, out=dz[part]), out=dz[part])
+                # slope * (g a): the bits of (g a) * slope, as IEEE
+                # multiplication commutes; g a is written over Phi.
+                slope = gelu_slope(zc, pc, out=dz[part])
+                slope *= np.multiply(gc, av[part], out=pc)
         return [None if gr is None else gr.reshape(shape) for gr in (da, dz)]
 
     return fused_op(out.reshape(a.shape), "gelu_gate", (a, z), vjp)

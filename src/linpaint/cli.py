@@ -645,6 +645,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NetpbmError, CheckpointError, OSError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_RUNTIME
     except ValueError as exc:   # ConfigError, ShapeError and any other bad value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

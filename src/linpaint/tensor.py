@@ -8,8 +8,8 @@ records a backward step for those inputs only; an operation on constants
 records nothing. The tape replays its steps once, in exact reverse order,
 freeing each step and intermediate gradient as it goes. :func:`fused_op`
 makes a computation written in plain numpy elsewhere one primitive, whose
-single step returns the gradients of all its inputs at once; such a
-computation asks :func:`recording` whether to keep what its backward needs.
+single step returns the gradients of all its inputs at once; it runs the
+same code with or without a tape, and only a recorded step keeps its backward.
 
 GELU's Gaussian CDF, :func:`gauss_cdf`, is plain numpy too: degree-5 Taylor
 coefficients of Phi tabulated at k/128 over [-40, 9], built at import from

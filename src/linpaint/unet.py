@@ -10,8 +10,8 @@ linear attention and a gated feed-forward unit in residual connections.
 
 The feed-forward unit is one recorded op, like attention: its forward pass
 runs over bands of whole rows with all hidden channels, so it holds its
-output and scratch the size of one band, and its hand-derived backward keeps
-only the depthwise outputs.
+output and scratch the size of one band, with or without a tape, and its
+hand-derived backward recomputes each band from x.
 
 Without a tape no full-resolution map outlives its last use: the up conv runs
 at the low resolution, the skip fusion passes the upsampled map and the skip
@@ -43,7 +43,6 @@ from .tensor import (
     gauss_cdf,
     gelu_slope,
     layer_norm_sites,
-    recording,
     row_bands,
     tanh,
     upsample_conv2d,
@@ -207,11 +206,11 @@ class FeedForward(Module):
     depthwise input, already padded. The depthwise conv, the gate
     dg * Phi(dg) * bi and the conv_out product then write the band's output
     columns. The band buffers are reused, so the op holds its output and
-    scratch the size of one band. Only the output is checked finite. While a
-    tape records, each band's depthwise outputs (bi, dg) are kept; backward
-    recomputes each band's stacked map from x, adds the gradient of its halo
-    rows into dx, sums the weight gradients over bands, and returns the
-    gradients of x and of all ten parameters at once.
+    scratch the size of one band, taped or not. Only the output is checked
+    finite. The backward recomputes each band's stacked map from x and its
+    depthwise outputs (bi, dg) from that, bit for bit, adds the gradient of
+    its halo rows into dx, sums the weight gradients over bands, and returns
+    the gradients of x and of all ten parameters at once.
     """
 
     # Residual-branch outputs start near zero so a fresh block is close to the
@@ -246,14 +245,17 @@ class FeedForward(Module):
         bands = row_bands(h, w + 2)
         rows = bands[0][1]
 
-        def scratch() -> tuple[np.ndarray, np.ndarray]:
-            """A zero-ringed band of x and room for one band's stacked map."""
-            return np.zeros((c, rows + 2, w + 2)), np.empty(two * (rows + 2) * (w + 2))
+        def scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """A zero-ringed band of x and room for one band's stacked map and
+            for its depthwise outputs."""
+            return (np.zeros((c, rows + 2, w + 2)), np.empty(two * (rows + 2) * (w + 2)),
+                    np.empty(two * rows * w))
 
-        def depthwise_input(r0: int, r1: int, x_band: np.ndarray,
-                            pre_buf: np.ndarray) -> np.ndarray:
-            """The stacked 1x1 map of x's rows [r0 - 1, r1 + 1) with its ring
-            (and any row outside x) zeroed: the band's depthwise input, padded."""
+        def depthwise(r0: int, r1: int, x_band: np.ndarray, pre_buf: np.ndarray,
+                      dw_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """The band's depthwise input, padded: the stacked 1x1 map of x's
+            rows [r0 - 1, r1 + 1) with its ring (and any row outside x) zeroed;
+            and the depthwise outputs bi, dg (hidden x band) it gives."""
             lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
             xb = x_band[:, :r1 - r0 + 2]
             xb[:, lo - r0 + 1:hi - r0 + 1, 1:-1] = xd[:, lo:hi]
@@ -266,22 +268,17 @@ class FeedForward(Module):
                 pre[:, 0] = 0.0
             if r1 == h:
                 pre[:, -1] = 0.0
-            return pre
+            dw_out = dw_buf[:two * (r1 - r0) * w].reshape(two, r1 - r0, w)
+            depthwise_taps(pre, dw_w, dw_b, dw_out)
+            return pre, *dw_out.reshape(2, hidden, -1)
 
-        kept: list[np.ndarray] | None = [] if recording(inputs) else None
-        x_band, pre_buf = scratch()
+        bufs = scratch()
         out = np.empty((c, h * w))
-        dw_buf = np.empty(two * rows * w) if kept is None else None
         for r0, r1 in bands:
             m = (r1 - r0) * w
-            dw_out = dw_buf[:two * m] if kept is None else np.empty(two * m)
-            if kept is not None:
-                kept.append(dw_out)
-            depthwise_taps(depthwise_input(r0, r1, x_band, pre_buf), dw_w, dw_b,
-                           dw_out.reshape(two, r1 - r0, w))
-            bi, dg = dw_out.reshape(2, hidden, m)
+            _, bi, dg = depthwise(r0, r1, *bufs)
             # The stacked map is used up: the gate goes in its buffer.
-            z = gauss_cdf(dg, out=pre_buf[:hidden * m].reshape(hidden, m))
+            z = gauss_cdf(dg, out=bufs[1][:hidden * m].reshape(hidden, m))
             z *= dg
             z *= bi
             np.matmul(co_mat, z, out=out[:, r0 * w:r1 * w])
@@ -294,9 +291,9 @@ class FeedForward(Module):
             d_pre_w, d_pre_b = np.zeros((two, c)), np.zeros(two)
             d_dw_w, d_dw_b = np.zeros((two, 3, 3)), np.zeros(two)
             d_co = np.zeros((c, hidden))
-            for (r0, r1), dw_out in zip(bands, kept):
+            for r0, r1 in bands:
                 m = (r1 - r0) * w
-                bi, dg = dw_out.reshape(2, hidden, m)
+                pre, bi, dg = depthwise(r0, r1, *bufs)
                 g_band = g_mat[:, r0 * w:r1 * w]
                 phi = gauss_cdf(dg)
                 act = dg * phi
@@ -310,7 +307,7 @@ class FeedForward(Module):
                 np.multiply(dz, gelu_slope(dg, phi), out=gg)
                 del phi, act, dz
                 d_dw_b += g_dw.reshape(two, m).sum(axis=1)
-                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, depthwise_input(r0, r1, *bufs))
+                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, pre)
                 d_dw_w += d_w
                 # The zeroed ring is a constant: only x's rows and columns
                 # have a gradient, the halo rows included.

@@ -285,7 +285,7 @@ def test_multi_head_matches_per_head_loop(heads, mode, clamp, normalize_qk):
     if normalize_qk:
         got = multi_head_attention(x, proj, cfg).data.reshape(q.shape)
     else:
-        got, _ = _stack_core(stack, mode, cfg.eps, keep=False)
+        got, _ = _stack_core(stack, mode, cfg.eps)
     for h in range(heads):
         want = taylor_linear_attention(
             Tensor(q[h].T), Tensor(k[h].T), Tensor(v[h].T), mode=mode,
@@ -327,21 +327,21 @@ def _composed_multi_head(x, proj, cfg, normalize_qk=True):
         q, k, v, cfg.taylor_mode, cfg.eps, normalize_qk))
 
 
-def _stack_core(stack, mode, eps, keep):
+def _stack_core(stack, mode, eps):
     """The banded core with the kernel-level normalize_qk=False on a whole
     (3, heads, d, N) q/k/v stack."""
     _, heads, d, n = stack.shape
     def load(lo, hi, parts, block):
         block[...] = stack[parts, ..., lo:hi].reshape(block.shape)
 
-    return _taylor_core(load, n, heads, d, mode, eps, keep, normalize_qk=False)
+    return _taylor_core(load, n, heads, d, mode, eps, normalize_qk=False)
 
 
 def _unnormalized_core(q, k, v, mode, eps):
     """The banded core with the kernel-level normalize_qk=False on three
     (heads, d, N) tensors, as one recorded op."""
     qkv = np.stack([q.data, k.data, v.data])
-    out, back = _stack_core(qkv, mode, eps, keep=True)
+    out, back = _stack_core(qkv, mode, eps)
 
     def vjp(g, needs):
         dqkv = np.empty(qkv.shape)
@@ -752,11 +752,13 @@ def test_taped_multi_head_keeps_its_output_and_heads_by_n_terms():
 
 
 def test_taped_gated_attention_peak_across_bands(monkeypatch):
-    # A taped forward and backward over five bands peaks at 7.4 C x N maps
+    # A taped forward and backward over five bands peaks at 7.7 C x N maps
     # above its inputs (8.4 when each step held its output and input
     # tensors, 12.4 when the core kept every band's unit q, k and v and the
     # gate kept its GELU map): the backward projects each band's q, k and v
-    # again, into band-sized buffers.
+    # again, into band-sized buffers. It is 7.4 when the gate keeps Phi(z):
+    # recomputing it puts a chunk of Phi and gauss_cdf's scratch on the peak,
+    # and at this shape one chunk is the whole map.
     rng = make_rng(53)
     cfg = AttentionConfig(channels=16, heads=2)
     proj = ProjectionSet.init(16, rng)
@@ -792,6 +794,25 @@ def test_gelu_gate_is_the_gelu_and_product_ops_bit_for_bit(monkeypatch, size):
     assert np.array_equal(out.data, a.data * y)
     assert np.array_equal(a.grad, r.data * y)
     assert np.array_equal(z.grad, (r.data * a.data) * slope)
+
+
+def test_taped_gelu_gate_holds_its_output_and_no_phi(monkeypatch):
+    # A taped gate holds a and z, which are its inputs, and its output; Phi(z)
+    # is recomputed a chunk at a time in the backward. With chunks of a
+    # sixteenth of the map it holds 1.00 maps above its inputs (2.00 when it
+    # kept Phi(z)).
+    monkeypatch.setattr(A, "_GATE_CHUNK", 16 * 64 * 64 // 16)
+    rng = make_rng(58)
+    a, z = (Parameter(rng.normal(size=(16, 64, 64))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            out = gelu_gate(a, z, overwrite=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + 8 * A._GATE_CHUNK
 
 
 def test_gelu_gate_overwrites_only_when_asked_and_untaped():

@@ -643,6 +643,25 @@ def test_bad_flag_value_names_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message,err", [
+    ("Unable to allocate 74.5 TiB for an array", "error: out of memory: Unable to allocate"
+                                                 " 74.5 TiB for an array\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy-message", "no-message"])
+def test_out_of_memory_is_a_runtime_failure(monkeypatch, capsys, message, err):
+    # An allocation the machine cannot serve exits 2 with one line, not a
+    # traceback and the validation code. The verb's work is replaced by a
+    # raise, so nothing large is allocated.
+    import linpaint.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_bench", out_of_memory)
+    assert main(["bench", "--resolutions", "100000x100000,2x2"]) == 2
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("error,code", [
     (NetpbmError("bad netpbm"), 2),
     (CheckpointError("bad checkpoint"), 2),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 
@@ -17,7 +18,16 @@ from linpaint.losses import (
     style_loss,
     total_loss,
 )
-from linpaint.tensor import Tensor, conv2d, hadamard, leaky_relu, make_rng, scale, sum_all
+from linpaint.tensor import (
+    Tensor,
+    conv2d,
+    fused_op,
+    hadamard,
+    leaky_relu,
+    make_rng,
+    scale,
+    sum_all,
+)
 from linpaint.unet import InpaintingUNet, ModelConfig
 
 
@@ -461,6 +471,69 @@ def test_frozen_discriminator_leaves_generator_gradients_unchanged():
         zero_grads(model.parameters())
         assert all((p.grad is None) == frozen for p in disc.parameters())
     assert all(np.array_equal(a, b) for a, b in zip(*runs, strict=True))
+
+
+def _tensors_held_by_steps(tape):
+    """The Tensors that the tape's recorded steps reach through closure cells,
+    following functions, tuples, lists and dicts."""
+    found, seen, todo = [], set(), list(tape._steps)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:      # a cell that was never filled
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return found
+
+
+def test_the_step_walk_finds_a_captured_tensor():
+    # The walk reaches a tensor nested in a dict, a tuple and a list.
+    p = Parameter(np.ones(3))
+    box = {"held": ([p],)}
+
+    def vjp(g, needs):
+        return [g * box["held"][0][0].data]
+
+    with Tape() as tape:
+        fused_op(p.data * p.data, "probe", (p,), vjp)
+        found = _tensors_held_by_steps(tape)
+    assert len(found) == 1 and found[0] is p
+
+
+def test_no_recorded_step_holds_a_tensor():
+    # A step holds gradient slots and the arrays its backward reads, never a
+    # Tensor, so no tensor outlives its last reader because of the tape. Walked
+    # over a taped C=4 model forward, the discriminator loss and the generator
+    # loss, nested as train_toy nests them.
+    rng = make_rng(93)
+    config = ModelConfig(base_channels=4, block_counts=(1,) * 7,
+                         heads_per_level=(1,) * 7)
+    model = InpaintingUNet(config, make_rng(94))
+    disc = PatchDiscriminator(make_rng(95), base_width=4)
+    fx = RandomConvFeatureExtractor()
+    im = Tensor(rng.uniform(-0.5, 0.5, size=(3, 32, 32)))
+    target = Tensor(rng.uniform(-1, 1, size=(3, 32, 32)))
+    with Tape() as tg:
+        out = model.forward(im)
+        forward_steps = len(tg)
+        with Tape() as td:
+            discriminator_loss(disc, target, out.detach())
+            assert len(td) > 0
+            assert _tensors_held_by_steps(td) == []
+        total_loss(out, target, fx.features(target), fx, disc)
+        assert forward_steps > 0 and len(tg) > forward_steps
+        assert _tensors_held_by_steps(tg) == []
 
 
 def test_total_loss_terms_and_one_extractor_pass_per_image(monkeypatch):

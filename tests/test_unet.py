@@ -170,8 +170,8 @@ def test_fused_ffn_frozen_parameters_get_no_gradient():
 
 
 def test_fused_ffn_output_is_the_same_with_and_without_a_tape(monkeypatch):
-    # Bands of 3, 3 and 1 rows: untaped, the band buffers are reused; taped,
-    # each band's depthwise output is kept, in one tape step.
+    # Bands of 3, 3 and 1 rows, which reuse the band buffers with or without
+    # a tape; the tape only adds one step.
     ffn, x, _ = _ffn_case(4, 1.75, 7, 6)
     _force_band_rows(monkeypatch, ffn, 6, 3)
     plain = ffn(x).data
@@ -179,6 +179,26 @@ def test_fused_ffn_output_is_the_same_with_and_without_a_tape(monkeypatch):
         taped = ffn(x).data
     assert len(tape) == 1
     assert np.array_equal(plain, taped)
+
+
+def test_taped_fused_ffn_holds_its_output_and_weight_copies():
+    # The taped op holds, above its inputs, its output (1.0 C x N maps) and
+    # the stacked copies of its weights: 1.05 maps in all at C=32, hidden 64,
+    # 64 x 64 (5.05 when each band's depthwise outputs were kept). The
+    # backward runs each band's depthwise conv again.
+    rng = make_rng(24)
+    ffn = FeedForward(rng, 32, 64, "ffn")
+    x = Parameter(rng.normal(size=(32, 64, 64)))
+    param_bytes = sum(p.data.nbytes for p in ffn.parameters())
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            out = ffn(x)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + 2 * param_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +269,11 @@ def test_forward_roundtrip_and_determinism():
 
 
 def test_forward_is_the_same_with_and_without_a_tape(monkeypatch):
-    # Without a tape, attention normalizes q and k in place, reuses its band
-    # buffers and forms the gate in place, and the decoder drops each skip map
-    # once it is fused; with one, what the backward needs is kept. Bands of 64
-    # elements per channel put every level's banded ops over several bands.
+    # The fused ops run the same code with or without a tape, except that
+    # without one the gate is written over the attention output; the decoder
+    # drops each skip map once it is fused unless a backward reads it. Bands
+    # of 64 elements per channel put every level's banded ops over several
+    # bands.
     monkeypatch.setattr(T, "_BAND", 64)
     model = InpaintingUNet(tiny_config(), make_rng(18))
     im = Tensor(make_rng(19).normal(size=(3, 16, 24)) * 0.3)
