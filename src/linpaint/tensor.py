@@ -250,8 +250,8 @@ JointVJP = Callable[[np.ndarray, tuple[bool, ...]], Iterable["np.ndarray | None"
 
 def recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on ``inputs`` records a step now: a tape is active and
-    one of them requires a gradient. An op can keep what its backward needs
-    only then."""
+    one of them requires a gradient. Only when it does not may an op write
+    its output over an input's array that a backward could read."""
     return _active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
