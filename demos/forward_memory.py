@@ -37,7 +37,8 @@ each row gives their median.
   resolution.
 
 The rows go to BENCH_forward_memory.json in the working directory, stamped
-with nproc, the BLAS, numpy and the git revision.
+with nproc, the BLAS, numpy, the git revision and whether the working tree
+differed from it (``dirty``: ``git status --porcelain`` printed anything).
 
 Run: python demos/forward_memory.py [--quick]
      (--quick: 64x64 and 128x128, the two smallest attention shapes, the
@@ -74,7 +75,7 @@ TRAIN_ITERS = 3
 TRAIN_PHASES = ("d_backward", "d_adamw", "g_backward", "g_adamw")
 PROCESSES = 3
 # (side, RLIMIT_AS in MiB) of the paper-resolution step rows.
-STEP_LIMITS = ((128, 2048), (256, 2048), (256, 1536), (256, 1280))
+STEP_LIMITS = ((128, 2048), (256, 2048), (256, 1536), (256, 1280), (256, 1152))
 QUICK_STEP_LIMITS = STEP_LIMITS[:1]
 OUT = "BENCH_forward_memory.json"
 
@@ -240,14 +241,19 @@ def stamp() -> dict:
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (KeyError, TypeError, ValueError):
         blas = None
-    try:
-        rev = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-                             cwd=Path(__file__).resolve().parent, timeout=10).stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        rev = ""
+    def git(*args: str) -> str | None:
+        try:
+            run = subprocess.run(["git", *args], capture_output=True, text=True,
+                                 cwd=Path(__file__).resolve().parent, timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return run.stdout if run.returncode == 0 else None
+
+    rev, status = git("rev-parse", "HEAD"), git("status", "--porcelain")
     return {"nproc": os.cpu_count(), "blas": blas, "numpy": np.__version__,
             "python": platform.python_version(), "machine": platform.machine(),
-            "git_revision": rev or None}
+            "git_revision": (rev or "").strip() or None,
+            "dirty": None if status is None else status.strip() != ""}
 
 
 def main() -> None:

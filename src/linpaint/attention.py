@@ -25,9 +25,11 @@ parameters at once. q and k are normalized in place in each band, with or
 without a tape. A taped op keeps only its output and terms of heads x d x d
 or heads x N, among them the norms it divided q and k by: its backward
 projects each band's q, k and v again and rescales them by those norms, so
-it works from the forward's unit vectors, bit for bit. The learned gate
-a * GELU(z) is one op too (:func:`gelu_gate`); without a tape it is formed
-in place in the layer's own maps.
+it works from the forward's unit vectors, bit for bit. Its backward adds
+the input's gradient into an owned one in place. The learned gate and the
+output projection, W_out (a * GELU(W_gate x + b_gate)) + b_out, are one op
+too (:func:`gated_projection`), run over bands of image rows: a taped layer
+keeps the core's output, and the gate is recomputed band by band.
 """
 
 from __future__ import annotations
@@ -42,13 +44,13 @@ from .autograd import Module, Parameter, _conv_params
 from .tensor import (
     ShapeError,
     Tensor,
+    _owned_grad,
     _same_shape,
     _swap,
     conv2d,
     fused_op,
     gauss_cdf,
     gelu_slope,
-    recording,
     rescale_slices,
     row_bands,
     unit_slices,
@@ -64,7 +66,7 @@ __all__ = [
     "taylor_attention_quadratic",
     "multi_head_attention",
     "gated_attention",
-    "gelu_gate",
+    "gated_projection",
 ]
 
 TAYLOR_MODES = ("sum", "residual", "none")
@@ -72,9 +74,6 @@ TAYLOR_MODES = ("sum", "residual", "none")
 # Query rows per block of the two O(N^2) oracles: each holds one block x N
 # weight array at a time.
 _ORACLE_ROWS = 256
-
-# Elements per chunk of the gate (512 KB of float64).
-_GATE_CHUNK = 1 << 16
 
 
 @dataclass
@@ -393,7 +392,10 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
     of tokens when it loads it: a band's k and v are rows of one product
     with the stacked [wk; wv], its q one product with wq. The backward
     returns the gradients of x and of all six projection parameters at once,
-    from each band's (3C, band) gradient of the stack.
+    from each band's (3C, band) gradient of the stack. Where the tape owns
+    x.grad already (in :func:`gated_attention`, the gate's contribution),
+    x's gradient is added into it band by band, so no second map of x's
+    size is built.
     """
     cfg.validate()
     if x.data.ndim != 3 or x.shape[0] != cfg.channels:
@@ -411,13 +413,18 @@ def multi_head_attention(x: Tensor, proj: ProjectionSet,
         block += b_qkv[rows]
 
     out, back = _taylor_core(load, n, cfg.heads, cfg.head_dim, cfg.taylor_mode, cfg.eps)
+    x_slot = x._slot
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
-        dx = np.empty((c, n)) if needs[0] else None
+        # x's gradient is added band by band into an owned x.grad, if any.
+        into = _owned_grad(x_slot) if needs[0] else None
+        dx = np.empty((c, n)) if needs[0] and into is None else None
         d_w, d_b = np.zeros((3 * c, c)), np.zeros(3 * c)
         for lo, hi, d_band in back(g.reshape(out.shape)):
             d_mat = d_band.reshape(3 * c, hi - lo)
-            if dx is not None:
+            if into is not None:
+                into.reshape(c, n)[:, lo:hi] += w_qkv.T @ d_mat
+            elif dx is not None:
                 np.matmul(w_qkv.T, d_mat, out=dx[:, lo:hi])
             d_w += d_mat @ x_mat[:, lo:hi].T
             d_b += d_mat.sum(axis=1)
@@ -438,55 +445,75 @@ def gated_attention(x: Tensor, proj: ProjectionSet, cfg: AttentionConfig) -> Ten
     linearized weights are least trustworthy. With gating off this is plain
     projected attention.
 
-    The attention output and the gate map are this function's own, so the
-    gate is one :func:`gelu_gate` op that, without a tape, writes the
-    product over the attention output. While a tape records, the layer's
-    ops keep the attention output, the gate map and the gated map (the
-    output projection's input), and the core's terms of heads x N.
+    The gate and the output projection are one op, :func:`gated_projection`,
+    so no gate map is built, with or without a tape. While a tape records,
+    the layer keeps the attention output and the core's terms of heads x N,
+    and nothing else of its own.
     """
     attended = multi_head_attention(x, proj, cfg)
     if cfg.gated:
-        attended = gelu_gate(attended, conv2d(x, proj.w_gate, proj.b_gate), overwrite=True)
+        return gated_projection(attended, x, proj)
     return conv2d(attended, proj.w_out, proj.b_out)
 
 
-def gelu_gate(a: Tensor, z: Tensor, overwrite: bool = False) -> Tensor:
-    """a * GELU(z) as one op, with the exact GELU(z) = z * Phi(z).
+def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
+    """W_out (a * GELU(W_gate x + b_gate)) + b_out as one op, with the exact
+    GELU(z) = z * Phi(z): the gate and output projection of the attention
+    output ``a`` for the layer input ``x`` (both C x H x W).
 
-    The work runs in chunks of ``_GATE_CHUNK`` elements, so no GELU map is
-    built: the op allocates its output and one chunk of Phi(z), and keeps
-    only a and z. Its backward recomputes Phi a chunk at a time and returns
-    both gradients from one pass over the chunks, g * GELU(z) for a and
-    g * a * GELU'(z) for z, with the bits of separate GELU and product ops.
-    With ``overwrite`` and no tape the product is written over a's array,
-    which the caller must own.
+    It runs over bands of whole image rows (``row_bands(h, w)``) through two
+    band buffers, so no gate map is built. Where the image width is a
+    multiple of 8, each band's products have the bits of one product over
+    the whole map (OpenBLAS gives a block of 8 columns that a band boundary
+    cuts other bits), so the output is that of separate 1x1 conv, gate and
+    1x1 conv ops. A recorded step keeps only a and x; its backward
+    recomputes each band's z and Phi(z) and returns all six gradients from
+    one pass. Those of a and x have the separate ops' bits; the parameters'
+    are summed over the bands, so their last bits can differ.
     """
-    _same_shape(a, z, "gelu_gate")
-    shape, av, zv = a.shape, a.data.reshape(-1), z.data.reshape(-1)
-    chunk = max(1, min(_GATE_CHUNK, zv.size))
-    out = av if overwrite and not recording((a, z)) else np.empty(zv.size)
-    phi, act = np.empty(chunk), np.empty(chunk)
-    for lo in range(0, zv.size, chunk):
-        zc = zv[lo:lo + chunk]
-        pc = gauss_cdf(zc, out=phi[:zc.size])
-        np.multiply(av[lo:lo + chunk], np.multiply(zc, pc, out=act[:zc.size]),
-                    out=out[lo:lo + chunk])
+    _same_shape(a, x, "gated_projection")
+    shape = c, h, w = a.shape
+    n = h * w
+    inputs = (a, x, proj.w_gate, proj.b_gate, proj.w_out, proj.b_out)
+    w_g, w_o = proj.w_gate.data.reshape(c, c), proj.w_out.data.reshape(c, c)
+    b_g, b_o = proj.b_gate.data[:, None], proj.b_out.data[:, None]
+    a_mat, x_mat = a.data.reshape(c, n), x.data.reshape(c, n)
+    bands = [(r0 * w, r1 * w) for r0, r1 in row_bands(h, w)]
 
-    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
-        gv = g.reshape(-1)
-        da, dz = (np.empty(zv.size) if need else None for need in needs)
-        phi = np.empty(chunk)
-        for lo in range(0, zv.size, chunk):
-            part = slice(lo, lo + chunk)
-            zc, gc = zv[part], gv[part]
-            pc = gauss_cdf(zc, out=phi[:zc.size])
-            if da is not None:
-                np.multiply(gc, np.multiply(zc, pc, out=da[part]), out=da[part])
-            if dz is not None:
-                # slope * (g a): the bits of (g a) * slope, as IEEE
-                # multiplication commutes; g a is written over Phi.
-                slope = gelu_slope(zc, pc, out=dz[part])
-                slope *= np.multiply(gc, av[part], out=pc)
-        return [None if gr is None else gr.reshape(shape) for gr in (da, dz)]
+    def band_buffers() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """(lo, hi, z, Phi(z)) per band, in two contiguous C x band buffers."""
+        z_buf, phi_buf = np.empty(c * bands[0][1]), np.empty(c * bands[0][1])
+        for lo, hi in bands:
+            z, phi = (buf[:c * (hi - lo)].reshape(c, hi - lo) for buf in (z_buf, phi_buf))
+            np.matmul(w_g, x_mat[:, lo:hi], out=z)
+            z += b_g
+            yield lo, hi, z, gauss_cdf(z, out=phi)
 
-    return fused_op(out.reshape(a.shape), "gelu_gate", (a, z), vjp)
+    out = np.empty((c, n))
+    for lo, hi, z, phi in band_buffers():
+        z *= phi
+        z *= a_mat[:, lo:hi]
+        np.matmul(w_o, z, out=out[:, lo:hi])
+        out[:, lo:hi] += b_o
+
+    def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray]:
+        g_mat = g.reshape(c, n)
+        da, dx = np.empty((c, n)), np.empty((c, n))
+        d_wg, d_bg, d_wo = np.zeros((c, c)), np.zeros(c), np.zeros((c, c))
+        for lo, hi, z, phi in band_buffers():
+            # The bands of da and dx hold z Phi(z) and GELU'(z) until their
+            # own gradients are written over them.
+            act, slope = np.multiply(z, phi, out=da[:, lo:hi]), dx[:, lo:hi]
+            gelu_slope(z, phi, out=slope)
+            d_wo += g_mat[:, lo:hi] @ np.multiply(a_mat[:, lo:hi], act, out=phi).T
+            d_gated = np.matmul(w_o.T, g_mat[:, lo:hi], out=z)
+            act *= d_gated
+            d_gated *= a_mat[:, lo:hi]
+            d_gated *= slope                    # the gradient of z
+            np.matmul(w_g.T, d_gated, out=slope)
+            d_wg += d_gated @ x_mat[:, lo:hi].T
+            d_bg += d_gated.sum(axis=1)
+        return [da.reshape(shape), dx.reshape(shape), d_wg.reshape(c, c, 1, 1), d_bg,
+                d_wo.reshape(c, c, 1, 1), g_mat.sum(axis=1)]
+
+    return fused_op(out.reshape(shape), "gated_projection", inputs, vjp)

@@ -32,7 +32,7 @@ from .attention import (
     TAYLOR_MODES,
     AttentionConfig,
     ProjectionSet,
-    gelu_gate,
+    gated_projection,
     multi_head_attention,
     taylor_attention_quadratic,
     taylor_linear_attention,
@@ -439,9 +439,6 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
 
     p = Parameter(rng.normal(size=(10,)))
     r_p = Tensor(rng.normal(size=(10,)))
-    # The gated map from a stream of its own, so the other units' inputs are unchanged.
-    p_a = Parameter(make_rng(seed + 1).normal(size=(10,)))
-    unit("gelu_gate", lambda: sum_all(hadamard(gelu_gate(p_a, p), r_p)), [p_a, p])
     unit("tanh", lambda: sum_all(hadamard(tanh(p), r_p)), [p])
     unit("sigmoid", lambda: sum_all(hadamard(sigmoid(p), r_p)), [p])
     unit("leaky_relu", lambda: sum_all(hadamard(leaky_relu(p), r_p)), [p])
@@ -471,6 +468,15 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
     unit("multi_head_attention",
          lambda: sum_all(hadamard(multi_head_attention(xa, proj, cfg), r_xa)),
          [xa, proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv])
+    # The fused gate and output projection: a, x and the four parameters,
+    # from a stream of their own, so the other units' inputs are unchanged.
+    rng_g = make_rng(seed + 1)
+    ag, xg = (Parameter(rng_g.normal(size=(4, 3, 4))) for _ in range(2))
+    r_g = Tensor(rng_g.normal(size=(4, 3, 4)))
+    pg = ProjectionSet.init(4, rng_g)
+    pg.b_gate.data[:] = rng_g.normal(size=4)
+    unit("gated_projection", lambda: sum_all(hadamard(gated_projection(ag, xg, pg), r_g)),
+         [ag, xg, pg.w_gate, pg.b_gate, pg.w_out, pg.b_out])
 
     # The fused feed-forward op: x and all ten parameters.
     from .unet import FeedForward

@@ -33,7 +33,6 @@ __all__ = [
     "Tape",
     "make_rng",
     "fused_op",
-    "recording",
     "matmul",
     "transpose",
     "conv2d",
@@ -248,17 +247,11 @@ def _accumulate(tape: Tape, slot: _GradSlot, g: np.ndarray, fresh: bool) -> None
 JointVJP = Callable[[np.ndarray, tuple[bool, ...]], Iterable["np.ndarray | None"]]
 
 
-def recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on ``inputs`` records a step now: a tape is active and
-    one of them requires a gradient. Only when it does not may an op write
-    its output over an input's array that a backward could read."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
-
-
 def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
-    """Record one step for all of ``inputs``. ``needs`` is fixed now: which
-    inputs require a gradient. The gradients are accumulated as ``vjp`` yields
-    them, so a lazy ``vjp`` frees each one before it computes the next. The
+    """Record one step for all of ``inputs`` while a tape is active and one
+    of them requires a gradient. ``needs`` is fixed now: which inputs require
+    a gradient. The gradients are accumulated as ``vjp`` yields them, so a
+    lazy ``vjp`` frees each one before it computes the next. The
     step holds the gradient slots of ``out`` and ``inputs``, not the tensors,
     so ``vjp`` must capture every array it reads.
 
@@ -266,11 +259,11 @@ def _record_joint(out: Tensor, inputs: Sequence[Tensor], vjp: JointVJP) -> None:
     array that nothing else references, or ``g`` or a view of ``g``. It may
     yield None for an input whose gradient it added into that input's owned
     ``grad`` itself (:func:`_owned_grad`)."""
-    if not recording(inputs):
-        return
-    needs = tuple(t.requires_grad for t in inputs)
-    out.requires_grad = True
     tape = _active_tape()
+    needs = tuple(t.requires_grad for t in inputs)
+    if tape is None or not any(needs):
+        return
+    out.requires_grad = True
     out_slot, slots = out._slot, tuple(t._slot for t in inputs)
 
     def step() -> None:

@@ -1,8 +1,10 @@
 """Composed tensor ops that no command runs, kept as test references.
 
 The fused attention op is held to a composition of generic ops
-(``_composed_multi_head`` in test_attention.py), the fused feed-forward op to
-one built on :func:`depthwise_conv2d` (``composed_ffn`` in test_unet.py),
+(``_composed_multi_head`` in test_attention.py), the fused gate and output
+projection to a 1x1 conv, :func:`gelu_gate` and a 1x1 conv, the fused
+feed-forward op to one built on :func:`depthwise_conv2d` and
+:func:`gelu_gate` (``composed_ffn`` in test_unet.py),
 ``upsample_conv2d`` to a conv of :func:`nearest_upsample2x`, and ``conv2d``
 of channel parts to a conv of :func:`concat_channels`. Each op here is one
 :func:`linpaint.tensor.fused_op`, so it records a tape step and checks its
@@ -17,6 +19,8 @@ from linpaint.tensor import (
     depthwise_taps,
     depthwise_taps_back,
     fused_op,
+    gauss_cdf,
+    gelu_slope,
     unit_slices,
 )
 
@@ -113,3 +117,18 @@ def concat_channels(*parts: Tensor) -> Tensor:
     cuts = np.cumsum([p.shape[0] for p in parts])[:-1]
     return fused_op(np.concatenate([p.data for p in parts]), "concat_channels", parts,
                     lambda g, needs: np.split(g, cuts))
+
+
+def gelu_gate(a: Tensor, z: Tensor) -> Tensor:
+    """a * GELU(z) with the exact GELU(z) = z * Phi(z), as one op on whole
+    maps: out = a (z Phi(z)); its gradients are g (z Phi(z)) for a and
+    (g a) GELU'(z) for z."""
+    if a.shape != z.shape:
+        raise ShapeError(f"gelu_gate shape mismatch: {a.shape} vs {z.shape}")
+    phi = gauss_cdf(z.data)
+    act = z.data * phi
+
+    def vjp(g, needs):
+        return g * act, gelu_slope(z.data, phi) * (g * a.data)
+
+    return fused_op(a.data * act, "gelu_gate", (a, z), vjp)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import force_bands, reference_softmax, reference_taylor
-from reference_ops import div_broadcast, guard_denominator, l2_normalize, sum_axis
+from reference_ops import div_broadcast, gelu_gate, guard_denominator, l2_normalize, sum_axis
 
 import linpaint.attention as A
 from linpaint import tensor as T
@@ -13,7 +13,7 @@ from linpaint.attention import (
     ProjectionSet,
     _taylor_core,
     gated_attention,
-    gelu_gate,
+    gated_projection,
     multi_head_attention,
     taylor_attention_quadratic,
     taylor_linear_attention,
@@ -454,8 +454,8 @@ def test_multi_head_gradient_across_ragged_bands(monkeypatch):
 
 @pytest.mark.parametrize("gated", [True, False])
 def test_attention_output_is_the_same_with_and_without_a_tape(monkeypatch, gated):
-    # Across ragged bands, the core and the gate (in place without a tape)
-    # give the same bits either way; the core is one tape step.
+    # Across ragged bands, the core and the gate give the same bits with or
+    # without a tape; the core is one tape step.
     cfg, proj, x, _ = _attention_case(50, 8, 2, gated=gated)
     proj.b_gate.data[:] = make_rng(51).normal(size=8)
     force_bands(monkeypatch, 30, 1, 8)
@@ -471,9 +471,9 @@ def test_attention_output_is_the_same_with_and_without_a_tape(monkeypatch, gated
 
 def test_tape_free_gate_builds_no_gate_sized_temporaries(monkeypatch):
     # Without a tape the layer holds at most two C x N maps at once (the
-    # attention output with the gate map, then with the output projection's
-    # result) and chunk and band scratch: 2.57 maps measured, 4.65 when the
-    # gate's Phi, GELU and product were separate maps.
+    # attention output and the output) and band scratch: 2.38 maps measured,
+    # 2.82 when the gate map was built, 4.65 when the gate's Phi, GELU and
+    # product were separate maps.
     rng = make_rng(52)
     cfg = AttentionConfig(channels=16, heads=2)
     proj = ProjectionSet.init(16, rng)
@@ -695,13 +695,14 @@ def test_ablation_axes_are_live():
 
 
 def test_gated_attention_backward_frees_as_it_replays():
-    # The forward holds 4.4 C x N maps (6.4 when each step held its output
-    # and input tensors): the attention output, the gate map, its Phi and the
-    # gated map. The reverse pass frees each intermediate, its captured
-    # arrays and its gradient once it has passed them: it peaks at 9.0 maps,
-    # set by the attention backward's band buffers, which at 64 x 64 span
-    # the whole map, and afterwards little more than the leaves' gradients
-    # is left.
+    # The forward holds 1.4 C x N maps: the attention output and the core's
+    # terms of heads x N (3.4 when the gate map and the gated map were kept,
+    # 6.4 when each step held its output and input tensors). The reverse
+    # pass frees each intermediate, its captured arrays and its gradient
+    # once it has passed them: it peaks at 8.7 maps (9.0 with the gate
+    # maps), set by the attention backward's band buffers, which at 64 x 64
+    # span the whole map, and afterwards little more than the leaves'
+    # gradients is left.
     rng = make_rng(40)
     proj = ProjectionSet.init(16, rng)
     cfg = AttentionConfig(channels=16, heads=2, taylor_mode="residual")
@@ -752,13 +753,12 @@ def test_taped_multi_head_keeps_its_output_and_heads_by_n_terms():
 
 
 def test_taped_gated_attention_peak_across_bands(monkeypatch):
-    # A taped forward and backward over five bands peaks at 7.7 C x N maps
-    # above its inputs (8.4 when each step held its output and input
-    # tensors, 12.4 when the core kept every band's unit q, k and v and the
-    # gate kept its GELU map): the backward projects each band's q, k and v
-    # again, into band-sized buffers. It is 7.4 when the gate keeps Phi(z):
-    # recomputing it puts a chunk of Phi and gauss_cdf's scratch on the peak,
-    # and at this shape one chunk is the whole map.
+    # A taped forward and backward over five bands peaks at 6.1 C x N maps
+    # above its inputs (7.7 when the gate map and the gated map were kept,
+    # 8.4 when each step held its output and input tensors, 12.4 when the
+    # core kept every band's unit q, k and v and the gate kept its GELU
+    # map): the backward projects each band's q, k and v again, and
+    # recomputes its gate, into band-sized buffers.
     rng = make_rng(53)
     cfg = AttentionConfig(channels=16, heads=2)
     proj = ProjectionSet.init(16, rng)
@@ -777,11 +777,10 @@ def test_taped_gated_attention_peak_across_bands(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [5, 23])
-def test_gelu_gate_is_the_gelu_and_product_ops_bit_for_bit(monkeypatch, size):
-    # In chunks of 8 (23 elements end with a shorter one), a * GELU(z) and
+def test_gelu_gate_is_the_gelu_and_product_ops_bit_for_bit(size):
+    # The reference gate that gated_projection is held to: a * GELU(z) and
     # both gradients are the bits of separate GELU and product ops:
     # y = z Phi(z), out = a y; da = g y, dz = (g a) GELU'(z).
-    monkeypatch.setattr(A, "_GATE_CHUNK", 8)
     rng = make_rng(56)
     a, z = (Parameter(rng.normal(size=size) * 3.0) for _ in range(2))
     r = Tensor(rng.normal(size=size))
@@ -789,43 +788,171 @@ def test_gelu_gate_is_the_gelu_and_product_ops_bit_for_bit(monkeypatch, size):
     y = z.data * phi
     slope = phi + z.data * np.exp(-0.5 * z.data**2) * (1.0 / math.sqrt(2.0 * math.pi))
     with Tape() as tape:
-        out = gelu_gate(a, z, overwrite=True)
+        out = gelu_gate(a, z)
         tape.backward(sum_all(hadamard(out, r)))
     assert np.array_equal(out.data, a.data * y)
     assert np.array_equal(a.grad, r.data * y)
     assert np.array_equal(z.grad, (r.data * a.data) * slope)
+    with pytest.raises(ShapeError):
+        gelu_gate(a, Tensor(np.zeros(size + 1)))
 
 
-def test_taped_gelu_gate_holds_its_output_and_no_phi(monkeypatch):
-    # A taped gate holds a and z, which are its inputs, and its output; Phi(z)
-    # is recomputed a chunk at a time in the backward. With chunks of a
-    # sixteenth of the map it holds 1.00 maps above its inputs (2.00 when it
-    # kept Phi(z)).
-    monkeypatch.setattr(A, "_GATE_CHUNK", 16 * 64 * 64 // 16)
+def _composed_projection(a, x, proj):
+    """The gate and output projection as separate recorded ops."""
+    return conv2d(gelu_gate(a, conv2d(x, proj.w_gate, proj.b_gate)), proj.w_out, proj.b_out)
+
+
+def _projection_case(seed, channels, side):
+    rng = make_rng(seed)
+    proj = ProjectionSet.init(channels, rng)
+    for b in (proj.b_gate, proj.b_out):
+        b.data[:] = rng.normal(size=channels)
+    a, x = (Parameter(rng.normal(size=(channels, side, side))) for _ in range(2))
+    r = Tensor(rng.normal(size=(channels, side, side)))
+    return proj, a, x, r
+
+
+def _assert_projection_bits(proj, a, x, r):
+    """gated_projection against the composed ops: the output and the
+    gradients of a and x bit for bit, the four parameters' within 1e-14
+    relative (their sums over the map are split into bands)."""
+    params = [a, x, proj.w_gate, proj.b_gate, proj.w_out, proj.b_out]
+    results = []
+    for project in (gated_projection, _composed_projection):
+        with Tape() as tape:
+            out = project(a, x, proj)
+            tape.backward(sum_all(hadamard(out, r)))
+        results.append((out.data, [p.grad for p in params]))
+        for p in params:
+            p.grad = None
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        if i < 2:
+            assert np.array_equal(g, w), i
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), params[i].name
+
+
+def test_gated_projection_is_the_composed_ops_bit_for_bit(monkeypatch):
+    # Six bands of three 16-pixel rows, the last one shorter: every band
+    # starts at a multiple of 8 columns.
+    proj, a, x, r = _projection_case(59, 8, 16)
+    force_bands(monkeypatch, 16, 16, 3)
+    _assert_projection_bits(proj, a, x, r)
+    plain = gated_projection(Tensor(a.data), Tensor(x.data), proj).data
+    assert np.array_equal(plain, _composed_projection(a, x, proj).data)
+
+
+@pytest.mark.parametrize("channels, side", [(32, 256), (64, 128), (128, 64), (256, 32)])
+def test_gated_projection_bits_at_the_256_model_shapes(channels, side):
+    # The (channels, side) of encoder levels 1-4 of the C=32 model at
+    # 256 x 256, at the library's own band size (11, 3, 1 and 1 bands).
+    _assert_projection_bits(*_projection_case(60, channels, side))
+
+
+def test_gated_attention_gradients_are_the_composed_gate_bits(monkeypatch):
+    # The core's gradients come from the same da; x's sums the gate's and
+    # the core's contributions, the latter added in place, with the bits of
+    # the separate ops. The four gate and output parameters' gradients are
+    # summed over bands.
+    cfg, proj, x, r = _attention_case(61, 8, 2, shape=(16, 16))
+    proj.b_gate.data[:] = make_rng(62).normal(size=8)
+    force_bands(monkeypatch, 16, 16, 3)
+    qkv = [proj.wq, proj.bq, proj.wk, proj.bk, proj.wv, proj.bv]
+    results = []
+    for layer in (gated_attention,
+                  lambda x, proj, cfg: _composed_projection(multi_head_attention(x, proj, cfg),
+                                                            x, proj)):
+        with Tape() as tape:
+            out = layer(x, proj, cfg)
+            tape.backward(sum_all(hadamard(out, r)))
+        results.append((out.data, [p.grad for p in [x] + proj.parameters()]))
+        for p in [x] + proj.parameters():
+            p.grad = None
+    (got, got_grads), (want, want_grads) = results
+    assert np.array_equal(got, want)
+    for p, g, w in zip([x] + proj.parameters(), got_grads, want_grads):
+        if p is x or p in qkv:
+            assert np.array_equal(g, w), p.name
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), p.name
+
+
+def test_gated_projection_gradient_across_bands(monkeypatch):
+    proj, a, x, r = _projection_case(63, 4, 7)
+    force_bands(monkeypatch, 7, 7, 2)
+    err = finite_diff_check(lambda: sum_all(hadamard(gated_projection(a, x, proj), r)),
+                            [a, x, proj.w_gate, proj.b_gate, proj.w_out, proj.b_out])
+    assert err < 1e-4
+
+
+def test_taped_gated_attention_holds_only_its_core_output():
+    # At the level-1 shape of the 256 x 256 model, a taped layer holds the
+    # core's output and its terms of heads x N: 1.10 maps above its input
+    # (3.10 when the gate map and the gated map were kept for separate ops).
     rng = make_rng(58)
-    a, z = (Parameter(rng.normal(size=(16, 64, 64))) for _ in range(2))
+    cfg = AttentionConfig(channels=32, heads=1)
+    proj = ProjectionSet.init(32, rng)
+    x = Parameter(rng.normal(size=(32, 256, 256)))
+    r = Tensor(rng.normal(size=(32, 256, 256)))
     tracemalloc.start()
     try:
         with Tape():
             base = tracemalloc.get_traced_memory()[0]
-            out = gelu_gate(a, z, overwrite=True)
+            sum_all(hadamard(gated_attention(x, proj, cfg), r))
             held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= out.data.nbytes + 8 * A._GATE_CHUNK
+    assert held <= 1.15 * x.data.nbytes
 
 
-def test_gelu_gate_overwrites_only_when_asked_and_untaped():
-    rng = make_rng(57)
-    a, z = (Tensor(rng.normal(size=(3, 4, 5))) for _ in range(2))
-    a_before, z_before = a.data.copy(), z.data.copy()
-    fresh = gelu_gate(a, z).data
-    assert np.array_equal(a.data, a_before)
-    with Tape():
-        taped = gelu_gate(Parameter(a.data), z, overwrite=True).data
-    assert np.array_equal(a.data, a_before) and np.array_equal(taped, fresh)
-    in_place = gelu_gate(a, z, overwrite=True).data
-    assert np.shares_memory(in_place, a.data) and np.array_equal(in_place, fresh)
-    assert np.array_equal(z.data, z_before)
+def test_tape_free_gated_projection_builds_no_gate_map(monkeypatch):
+    # Without a tape the op allocates its output, two band buffers and
+    # gauss_cdf's scratch: 1.43 maps above its inputs (1.81 when the gate
+    # map was built and the gate written over a). a and x are untouched.
+    proj, a, x, _ = _projection_case(57, 16, 128)
+    a, x = Tensor(a.data), Tensor(x.data)
+    a_before, x_before = a.data.copy(), x.data.copy()
+    force_bands(monkeypatch, 128, 128, 7)
+    gated_projection(a, x, proj)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gated_projection(a, x, proj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * x.data.nbytes
+    assert np.array_equal(a.data, a_before) and np.array_equal(x.data, x_before)
     with pytest.raises(ShapeError):
-        gelu_gate(a, Tensor(np.zeros((3, 4, 4))))
+        gated_projection(a, Tensor(np.zeros((16, 128, 127))), proj)
+
+
+def test_multi_head_adds_into_an_owned_input_gradient(monkeypatch):
+    # x's gradient from a later consumer is owned by the tape when the
+    # attention step runs, so the step adds its own into it band by band:
+    # the backward peaks at 4.38 maps above x (5.38 when it built a second
+    # gradient map), with the bits of the separate sum.
+    cfg, proj, x, r = _attention_case(64, 16, 2, shape=(64, 64))
+    force_bands(monkeypatch, 64 * 64, 1, 500)
+    r2 = Tensor(make_rng(65).normal(size=x.shape))
+
+    with Tape() as tape:
+        tape.backward(sum_all(hadamard(multi_head_attention(x, proj, cfg), r)))
+    want = x.grad + r2.data
+    for p in [x] + proj.parameters():
+        p.grad = None
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            out = add(sum_all(hadamard(multi_head_attention(x, proj, cfg), r)),
+                      sum_all(hadamard(x, r2)))
+            tracemalloc.reset_peak()
+            tape.backward(out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x.grad, want)
+    assert peak <= 4.9 * x.data.nbytes

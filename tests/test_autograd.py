@@ -6,6 +6,7 @@ import pytest
 from reference_ops import (
     depthwise_conv2d,
     div_broadcast,
+    gelu_gate,
     guard_denominator,
     l2_normalize,
     nearest_upsample2x,
@@ -13,7 +14,7 @@ from reference_ops import (
 )
 
 from linpaint import tensor
-from linpaint.attention import gelu_gate, taylor_linear_attention
+from linpaint.attention import taylor_linear_attention
 from linpaint.autograd import Parameter, Tape, adamw_step, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,

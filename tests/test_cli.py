@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from conftest import forge_checkpoint, synth_image, synth_mask
 
+import linpaint.tensor as T
 from linpaint.cli import (
     KNOWN_KEYS,
     ConfigError,
@@ -312,7 +313,10 @@ def test_bench_rejects_empty_mode_list(capsys):
     assert "at least one bench mode" in capsys.readouterr().err
 
 
-def test_gradcheck_ops_scope(capsys):
+def test_gradcheck_ops_scope(monkeypatch, capsys):
+    # Bands of two 4-pixel rows: the gated_projection unit's 3-row map spans
+    # two of them (the banded units check across bands at any band size).
+    monkeypatch.setattr(T, "_BAND", 8)
     rc = main(["gradcheck", "--scope", "ops", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -326,8 +330,8 @@ def test_gradcheck_ops_scope(capsys):
     units = [line.split(":")[0].removeprefix("op ") for line in out.strip().splitlines()]
     assert units == [
         "matmul", "transpose", "conv2d", "conv2d_1x1", "conv2d_k4s2",
-        "gelu_gate", "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
-        "matmul_batched", "transpose_batched", "multi_head_attention",
+        "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
+        "matmul_batched", "transpose_batched", "multi_head_attention", "gated_projection",
         "upsample_conv2d", "conv2d_parts", "feed_forward"]
 
 

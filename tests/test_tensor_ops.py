@@ -17,7 +17,7 @@ from reference_ops import (
 )
 
 from linpaint import tensor as T
-from linpaint.attention import gelu_gate
+from linpaint.attention import ProjectionSet, gated_projection
 from linpaint.autograd import Parameter, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
@@ -480,11 +480,14 @@ def test_upsample_conv2d_rejects_other_kernels():
 
 
 def test_gelu_values():
-    # GELU(z) is the gate's value at a = 1.
-    out = gelu_gate(Tensor(np.ones(3)), Tensor([0.0, 10.0, 1.0]))
-    assert out.data[0] == 0.0
-    assert abs(out.data[1] - 10.0) <= 1e-6
-    assert abs(out.data[2] - 0.8413447460685429) <= 1e-9
+    # GELU(z) is the gated projection's value at a = 1 with identity weights
+    # and zero biases, whose products are exact.
+    proj = ProjectionSet.init(1, make_rng(0))
+    proj.w_gate.data[:] = proj.w_out.data[:] = 1.0
+    out = gated_projection(Tensor(np.ones((1, 1, 3))), Tensor([[[0.0, 10.0, 1.0]]]), proj)
+    assert out.data[0, 0, 0] == 0.0
+    assert abs(out.data[0, 0, 1] - 10.0) <= 1e-6
+    assert abs(out.data[0, 0, 2] - 0.8413447460685429) <= 1e-9
 
 
 def _erfc_cdf(x):

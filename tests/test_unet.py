@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from conftest import decode_with_up_shapes, forge_checkpoint
-from reference_ops import depthwise_conv2d
+from reference_ops import depthwise_conv2d, gelu_gate
 
 import linpaint.tensor as T
 from linpaint.cli import paste_known_pixels
-from linpaint.attention import gelu_gate
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.tensor import (
     NonFiniteError,
