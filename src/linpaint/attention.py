@@ -49,8 +49,8 @@ from .tensor import (
     _swap,
     conv2d,
     fused_op,
-    gauss_cdf,
-    gelu_slope,
+    geglu_band,
+    geglu_band_back,
     rescale_slices,
     row_bands,
     unit_slices,
@@ -466,10 +466,13 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
     multiple of 8, each band's products have the bits of one product over
     the whole map (OpenBLAS gives a block of 8 columns that a band boundary
     cuts other bits), so the output is that of separate 1x1 conv, gate and
-    1x1 conv ops. A recorded step keeps only a and x; its backward
-    recomputes each band's z and Phi(z) and returns all six gradients from
-    one pass. Those of a and x have the separate ops' bits; the parameters'
-    are summed over the bands, so their last bits can differ.
+    1x1 conv ops. The gated band and its product with W_out are
+    :func:`~linpaint.tensor.geglu_band`, which the feed-forward unit runs
+    too. A recorded step keeps only a and x; its backward recomputes each
+    band's z and returns all six gradients from one pass, through the same
+    two band buffers and the bands of da and dx. Those of a and x have the
+    separate ops' bits; the parameters' are summed over the bands, so their
+    last bits can differ.
     """
     _same_shape(a, x, "gated_projection")
     shape = c, h, w = a.shape
@@ -481,19 +484,18 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
     bands = [(r0 * w, r1 * w) for r0, r1 in row_bands(h, w)]
 
     def band_buffers() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """(lo, hi, z, Phi(z)) per band, in two contiguous C x band buffers."""
+        """(lo, hi, z, phi) per band: z = W_gate x + b_gate and room for
+        Phi(z), two contiguous C x band buffers."""
         z_buf, phi_buf = np.empty(c * bands[0][1]), np.empty(c * bands[0][1])
         for lo, hi in bands:
             z, phi = (buf[:c * (hi - lo)].reshape(c, hi - lo) for buf in (z_buf, phi_buf))
             np.matmul(w_g, x_mat[:, lo:hi], out=z)
             z += b_g
-            yield lo, hi, z, gauss_cdf(z, out=phi)
+            yield lo, hi, z, phi
 
     out = np.empty((c, n))
     for lo, hi, z, phi in band_buffers():
-        z *= phi
-        z *= a_mat[:, lo:hi]
-        np.matmul(w_o, z, out=out[:, lo:hi])
+        geglu_band(w_o, a_mat[:, lo:hi], z, phi, out[:, lo:hi])
         out[:, lo:hi] += b_o
 
     def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray]:
@@ -501,18 +503,13 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
         da, dx = np.empty((c, n)), np.empty((c, n))
         d_wg, d_bg, d_wo = np.zeros((c, c)), np.zeros(c), np.zeros((c, c))
         for lo, hi, z, phi in band_buffers():
-            # The bands of da and dx hold z Phi(z) and GELU'(z) until their
-            # own gradients are written over them.
-            act, slope = np.multiply(z, phi, out=da[:, lo:hi]), dx[:, lo:hi]
-            gelu_slope(z, phi, out=slope)
-            d_wo += g_mat[:, lo:hi] @ np.multiply(a_mat[:, lo:hi], act, out=phi).T
-            d_gated = np.matmul(w_o.T, g_mat[:, lo:hi], out=z)
-            act *= d_gated
-            d_gated *= a_mat[:, lo:hi]
-            d_gated *= slope                    # the gradient of z
-            np.matmul(w_g.T, d_gated, out=slope)
-            d_wg += d_gated @ x_mat[:, lo:hi].T
-            d_bg += d_gated.sum(axis=1)
+            # z's gradient is written over z; dx's band holds GELU'(z) until
+            # dx's own gradient is written over it.
+            geglu_band_back(w_o, g_mat[:, lo:hi], a_mat[:, lo:hi], z, da[:, lo:hi], z, d_wo,
+                            phi=phi, slope=dx[:, lo:hi])
+            np.matmul(w_g.T, z, out=dx[:, lo:hi])
+            d_wg += z @ x_mat[:, lo:hi].T
+            d_bg += z.sum(axis=1)
         return [da.reshape(shape), dx.reshape(shape), d_wg.reshape(c, c, 1, 1), d_bg,
                 d_wo.reshape(c, c, 1, 1), g_mat.sum(axis=1)]
 

@@ -15,7 +15,10 @@ GELU's Gaussian CDF, :func:`gauss_cdf`, is plain numpy too: degree-5 Taylor
 coefficients of Phi tabulated at k/128 over [-40, 9], built at import from
 ``math.erfc``, gathered per element and evaluated by Horner's rule. It is
 within 2.5e-16 of ``0.5 * erfc(-x / sqrt(2))`` absolutely, and within 1e-11
-relatively for x >= -8.
+relatively for x >= -8. Its one caller is the GEGLU band kernel pair,
+:func:`geglu_band` and :func:`geglu_band_back`: W_o (u z Phi(z)) and its
+backward over caller-owned band buffers, which both gated units (the
+feed-forward unit and the attention gate) run.
 """
 
 from __future__ import annotations
@@ -623,10 +626,11 @@ def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
         np.add(_unwiden(acc, ho, wo, wp), b[cb, None, None], out=out[cb])
 
 
-def depthwise_taps_back(g: np.ndarray, w: np.ndarray,
-                        xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def depthwise_taps_back(g: np.ndarray, w: np.ndarray, xp: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The gradients of the padded input ``xp`` and of ``w`` for the gradient
-    ``g`` of :func:`depthwise_taps`'s output.
+    ``g`` of :func:`depthwise_taps`'s output; xp's is written to ``out``
+    (C-contiguous, xp's shape) if given.
 
     ``g`` is copied into wide rows whose extra elements stay zero, so the taps
     run over the same slices as the forward pass.
@@ -634,7 +638,8 @@ def depthwise_taps_back(g: np.ndarray, w: np.ndarray,
     c, hp, wp = xp.shape
     ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1])
     flat = xp.reshape(c, hp * wp)
-    dxp = np.zeros((c, hp * wp))
+    dxp = np.zeros((c, hp * wp)) if out is None else out.reshape(c, hp * wp)
+    dxp.fill(0.0)
     dw = np.empty(w.shape)
     wide = np.zeros((blocks[0].stop, n))
     tmp = np.empty(wide.shape)
@@ -783,16 +788,44 @@ def gauss_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return res
 
 
-def gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """d/dx of x * Phi(x), given ``cdf`` = Phi(x): cdf + x e^(-x^2 / 2) / sqrt(2 pi),
-    written to ``out`` if given (one array, no temporaries)."""
-    s = np.square(x, out=out)
+def geglu_band(w_o: np.ndarray, u: np.ndarray, z: np.ndarray, phi: np.ndarray,
+               out: np.ndarray) -> None:
+    """``out = w_o @ (u * GELU(z))`` for one band, with GELU(z) = z Phi(z):
+    the map of both gated units, before the bias. u and z are hidden x band,
+    ``phi`` is contiguous scratch of z's shape; z is overwritten."""
+    gauss_cdf(z, out=phi)
+    z *= phi
+    z *= u
+    np.matmul(w_o, z, out=out)
+
+
+def geglu_band_back(w_o: np.ndarray, g: np.ndarray, u: np.ndarray, z: np.ndarray,
+                    du: np.ndarray, dz: np.ndarray, d_wo: np.ndarray,
+                    phi: np.ndarray | None = None, slope: np.ndarray | None = None) -> None:
+    """The backward of :func:`geglu_band` for its output's gradient ``g``:
+    adds W_o's gradient into ``d_wo`` and writes u's and z's into ``du``
+    and ``dz``, with GELU'(z) = Phi(z) + z phi(z). z is overwritten.
+
+    Phi(z) is held in ``phi`` (contiguous; by default ``du``) until du is
+    written, GELU'(z) in ``slope`` (by default ``dz``) until dz is; dz may
+    be z. Each product is taken in the order of a separate gate op, so the
+    results have its bits.
+    """
+    phi = du if phi is None else phi
+    s = dz if slope is None else slope
+    gauss_cdf(z, out=phi)
+    np.multiply(z, z, out=s)
     s *= -0.5
     np.exp(s, out=s)
-    s *= x
+    s *= z
     s *= _INV_SQRT2PI
-    s += cdf
-    return s
+    s += phi
+    act = np.multiply(phi, z, out=du)
+    d_wo += g @ np.multiply(u, act, out=z).T
+    d_gated = np.matmul(w_o.T, g, out=z)
+    du *= d_gated
+    d_gated *= u
+    np.multiply(d_gated, s, out=dz)
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -40,8 +40,8 @@ from .tensor import (
     depthwise_taps,
     depthwise_taps_back,
     fused_op,
-    gauss_cdf,
-    gelu_slope,
+    geglu_band,
+    geglu_band_back,
     layer_norm_sites,
     row_bands,
     tanh,
@@ -203,14 +203,17 @@ class FeedForward(Module):
     all hidden channels. A band copies x's rows [r0 - 1, r1 + 1) into a
     zero-ringed buffer and multiplies it by the stacked [conv_i; conv_g]
     rows; with the bias added and the ring zeroed that is the band's
-    depthwise input, already padded. The depthwise conv, the gate
-    dg * Phi(dg) * bi and the conv_out product then write the band's output
-    columns. The band buffers are reused, so the op holds its output and
-    scratch the size of one band, taped or not. Only the output is checked
-    finite. The backward recomputes each band's stacked map from x and its
-    depthwise outputs (bi, dg) from that, bit for bit, adds the gradient of
-    its halo rows into dx, sums the weight gradients over bands, and returns
-    the gradients of x and of all ten parameters at once.
+    depthwise input, already padded. The depthwise conv, then the gate and
+    the conv_out product, W_out (bi * GELU(dg)) (``geglu_band``, which the
+    attention gate runs too), write the band's output columns. The band
+    buffers are reused, so the op holds its output and scratch the size of
+    one band, taped or not. Only the output is checked finite. The backward
+    recomputes each band's stacked map from x and its depthwise outputs
+    (bi, dg) from that, bit for bit, and writes every band-sized gradient
+    (the gate's, then the depthwise input's) into reused band buffers. It
+    adds the gradient of the halo rows into dx, sums the weight gradients
+    over bands, and returns the gradients of x and of all ten parameters at
+    once.
     """
 
     # Residual-branch outputs start near zero so a fresh block is close to the
@@ -244,12 +247,13 @@ class FeedForward(Module):
         co_mat = co_w.reshape(c, hidden)
         bands = row_bands(h, w + 2)
         rows = bands[0][1]
+        band = two * (rows + 2) * (w + 2)
 
         def scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """A zero-ringed band of x and room for one band's stacked map and
-            for its depthwise outputs."""
-            return (np.zeros((c, rows + 2, w + 2)), np.empty(two * (rows + 2) * (w + 2)),
-                    np.empty(two * rows * w))
+            for its depthwise outputs (in the backward, then for the stacked
+            map's gradient)."""
+            return np.zeros((c, rows + 2, w + 2)), np.empty(band), np.empty(band)
 
         def depthwise(r0: int, r1: int, x_band: np.ndarray, pre_buf: np.ndarray,
                       dw_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,16 +281,15 @@ class FeedForward(Module):
         for r0, r1 in bands:
             m = (r1 - r0) * w
             _, bi, dg = depthwise(r0, r1, *bufs)
-            # The stacked map is used up: the gate goes in its buffer.
-            z = gauss_cdf(dg, out=bufs[1][:hidden * m].reshape(hidden, m))
-            z *= dg
-            z *= bi
-            np.matmul(co_mat, z, out=out[:, r0 * w:r1 * w])
+            # The stacked map is used up: Phi(dg) goes in its buffer.
+            geglu_band(co_mat, bi, dg, bufs[1][:hidden * m].reshape(hidden, m),
+                       out[:, r0 * w:r1 * w])
         out += co_b[:, None]
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
             g_mat = g.reshape(c, h * w)
-            bufs = scratch()
+            # The depthwise output's gradient, then its input's on x's rows.
+            bufs, g_buf = scratch(), np.empty(band)
             dx = np.zeros((c, h, w)) if needs[0] else None
             d_pre_w, d_pre_b = np.zeros((two, c)), np.zeros(two)
             d_dw_w, d_dw_b = np.zeros((two, 3, 3)), np.zeros(two)
@@ -294,26 +297,20 @@ class FeedForward(Module):
             for r0, r1 in bands:
                 m = (r1 - r0) * w
                 pre, bi, dg = depthwise(r0, r1, *bufs)
-                g_band = g_mat[:, r0 * w:r1 * w]
-                phi = gauss_cdf(dg)
-                act = dg * phi
-                d_co += g_band @ (bi * act).T
                 # The gradient of the depthwise output: [d bi; d dg].
-                dz = co_mat.T @ g_band
-                g_dw = np.empty((two, r1 - r0, w))
-                gi, gg = g_dw.reshape(2, hidden, m)
-                np.multiply(dz, act, out=gi)
-                dz *= bi
-                np.multiply(dz, gelu_slope(dg, phi), out=gg)
-                del phi, act, dz
+                g_dw = g_buf[:two * m].reshape(two, r1 - r0, w)
+                geglu_band_back(co_mat, g_mat[:, r0 * w:r1 * w], bi, dg,
+                                *g_dw.reshape(2, hidden, m), d_co)
                 d_dw_b += g_dw.reshape(two, m).sum(axis=1)
-                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, pre)
+                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, pre,
+                                                 bufs[2][:pre.size].reshape(pre.shape))
                 d_dw_w += d_w
                 # The zeroed ring is a constant: only x's rows and columns
                 # have a gradient, the halo rows included.
                 lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
-                d_pre = np.ascontiguousarray(d_pre[:, lo - r0 + 1:hi - r0 + 1, 1:-1])
-                d_pre = d_pre.reshape(two, -1)
+                d_rows = g_buf[:two * (hi - lo) * w].reshape(two, hi - lo, w)
+                np.copyto(d_rows, d_pre[:, lo - r0 + 1:hi - r0 + 1, 1:-1])
+                d_pre = d_rows.reshape(two, -1)
                 d_pre_b += d_pre.sum(axis=1)
                 d_pre_w += d_pre @ xd[:, lo:hi].reshape(c, -1).T
                 if dx is not None:

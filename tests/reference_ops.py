@@ -11,6 +11,8 @@ of channel parts to a conv of :func:`concat_channels`. Each op here is one
 output finite like a library op.
 """
 
+import math
+
 import numpy as np
 
 from linpaint.tensor import (
@@ -20,7 +22,6 @@ from linpaint.tensor import (
     depthwise_taps_back,
     fused_op,
     gauss_cdf,
-    gelu_slope,
     unit_slices,
 )
 
@@ -129,6 +130,8 @@ def gelu_gate(a: Tensor, z: Tensor) -> Tensor:
     act = z.data * phi
 
     def vjp(g, needs):
-        return g * act, gelu_slope(z.data, phi) * (g * a.data)
+        # GELU'(z) = Phi(z) + z phi(z), in the library kernel's operation order.
+        slope = np.exp(z.data * z.data * -0.5) * z.data * (1.0 / math.sqrt(2.0 * math.pi)) + phi
+        return g * act, slope * (g * a.data)
 
     return fused_op(a.data * act, "gelu_gate", (a, z), vjp)
