@@ -46,7 +46,6 @@ from .tensor import (
     Tensor,
     _owned_grad,
     _same_shape,
-    _swap,
     conv2d,
     fused_op,
     geglu_band,
@@ -139,6 +138,10 @@ class ProjectionSet(Module):
         wg, bg = conv_pair("w_gate") if gated else (None, None)
         wo, bo = conv_pair("w_out", gain=out_gain)
         return cls(wq, bq, wk, bk, wv, bv, wg, bg, wo, bo)
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
 
 
 def _check_qkv(q, k, v) -> tuple[int, int]:
@@ -466,13 +469,11 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
     multiple of 8, each band's products have the bits of one product over
     the whole map (OpenBLAS gives a block of 8 columns that a band boundary
     cuts other bits), so the output is that of separate 1x1 conv, gate and
-    1x1 conv ops. The gated band and its product with W_out are
-    :func:`~linpaint.tensor.geglu_band`, which the feed-forward unit runs
-    too. A recorded step keeps only a and x; its backward recomputes each
-    band's z and returns all six gradients from one pass, through the same
-    two band buffers and the bands of da and dx. Those of a and x have the
-    separate ops' bits; the parameters' are summed over the bands, so their
-    last bits can differ.
+    1x1 conv ops. Each band runs ``geglu_band``, as the feed-forward unit
+    does. A recorded step keeps only a and x; its backward recomputes each
+    band's z and returns all six gradients from one pass. Those of a and x
+    have the separate ops' bits; the parameters' are summed over the bands,
+    so their last bits can differ.
     """
     _same_shape(a, x, "gated_projection")
     shape = c, h, w = a.shape
@@ -484,8 +485,7 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
     bands = [(r0 * w, r1 * w) for r0, r1 in row_bands(h, w)]
 
     def band_buffers() -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """(lo, hi, z, phi) per band: z = W_gate x + b_gate and room for
-        Phi(z), two contiguous C x band buffers."""
+        """(lo, hi, z = W_gate x + b_gate, Phi's scratch) per band, in two buffers."""
         z_buf, phi_buf = np.empty(c * bands[0][1]), np.empty(c * bands[0][1])
         for lo, hi in bands:
             z, phi = (buf[:c * (hi - lo)].reshape(c, hi - lo) for buf in (z_buf, phi_buf))
@@ -505,8 +505,8 @@ def gated_projection(a: Tensor, x: Tensor, proj: ProjectionSet) -> Tensor:
         for lo, hi, z, phi in band_buffers():
             # z's gradient is written over z; dx's band holds GELU'(z) until
             # dx's own gradient is written over it.
-            geglu_band_back(w_o, g_mat[:, lo:hi], a_mat[:, lo:hi], z, da[:, lo:hi], z, d_wo,
-                            phi=phi, slope=dx[:, lo:hi])
+            geglu_band_back(w_o, g_mat[:, lo:hi], a_mat[:, lo:hi], z, phi, dx[:, lo:hi],
+                            da[:, lo:hi], z, d_wo)
             np.matmul(w_g.T, z, out=dx[:, lo:hi])
             d_wg += z @ x_mat[:, lo:hi].T
             d_bg += z.sum(axis=1)

@@ -452,14 +452,6 @@ def _gradcheck_ops(seed: int) -> list[tuple[str, float]]:
          lambda: sum_all(hadamard(layer_norm_sites(xn, gamma, beta), r_ln)),
          [xn, gamma, beta])
 
-    # Rank-3 batched stacks, as the tests' composed multi-head reference uses them.
-    sa = Parameter(rng.normal(size=(2, 3, 4)))
-    sb = Parameter(rng.normal(size=(2, 4, 5)))
-    r_sab = Tensor(rng.normal(size=(2, 3, 5)))
-    unit("matmul_batched", lambda: sum_all(hadamard(matmul(sa, sb), r_sab)), [sa, sb])
-    r_st = Tensor(rng.normal(size=(2, 4, 3)))
-    unit("transpose_batched", lambda: sum_all(hadamard(transpose(sa), r_st)), [sa])
-
     # The fused attention op: x and the six q/k/v projection parameters.
     xa = Parameter(rng.normal(size=(4, 3, 3)))
     proj = ProjectionSet.init(4, rng)

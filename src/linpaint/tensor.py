@@ -15,10 +15,8 @@ GELU's Gaussian CDF, :func:`gauss_cdf`, is plain numpy too: degree-5 Taylor
 coefficients of Phi tabulated at k/128 over [-40, 9], built at import from
 ``math.erfc``, gathered per element and evaluated by Horner's rule. It is
 within 2.5e-16 of ``0.5 * erfc(-x / sqrt(2))`` absolutely, and within 1e-11
-relatively for x >= -8. Its one caller is the GEGLU band kernel pair,
-:func:`geglu_band` and :func:`geglu_band_back`: W_o (u z Phi(z)) and its
-backward over caller-owned band buffers, which both gated units (the
-feed-forward unit and the attention gate) run.
+relatively for x >= -8. It serves :func:`geglu_band` and its backward, the
+band map W_o (u z Phi(z)) of both gated units, on the caller's buffers.
 """
 
 from __future__ import annotations
@@ -334,28 +332,22 @@ def _require(cond: bool, msg: str) -> None:
 # Linear algebra
 
 
-def _swap(x: np.ndarray) -> np.ndarray:
-    return x.swapaxes(-1, -2)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors, or of two rank-3 stacks that share
-    their leading (batch) axis: one product per batch entry."""
-    _require(a.data.ndim == b.data.ndim and a.data.ndim in (2, 3),
-             f"matmul needs two rank-2 or two rank-3 operands, got {a.shape} and {b.shape}")
-    _require(a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-2],
-             f"matmul inner dims differ: {a.shape} vs {b.shape}")
+    """Matrix product of two rank-2 tensors."""
+    _require(a.data.ndim == 2 and b.data.ndim == 2,
+             f"matmul needs two rank-2 operands, got {a.shape} and {b.shape}")
+    _require(a.shape[1] == b.shape[0], f"matmul inner dims differ: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
     out = _finish(ad @ bd, "matmul")
-    _record(out, (a, lambda g: g @ _swap(bd)), (b, lambda g: _swap(ad) @ g))
+    _record(out, (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a rank-2 tensor or of each entry of a rank-3 stack."""
-    _require(a.data.ndim in (2, 3), f"transpose needs rank 2 or 3, got {a.shape}")
-    out = _finish(_swap(a.data).copy(), "transpose")
-    _record(out, (a, lambda g: _swap(g).copy()))
+    """The transpose of a rank-2 tensor."""
+    _require(a.data.ndim == 2, f"transpose needs rank 2, got {a.shape}")
+    out = _finish(a.data.T.copy(), "transpose")
+    _record(out, (a, lambda g: g.T.copy()))
     return out
 
 
@@ -627,10 +619,9 @@ def depthwise_taps(xp: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def depthwise_taps_back(g: np.ndarray, w: np.ndarray, xp: np.ndarray,
-                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The gradients of the padded input ``xp`` and of ``w`` for the gradient
-    ``g`` of :func:`depthwise_taps`'s output; xp's is written to ``out``
-    (C-contiguous, xp's shape) if given.
+                        out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of the padded input ``xp``, written to ``out`` (C-contiguous,
+    xp's shape), and of ``w`` for the gradient ``g`` of :func:`depthwise_taps`'s output.
 
     ``g`` is copied into wide rows whose extra elements stay zero, so the taps
     run over the same slices as the forward pass.
@@ -638,7 +629,7 @@ def depthwise_taps_back(g: np.ndarray, w: np.ndarray, xp: np.ndarray,
     c, hp, wp = xp.shape
     ho, wo, n, taps, blocks = _depthwise_plan(xp.shape, w.shape[1])
     flat = xp.reshape(c, hp * wp)
-    dxp = np.zeros((c, hp * wp)) if out is None else out.reshape(c, hp * wp)
+    dxp = out.reshape(c, hp * wp)
     dxp.fill(0.0)
     dw = np.empty(w.shape)
     wide = np.zeros((blocks[0].stop, n))
@@ -790,9 +781,8 @@ def gauss_cdf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def geglu_band(w_o: np.ndarray, u: np.ndarray, z: np.ndarray, phi: np.ndarray,
                out: np.ndarray) -> None:
-    """``out = w_o @ (u * GELU(z))`` for one band, with GELU(z) = z Phi(z):
-    the map of both gated units, before the bias. u and z are hidden x band,
-    ``phi`` is contiguous scratch of z's shape; z is overwritten."""
+    """``out = w_o @ (u * z * Phi(z))`` for one band (the gated units' map
+    before its bias); z is overwritten and ``phi`` is contiguous scratch."""
     gauss_cdf(z, out=phi)
     z *= phi
     z *= u
@@ -800,32 +790,26 @@ def geglu_band(w_o: np.ndarray, u: np.ndarray, z: np.ndarray, phi: np.ndarray,
 
 
 def geglu_band_back(w_o: np.ndarray, g: np.ndarray, u: np.ndarray, z: np.ndarray,
-                    du: np.ndarray, dz: np.ndarray, d_wo: np.ndarray,
-                    phi: np.ndarray | None = None, slope: np.ndarray | None = None) -> None:
-    """The backward of :func:`geglu_band` for its output's gradient ``g``:
-    adds W_o's gradient into ``d_wo`` and writes u's and z's into ``du``
-    and ``dz``, with GELU'(z) = Phi(z) + z phi(z). z is overwritten.
-
-    Phi(z) is held in ``phi`` (contiguous; by default ``du``) until du is
-    written, GELU'(z) in ``slope`` (by default ``dz``) until dz is; dz may
-    be z. Each product is taken in the order of a separate gate op, so the
-    results have its bits.
-    """
-    phi = du if phi is None else phi
-    s = dz if slope is None else slope
+                    phi: np.ndarray, slope: np.ndarray, du: np.ndarray, dz: np.ndarray,
+                    d_wo: np.ndarray) -> None:
+    """For :func:`geglu_band`'s output gradient ``g``: add w_o's gradient into
+    ``d_wo``, write u's and z's into ``du`` and ``dz`` (which may be z), and
+    overwrite z. ``phi`` (contiguous; may be du) holds Phi(z) and ``slope``
+    (may be dz) GELU'(z) = Phi(z) + z phi(z) until then. Each product keeps
+    the separate gate op's order, and so its bits."""
     gauss_cdf(z, out=phi)
-    np.multiply(z, z, out=s)
-    s *= -0.5
-    np.exp(s, out=s)
-    s *= z
-    s *= _INV_SQRT2PI
-    s += phi
+    np.multiply(z, z, out=slope)
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= z
+    slope *= _INV_SQRT2PI
+    slope += phi
     act = np.multiply(phi, z, out=du)
     d_wo += g @ np.multiply(u, act, out=z).T
     d_gated = np.matmul(w_o.T, g, out=z)
     du *= d_gated
     d_gated *= u
-    np.multiply(d_gated, s, out=dz)
+    np.multiply(d_gated, slope, out=dz)
 
 
 def tanh(x: Tensor) -> Tensor:

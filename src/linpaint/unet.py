@@ -8,10 +8,10 @@ nearest-neighbour upsampled map and a 1x1 fusion convolution of it stacked
 with the skip map, which halves the channels again. Every block wraps gated
 linear attention and a gated feed-forward unit in residual connections.
 
-The feed-forward unit is one recorded op, like attention: its forward pass
-runs over bands of whole rows with all hidden channels, so it holds its
-output and scratch the size of one band, with or without a tape, and its
-hand-derived backward recomputes each band from x.
+The feed-forward unit is one recorded op, like attention, and gates with the
+attention gate's band kernel (``geglu_band``): it runs over bands of whole
+rows with all hidden channels, so it holds its output and band-sized scratch,
+taped or not, and its backward recomputes each band from x into band buffers.
 
 Without a tape no full-resolution map outlives its last use: the up conv runs
 at the low resolution, the skip fusion passes the upsampled map and the skip
@@ -203,17 +203,15 @@ class FeedForward(Module):
     all hidden channels. A band copies x's rows [r0 - 1, r1 + 1) into a
     zero-ringed buffer and multiplies it by the stacked [conv_i; conv_g]
     rows; with the bias added and the ring zeroed that is the band's
-    depthwise input, already padded. The depthwise conv, then the gate and
-    the conv_out product, W_out (bi * GELU(dg)) (``geglu_band``, which the
-    attention gate runs too), write the band's output columns. The band
-    buffers are reused, so the op holds its output and scratch the size of
-    one band, taped or not. Only the output is checked finite. The backward
-    recomputes each band's stacked map from x and its depthwise outputs
-    (bi, dg) from that, bit for bit, and writes every band-sized gradient
-    (the gate's, then the depthwise input's) into reused band buffers. It
-    adds the gradient of the halo rows into dx, sums the weight gradients
-    over bands, and returns the gradients of x and of all ten parameters at
-    once.
+    depthwise input, already padded. The depthwise conv and then
+    conv_out(bi * GELU(dg)) (``geglu_band``, as in the attention gate) write
+    the band's output columns. The band buffers are reused, so the op holds
+    its output and scratch the size of one band, taped or not. Only the
+    output is checked finite. The backward recomputes each band's stacked
+    map from x and its depthwise outputs (bi, dg) from that, bit for bit,
+    writes the band's gradients into reused band buffers, adds those of its
+    halo rows into dx, sums the weight gradients over bands, and returns
+    the gradients of x and of all ten parameters at once.
     """
 
     # Residual-branch outputs start near zero so a fresh block is close to the
@@ -251,8 +249,7 @@ class FeedForward(Module):
 
         def scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """A zero-ringed band of x and room for one band's stacked map and
-            for its depthwise outputs (in the backward, then for the stacked
-            map's gradient)."""
+            for its depthwise outputs (then, in the backward, its gradient)."""
             return np.zeros((c, rows + 2, w + 2)), np.empty(band), np.empty(band)
 
         def depthwise(r0: int, r1: int, x_band: np.ndarray, pre_buf: np.ndarray,
@@ -288,7 +285,6 @@ class FeedForward(Module):
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
             g_mat = g.reshape(c, h * w)
-            # The depthwise output's gradient, then its input's on x's rows.
             bufs, g_buf = scratch(), np.empty(band)
             dx = np.zeros((c, h, w)) if needs[0] else None
             d_pre_w, d_pre_b = np.zeros((two, c)), np.zeros(two)
@@ -297,20 +293,20 @@ class FeedForward(Module):
             for r0, r1 in bands:
                 m = (r1 - r0) * w
                 pre, bi, dg = depthwise(r0, r1, *bufs)
-                # The gradient of the depthwise output: [d bi; d dg].
+                # The gradient of the depthwise output, [d bi; d dg], then of
+                # its input on x's rows, in g_buf; its padded input's in bufs[2].
                 g_dw = g_buf[:two * m].reshape(two, r1 - r0, w)
-                geglu_band_back(co_mat, g_mat[:, r0 * w:r1 * w], bi, dg,
-                                *g_dw.reshape(2, hidden, m), d_co)
+                gi, gg = g_dw.reshape(2, hidden, m)
+                geglu_band_back(co_mat, g_mat[:, r0 * w:r1 * w], bi, dg, gi, gg, gi, gg, d_co)
                 d_dw_b += g_dw.reshape(two, m).sum(axis=1)
-                d_pre, d_w = depthwise_taps_back(g_dw, dw_w, pre,
+                d_pad, d_w = depthwise_taps_back(g_dw, dw_w, pre,
                                                  bufs[2][:pre.size].reshape(pre.shape))
                 d_dw_w += d_w
                 # The zeroed ring is a constant: only x's rows and columns
                 # have a gradient, the halo rows included.
                 lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
-                d_rows = g_buf[:two * (hi - lo) * w].reshape(two, hi - lo, w)
-                np.copyto(d_rows, d_pre[:, lo - r0 + 1:hi - r0 + 1, 1:-1])
-                d_pre = d_rows.reshape(two, -1)
+                d_pre = g_buf[:two * (hi - lo) * w].reshape(two, -1)
+                d_pre.reshape(two, hi - lo, w)[...] = d_pad[:, lo - r0 + 1:hi - r0 + 1, 1:-1]
                 d_pre_b += d_pre.sum(axis=1)
                 d_pre_w += d_pre @ xd[:, lo:hi].reshape(c, -1).T
                 if dx is not None:

@@ -1,5 +1,6 @@
 import math
 import re
+import types
 import zlib
 
 import numpy as np
@@ -133,3 +134,27 @@ def force_bands(monkeypatch, rows, row_size, per_band):
     bands = T.row_bands(rows, row_size)
     assert len(bands) >= 3 and bands[-1][1] - bands[-1][0] < bands[0][1] - bands[0][0]
     return bands
+
+
+def reachable(roots, kind):
+    """The objects of type ``kind`` that ``roots`` reach through closure
+    cells, following functions, tuples, lists and dicts."""
+    found, seen, todo = [], set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:      # a cell that was never filled
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+    return found

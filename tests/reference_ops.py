@@ -1,7 +1,8 @@
 """Composed tensor ops that no command runs, kept as test references.
 
 The fused attention op is held to a composition of generic ops
-(``_composed_multi_head`` in test_attention.py), the fused gate and output
+(``_composed_multi_head`` in test_attention.py, on the rank-3 head stacks
+of :func:`matmul_batched` and :func:`transpose_batched`), the fused gate and output
 projection to a 1x1 conv, :func:`gelu_gate` and a 1x1 conv, the fused
 feed-forward op to one built on :func:`depthwise_conv2d` and
 :func:`gelu_gate` (``composed_ffn`` in test_unet.py),
@@ -24,6 +25,29 @@ from linpaint.tensor import (
     gauss_cdf,
     unit_slices,
 )
+
+
+def matmul_batched(a: Tensor, b: Tensor) -> Tensor:
+    """One matrix product per entry of two rank-3 stacks that share their
+    leading (batch) axis."""
+    if not (a.data.ndim == b.data.ndim == 3 and a.shape[0] == b.shape[0]
+            and a.shape[2] == b.shape[1]):
+        raise ShapeError(f"matmul_batched cannot multiply {a.shape} by {b.shape}")
+    ad, bd = a.data, b.data
+
+    def vjp(g, needs):
+        yield g @ bd.swapaxes(1, 2) if needs[0] else None
+        yield ad.swapaxes(1, 2) @ g if needs[1] else None
+
+    return fused_op(ad @ bd, "matmul_batched", (a, b), vjp)
+
+
+def transpose_batched(a: Tensor) -> Tensor:
+    """Swap the last two axes of each entry of a rank-3 stack."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"transpose_batched needs rank 3, got {a.shape}")
+    return fused_op(a.data.swapaxes(1, 2).copy(), "transpose_batched", (a,),
+                    lambda g, needs: (g.swapaxes(1, 2).copy(),))
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -98,7 +122,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
     def vjp(g, needs):
         g_full = np.zeros(full.shape)
         g_full[:, ::stride, ::stride] = g
-        dxp, dw = depthwise_taps_back(g_full, w.data, xp)
+        dxp, dw = depthwise_taps_back(g_full, w.data, xp, np.empty(xp.shape))
         crop = dxp[:, padding:padding + h, padding:padding + wd]
         return crop, dw, g.reshape(c, -1).sum(axis=1)
 

@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import force_bands, reference_softmax, reference_taylor
-from reference_ops import div_broadcast, gelu_gate, guard_denominator, l2_normalize, sum_axis
+from reference_ops import (
+    div_broadcast,
+    gelu_gate,
+    guard_denominator,
+    l2_normalize,
+    matmul_batched,
+    sum_axis,
+    transpose_batched,
+)
 
 import linpaint.attention as A
 from linpaint import tensor as T
@@ -29,7 +37,6 @@ from linpaint.tensor import (
     fused_op,
     hadamard,
     make_rng,
-    matmul,
     reshape,
     sum_all,
     transpose,
@@ -299,14 +306,14 @@ def _composed_taylor(q, k, v, mode, eps, normalize_qk=True):
     heads, _, n = q.shape
     qb = l2_normalize(q, axis=1) if normalize_qk else q
     kb = l2_normalize(k, axis=1) if normalize_qk else k
-    q_kv = matmul(matmul(v, transpose(kb)), qb)
+    q_kv = matmul_batched(matmul_batched(v, transpose_batched(kb)), qb)
     if mode == "residual":
         out = add(v, q_kv)
     elif mode == "sum":
-        out = add(matmul(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
+        out = add(matmul_batched(sum_axis(v, 2), Tensor(np.ones((heads, 1, n)))), q_kv)
     else:
         out = q_kv
-    denom = add(matmul(transpose(sum_axis(kb, 2)), qb),
+    denom = add(matmul_batched(transpose_batched(sum_axis(kb, 2)), qb),
                 Tensor(np.full((heads, 1, n), float(n))))
     return div_broadcast(out, guard_denominator(denom, eps))
 

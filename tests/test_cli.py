@@ -322,8 +322,7 @@ def test_gradcheck_ops_scope(monkeypatch, capsys):
     assert rc == 0
     assert "op matmul" in out and "pass" in out and "FAIL" not in out
     assert "op conv2d_1x1" in out and "op conv2d_k4s2" in out
-    for name in ("matmul_batched", "transpose_batched",
-                 "multi_head_attention", "feed_forward"):
+    for name in ("multi_head_attention", "feed_forward"):
         assert f"op {name}:" in out
     assert out.strip().splitlines()[-1].startswith("op feed_forward:")
     # One unit per op that the library runs, and no other.
@@ -331,7 +330,7 @@ def test_gradcheck_ops_scope(monkeypatch, capsys):
     assert units == [
         "matmul", "transpose", "conv2d", "conv2d_1x1", "conv2d_k4s2",
         "tanh", "sigmoid", "leaky_relu", "absolute", "layer_norm_sites",
-        "matmul_batched", "transpose_batched", "multi_head_attention", "gated_projection",
+        "multi_head_attention", "gated_projection",
         "upsample_conv2d", "conv2d_parts", "feed_forward"]
 
 

@@ -1,8 +1,8 @@
 import math
 import tracemalloc
-import types
 
 import numpy as np
+from conftest import reachable
 
 from linpaint.autograd import Parameter, Tape, finite_diff_check, zero_grads
 from linpaint.losses import (
@@ -476,25 +476,7 @@ def test_frozen_discriminator_leaves_generator_gradients_unchanged():
 def _tensors_held_by_steps(tape):
     """The Tensors that the tape's recorded steps reach through closure cells,
     following functions, tuples, lists and dicts."""
-    found, seen, todo = [], set(), list(tape._steps)
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Tensor):
-            found.append(obj)
-        elif isinstance(obj, types.FunctionType):
-            for cell in obj.__closure__ or ():
-                try:
-                    todo.append(cell.cell_contents)
-                except ValueError:      # a cell that was never filled
-                    pass
-        elif isinstance(obj, (tuple, list)):
-            todo.extend(obj)
-        elif isinstance(obj, dict):
-            todo.extend(obj.values())
-    return found
+    return reachable(tape._steps, Tensor)
 
 
 def test_the_step_walk_finds_a_captured_tensor():

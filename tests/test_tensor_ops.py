@@ -12,8 +12,10 @@ from reference_ops import (
     depthwise_conv2d,
     div_broadcast,
     l2_normalize,
+    matmul_batched,
     nearest_upsample2x,
     sum_axis,
+    transpose_batched,
 )
 
 from linpaint import tensor as T
@@ -97,13 +99,33 @@ def test_matmul_mismatch_names_both_shapes():
 
 
 def test_matmul_batched_equals_per_entry_products():
+    # The reference stack product of tests/reference_ops.py: the library's
+    # matmul takes rank-2 operands only.
     rng = make_rng(12)
     a = rng.normal(size=(3, 4, 5))
     b = rng.normal(size=(3, 5, 2))
-    got = matmul(Tensor(a), Tensor(b)).data
+    got = matmul_batched(Tensor(a), Tensor(b)).data
     assert got.shape == (3, 4, 2)
     for i in range(3):
         assert np.array_equal(got[i], matmul(Tensor(a[i]), Tensor(b[i])).data)
+    with pytest.raises(ShapeError):
+        matmul(Tensor(a), Tensor(b))
+    with pytest.raises(ShapeError):
+        matmul_batched(Tensor(a), Tensor(b[:2]))
+
+
+def test_batched_reference_ops_gradients():
+    # Finite differences through the reference stack ops, on the inputs the
+    # gradcheck command's rank-3 units used.
+    rng = make_rng(0)
+    sa = Parameter(rng.normal(size=(2, 3, 4)))
+    sb = Parameter(rng.normal(size=(2, 4, 5)))
+    r_sab = Tensor(rng.normal(size=(2, 3, 5)))
+    r_st = Tensor(rng.normal(size=(2, 4, 3)))
+    err = finite_diff_check(lambda: sum_all(hadamard(matmul_batched(sa, sb), r_sab)), [sa, sb])
+    assert err < 1e-4
+    err = finite_diff_check(lambda: sum_all(hadamard(transpose_batched(sa), r_st)), [sa])
+    assert err < 1e-4
 
 
 @pytest.mark.parametrize("a_shape,b_shape", [
@@ -136,14 +158,15 @@ def test_transpose_row_to_column():
 
 
 def test_transpose_batched_swaps_last_two_axes():
+    # The reference stack transpose; the library's transpose is rank-2 only.
     a = make_rng(1).normal(size=(3, 2, 5))
-    got = transpose(Tensor(a)).data
+    got = transpose_batched(Tensor(a)).data
     assert got.flags["C_CONTIGUOUS"]
     assert np.array_equal(got, a.transpose(0, 2, 1))
 
 
 def test_transpose_rejects_rank1_and_rank4():
-    for shape in [(4,), (2, 2, 2, 2)]:
+    for shape in [(4,), (3, 2, 5), (2, 2, 2, 2)]:
         with pytest.raises(ShapeError):
             transpose(Tensor(np.ones(shape)))
 

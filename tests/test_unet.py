@@ -200,6 +200,41 @@ def test_taped_fused_ffn_holds_its_output_and_weight_copies():
     assert held <= out.data.nbytes + 2 * param_bytes
 
 
+def _ffn_backward_peak(channels, hidden, side):
+    """The tracemalloc peak of a taped feed-forward backward above what the
+    forward left, in C x N maps."""
+    rng = make_rng(25)
+    ffn = FeedForward(rng, channels, hidden, "ffn")
+    x = Parameter(rng.normal(size=(channels, side, side)))
+    r = Tensor(rng.normal(size=(channels, side, side)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = sum_all(hadamard(ffn(x), r))
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / x.data.nbytes
+
+
+def test_taped_ffn_backward_peak_in_one_band():
+    # C=32, hidden 64, 64 x 64 is one band. The gate's and the depthwise
+    # input's gradients go into reused band buffers: 16.98 maps (the stacked
+    # depthwise maps are 4 C wide), 23.64 when each band allocated its gate
+    # arrays and both depthwise gradients afresh.
+    assert _ffn_backward_peak(32, 64, 64) <= 18.0
+
+
+def test_taped_ffn_backward_peak_across_bands(monkeypatch):
+    # C=16, hidden 32, 64 x 64 in four bands of 16 rows: 8.07 maps, 10.02
+    # with fresh arrays per band.
+    _force_band_rows(monkeypatch, None, 64, 16)
+    assert _ffn_backward_peak(16, 32, 64) <= 8.6
+
+
 # ---------------------------------------------------------------------------
 # transformer block
 
