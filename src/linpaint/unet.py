@@ -247,10 +247,10 @@ class FeedForward(Module):
         rows = bands[0][1]
         band = two * (rows + 2) * (w + 2)
 
-        def scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def scratch(dw_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """A zero-ringed band of x and room for one band's stacked map and
-            for its depthwise outputs (then, in the backward, its gradient)."""
-            return np.zeros((c, rows + 2, w + 2)), np.empty(band), np.empty(band)
+            for its depthwise outputs (and, in the backward, the map's gradient)."""
+            return np.zeros((c, rows + 2, w + 2)), np.empty(band), np.empty(dw_size)
 
         def depthwise(r0: int, r1: int, x_band: np.ndarray, pre_buf: np.ndarray,
                       dw_buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,7 +273,7 @@ class FeedForward(Module):
             depthwise_taps(pre, dw_w, dw_b, dw_out)
             return pre, *dw_out.reshape(2, hidden, -1)
 
-        bufs = scratch()
+        bufs = scratch(two * rows * w)
         out = np.empty((c, h * w))
         for r0, r1 in bands:
             m = (r1 - r0) * w
@@ -285,7 +285,7 @@ class FeedForward(Module):
 
         def vjp(g: np.ndarray, needs: tuple[bool, ...]) -> list[np.ndarray | None]:
             g_mat = g.reshape(c, h * w)
-            bufs, g_buf = scratch(), np.empty(band)
+            bufs, g_buf = scratch(band), np.empty(band)
             dx = np.zeros((c, h, w)) if needs[0] else None
             d_pre_w, d_pre_b = np.zeros((two, c)), np.zeros(two)
             d_dw_w, d_dw_b = np.zeros((two, 3, 3)), np.zeros(two)
