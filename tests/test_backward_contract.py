@@ -86,10 +86,10 @@ def test_the_checker_accepts_a_new_array_and_the_incoming_gradient(contract):
 
 
 @pytest.mark.parametrize("mutant", [
-    lambda g, kept, p: np.multiply(g, kept, out=kept),                   # a held array
-    lambda g, kept, p: np.multiply(g, kept, out=kept).reshape(1, 5)[0],  # a view of one
-    lambda g, kept, p: np.multiply(g, 2.0 * p.data, out=p.data),         # a parameter's data
-])
+    lambda g, kept, p: np.multiply(g, kept, out=kept),
+    lambda g, kept, p: np.multiply(g, kept, out=kept).reshape(1, 5)[0],
+    lambda g, kept, p: np.multiply(g, 2.0 * p.data, out=p.data),
+], ids=["held_array", "view_of_held_array", "parameter_data"])
 def test_the_checker_catches_a_gradient_that_aliases_held_memory(contract, mutant):
     with pytest.raises(AssertionError, match="shares memory"):
         _probe(mutant)
